@@ -37,7 +37,6 @@ __all__ = [
     "angle_from_pixel",
     "angular_separation",
     "as_pixel",
-    "as_scene_point",
     "line_angle_frame",
     "project",
 ]
@@ -59,16 +58,6 @@ def as_pixel(p) -> np.ndarray:
         raise InvalidInput(f"pixel point must have shape (2,), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"pixel point must be finite, got {arr}")
-    return arr
-
-
-def as_scene_point(p) -> np.ndarray:
-    """Coerce p to a finite float64 array of shape (3,) [X, Y, Z]."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.shape != (3,):
-        raise InvalidInput(f"scene point must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"scene point must be finite, got {arr}")
     return arr
 
 

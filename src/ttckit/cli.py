@@ -198,17 +198,24 @@ def _span_flow(track) -> FlowVector:
     return FlowVector(track.pixel(0), track.pixel(len(track) - 1))
 
 
-def _calibrate(tracks, ids, intrinsics, seed: int):
-    """Cluster the moving tracks, fit the horizon through cluster epipoles."""
-    flow_index: list[int] = []
+def _moving_tracks(tracks) -> tuple[list, list[int]]:
+    """Tracks with a nonzero full-span flow, and their indices: a zero net
+    displacement defines no motion line to fit or cluster."""
     kept = []
+    index: list[int] = []
     for i, track in enumerate(tracks):
         try:
             _span_flow(track)
         except DegenerateFlow:
             continue
         kept.append(track)
-        flow_index.append(i)
+        index.append(i)
+    return kept, index
+
+
+def _calibrate(tracks, ids, intrinsics, seed: int):
+    """Cluster the moving tracks, fit the horizon through cluster epipoles."""
+    kept, flow_index = _moving_tracks(tracks)
     clusters, _ = cluster_flows(
         None, kept, config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics
     )
@@ -256,15 +263,10 @@ def _cmd_estimate(args) -> int:
 
     shared_epipole = None
     if args.mode == "least-squares":
-        flows = []
-        for track in tracks:
-            try:
-                flows.append(_span_flow(track))
-            except DegenerateFlow:
-                continue
         # One epipole for the whole set: least squares assumes all
         # tracks share a single rigid relative motion.
-        shared_epipole = epipole_least_squares(flows)
+        kept, _ = _moving_tracks(tracks)
+        shared_epipole = epipole_least_squares([_span_flow(t) for t in kept])
         document["epipoles"].append(_epipole_doc(shared_epipole, None))
 
     for track_id, track in zip(ids, tracks):
@@ -302,18 +304,9 @@ def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
     ids, tracks = read_tracks_csv(args.tracks)
     seed = args.seed if args.seed is not None else _default_seed()
-    kept = []
-    flow_index = []
-    stationary = []
-    for i, track in enumerate(tracks):
-        try:
-            # full-span flow; zero net displacement means no motion line
-            FlowVector(track.pixel(0), track.pixel(len(track) - 1))
-        except DegenerateFlow:
-            stationary.append(ids[i])
-            continue
-        kept.append(track)
-        flow_index.append(i)
+    kept, flow_index = _moving_tracks(tracks)
+    moving = set(flow_index)
+    stationary = [track_id for i, track_id in enumerate(ids) if i not in moving]
     config = ClusteringConfig(
         eps_dist=args.eps_dist,
         eps_ttc=args.eps_ttc,

@@ -53,8 +53,6 @@ class ClusteringConfig:
         max_iterations: RANSAC hypothesis budget per extraction round;
             rounds with at most this many candidate pairs enumerate them
             all instead of sampling.
-        sample_size: flows per hypothesis; 2 is the minimum that defines
-            an intersection point.
         min_cluster_size: smallest reportable cluster. Two non-parallel
             lines always intersect somewhere, so 3 is the smallest value
             that rejects spurious pairings.
@@ -64,7 +62,6 @@ class ClusteringConfig:
     eps_dist: float = 2.0
     eps_ttc: float | None = None
     max_iterations: int = 500
-    sample_size: int = 2
     min_cluster_size: int = 3
     rng_seed: int = 0
 
@@ -75,8 +72,6 @@ class ClusteringConfig:
             raise InvalidInput(f"eps_ttc must be > 0 or None, got {self.eps_ttc}")
         if self.max_iterations < 1:
             raise InvalidInput(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.sample_size < 2:
-            raise InvalidInput(f"sample_size must be >= 2, got {self.sample_size}")
         if self.min_cluster_size < 3:
             raise InvalidInput(f"min_cluster_size must be >= 3, got {self.min_cluster_size}")
 
@@ -304,13 +299,13 @@ def cluster_flows(
 
     while remaining.size >= config.min_cluster_size:
         m = remaining.size
-        if config.sample_size == 2 and m * (m - 1) // 2 <= config.max_iterations:
+        if m * (m - 1) // 2 <= config.max_iterations:
             samples = [
                 (remaining[i], remaining[j]) for i, j in itertools.combinations(range(m), 2)
             ]
         else:
             samples = [
-                tuple(remaining[rng.choice(m, size=config.sample_size, replace=False)])
+                tuple(remaining[rng.choice(m, size=2, replace=False)])
                 for _ in range(config.max_iterations)
             ]
 

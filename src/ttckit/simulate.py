@@ -11,7 +11,12 @@ collision quantities from 3D geometry:
 * true k at frame 0: -(P0 . v) / |v|^2, the instant the plane through
   the point with normal v sweeps the camera center, in frames.
 * true H: perpendicular distance of the motion line from the camera
-  center divided by |v|, i.e. the miss distance in per-frame units.
+  center divided by |v|, i.e. the miss distance in per-frame units. The
+  point is closest to the camera at its sweep, so H = |P0 + k0 v| / |v|.
+
+One broadcasting function derives all of these (and the motion label)
+for any number of points and relative motions; point_truth, simulate and
+collision_map all call it, so they cannot disagree.
 
 Everything uses the relative-motion formulation: the camera stays at the
 origin and each point advances by v_g = object velocity minus camera
@@ -20,7 +25,8 @@ is the same computation by construction.
 
 collision_map() re-evaluates the analytic truth over a grid of camera
 velocity changes, which is the planning view: which speed adjustments
-clear every collision within the lookahead.
+clear every collision within the lookahead. It evaluates all points of
+all objects at once per grid cell.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ _Z_FLOOR = 1e-9
 
 # Relative speeds below this count as zero (constant bearing, no TTC).
 _SPEED_FLOOR = 1e-12
+
+# Labels of _truth, by index.
+_LABELS = (MotionClass.CONSTANT_BEARING, MotionClass.APPROACHING, MotionClass.RECEDING)
 
 
 @dataclass(frozen=True)
@@ -166,26 +175,41 @@ class GroundTruth:
         return len(self.points)
 
 
-def _truth_quantities(p0: np.ndarray, v_g: np.ndarray, intrinsics: CameraIntrinsics):
-    """(epipole, k0, H, label) of one point from pure 3D geometry."""
-    speed = float(np.linalg.norm(v_g))
-    if speed < _SPEED_FLOOR:
-        return None, None, None, MotionClass.CONSTANT_BEARING
-    k0 = float(-(p0 @ v_g) / speed**2)
-    unit = v_g / speed
-    lateral = p0 - (p0 @ unit) * unit
-    h = float(np.linalg.norm(lateral) / speed)
-    if abs(v_g[2]) < _SPEED_FLOOR * max(1.0, speed):
-        epipole = None
-    else:
-        epipole = intrinsics.pp + intrinsics.focal_px * v_g[:2] / v_g[2]
-    if h * speed < 1e-12:
-        label = MotionClass.CONSTANT_BEARING
-    elif k0 > 0.0:
-        label = MotionClass.APPROACHING
-    else:
-        label = MotionClass.RECEDING
-    return epipole, k0, h, label
+def _truth(points, v_g, intrinsics: CameraIntrinsics):
+    """Analytic truth of points under relative motions, broadcast over rows.
+
+    points (..., 3) are frame-0 positions and v_g (..., 3) per-frame
+    relative motions. Returns (k0, H, speed, epipole, label):
+    k0 = -(P . v) / |v|^2; H = |P + k0 v| / |v|, the distance at the sweep,
+    which is the closest approach, in per-frame units; speed = |v|; the
+    epipole, shape (..., 2); label an index into _LABELS. k0 and H are NaN
+    below _SPEED_FLOOR, the epipole also for motion parallel to the image
+    plane.
+    """
+    points, v_g = np.broadcast_arrays(points, v_g)
+    speed = np.linalg.norm(v_g, axis=-1)
+    moving = speed >= _SPEED_FLOOR
+    facing = np.abs(v_g[..., 2]) >= _SPEED_FLOOR * np.maximum(1.0, speed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k0 = np.where(moving, -np.sum(points * v_g, axis=-1) / speed**2, np.nan)
+        miss = np.linalg.norm(points + k0[..., np.newaxis] * v_g, axis=-1)
+        h = miss / speed
+        epipole = intrinsics.pp + intrinsics.focal_px * v_g[..., :2] / v_g[..., 2:]
+    epipole = np.where(facing[..., np.newaxis], epipole, np.nan)
+    label = np.where(~(miss >= 1e-12), 0, np.where(k0 > 0.0, 1, 2))
+    return k0, h, speed, epipole, label
+
+
+def _point_record(k0, h, speed, epipole, label, **fields) -> PointTruth:
+    """PointTruth from one row of _truth; NaN quantities become None."""
+    return PointTruth(
+        speed=float(speed),
+        epipole=None if np.isnan(epipole[0]) else epipole,
+        k0=None if np.isnan(k0) else float(k0),
+        H=None if np.isnan(h) else float(h),
+        label=_LABELS[label],
+        **fields,
+    )
 
 
 def point_truth(
@@ -203,19 +227,13 @@ def point_truth(
     Exposed for tests and planners that need truth without building a
     whole scenario.
     """
-    p0 = np.asarray(p0, dtype=np.float64)
     v_g = np.asarray(v_g, dtype=np.float64)
-    epipole, k0, h, label = _truth_quantities(p0, v_g, intrinsics)
-    return PointTruth(
+    return _point_record(
+        *_truth(np.asarray(p0, dtype=np.float64), v_g, intrinsics),
         track_index=track_index,
         object_id=object_id,
         cluster_id=cluster_id,
         v_g=v_g,
-        speed=float(np.linalg.norm(v_g)),
-        epipole=epipole,
-        k0=k0,
-        H=h,
-        label=label,
         valid_frames=valid_frames,
     )
 
@@ -241,6 +259,7 @@ def simulate(scenario: Scenario) -> tuple[list[TrackObservation | None], GroundT
     track_index = 0
     for cluster_id, obj in enumerate(scenario.objects):
         v_g = obj.velocity - scenario.camera_velocity
+        truth = _truth(obj.points, v_g, scenario.intrinsics)
         for point_index in range(obj.points.shape[0]):
             p0 = obj.points[point_index]
             positions = p0[np.newaxis, :] + steps[:, np.newaxis] * v_g[np.newaxis, :]
@@ -258,18 +277,13 @@ def simulate(scenario: Scenario) -> tuple[list[TrackObservation | None], GroundT
                 )
             else:
                 track = None
-            epipole, k0, h, label = _truth_quantities(p0, v_g, scenario.intrinsics)
             truths.append(
-                PointTruth(
+                _point_record(
+                    *(column[point_index] for column in truth),
                     track_index=track_index,
                     object_id=obj.object_id,
                     cluster_id=cluster_id,
                     v_g=v_g,
-                    speed=float(np.linalg.norm(v_g)),
-                    epipole=epipole,
-                    k0=k0,
-                    H=h,
-                    label=label,
                     valid_frames=valid_frames,
                 )
             )
@@ -351,34 +365,6 @@ class CollisionMap:
         return len(self.forward_offsets) // 2, len(self.lateral_offsets) // 2
 
 
-def _cell_state(
-    scenario: Scenario, camera_velocity: np.ndarray, collision_radius: float
-) -> tuple[float, float, bool]:
-    """(min positive k, its metric miss distance, collision flag) for one
-    camera velocity. Pure geometry; no rendering involved."""
-    best_k = np.inf
-    best_miss = np.nan
-    collides = False
-    for obj in scenario.objects:
-        v_g = obj.velocity - camera_velocity
-        speed = float(np.linalg.norm(v_g))
-        if speed < _SPEED_FLOOR:
-            continue
-        unit = v_g / speed
-        k0 = -(obj.points @ v_g) / speed**2
-        lateral = obj.points - np.outer(obj.points @ unit, unit)
-        miss_m = np.linalg.norm(lateral, axis=1)
-        pending = k0 > 0.0
-        if np.any(pending):
-            i = int(np.argmin(np.where(pending, k0, np.inf)))
-            if k0[i] < best_k:
-                best_k = float(k0[i])
-                best_miss = float(miss_m[i])
-            hits = pending & (k0 <= scenario.frame_count) & (miss_m < collision_radius)
-            collides = collides or bool(np.any(hits))
-    return best_k, best_miss, collides
-
-
 def collision_map(
     scenario: Scenario, grid: GridSpec, collision_radius: float = 2.0
 ) -> CollisionMap:
@@ -406,12 +392,25 @@ def collision_map(
     min_ttc = np.full(shape, np.inf)
     miss = np.full(shape, np.nan)
     hit = np.zeros(shape, dtype=bool)
+    # every point of every object, in object order, beside its velocity
+    objects = scenario.objects
+    points = np.concatenate([np.zeros((0, 3))] + [obj.points for obj in objects])
+    velocities = np.concatenate(
+        [np.zeros((0, 3))] + [np.broadcast_to(obj.velocity, obj.points.shape) for obj in objects]
+    )
     for fi, dv_f in enumerate(fwd):
         for li, dv_l in enumerate(lat):
             cam_v = scenario.camera_velocity + np.array([dv_l, 0.0, dv_f])
-            min_ttc[fi, li], miss[fi, li], hit[fi, li] = _cell_state(
-                scenario, cam_v, collision_radius
-            )
+            k0, h, speed, _, _ = _truth(points, velocities - cam_v, scenario.intrinsics)
+            pending = k0 > 0.0
+            if not pending.any():
+                continue
+            # first point of the smallest pending k0, in object order
+            i = np.argmin(np.where(pending, k0, np.inf))
+            miss_m = h * speed
+            min_ttc[fi, li] = k0[i]
+            miss[fi, li] = miss_m[i]
+            hit[fi, li] = np.any(pending & (k0 <= scenario.frame_count) & (miss_m < collision_radius))
     return CollisionMap(
         lateral_offsets=lat,
         forward_offsets=fwd,

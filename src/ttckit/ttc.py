@@ -1,4 +1,4 @@
-"""Time-to-collision and collision-plane decomposition for one tracked point.
+"""Time-to-collision and collision-plane decomposition for tracked points.
 
 Model: the camera is held at the origin and the tracked 3D point moves
 with the constant per-frame relative displacement v_g (object velocity
@@ -14,14 +14,21 @@ the relative motion determine, purely from angles:
 * H >= 0, the lateral miss distance of the point's motion line from the
   camera center, in units of per-frame displacement |v_g|.
 
-Everything is computed inside the plane spanned by the camera center and
-the image flow line, using :class:`ttckit.camera.LineAngleFrame`, so the
-relations hold exactly for arbitrary (not axis-aligned) translation.
+The angles are true 3D angles between viewing rays: from the epipole ray
+r_e to a point's ray r, tan = |r_e x r| / (r_e . r); a negative dot
+product marks the obtuse, after-the-sweep regime.
 
-The angle identity used throughout: with angles measured from the
-epipole along the flow line, the point observed at frames t and t+1
-satisfies tan(angle(t)) = H / (k - t). The two-frame solution is
-k = tan(beta) / (tan(beta) - tan(alpha)) and H = k * tan(alpha).
+The angle identity used throughout: with angles measured from the ray the
+point comes from, the point observed at frames t and t+1 satisfies
+tan(angle(t)) = H / (k - t). The two-frame solution is
+k = tan(beta) / (tan(beta) - tan(alpha)) and H = k * tan(alpha). The
+epipole ray and its antipode image to the same pixel: the angle to the
+epipole ray grows between frames for a point coming from it and shrinks
+for one coming from the antipode (receding), where H changes sign and k
+does not.
+
+_decompose is the only code that turns observations and an epipole into
+k, H and a degeneracy verdict; ttc_batch and collision_estimate wrap it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, as_pixel, line_angle_frame
+from .camera import CameraIntrinsics, as_pixel
 from .errors import DegenerateGeometry, InsufficientData, InvalidInput, StationaryPoint
 
 __all__ = [
@@ -47,6 +54,15 @@ __all__ = [
 
 # Pixel coincidence tolerance for "epipole on top of a track point".
 _EPS_COINCIDENT = 1e-9
+
+# Verdicts of _decompose for rows without a decomposition, in order of
+# precedence; a valid row has verdict 0.
+_ZERO_FLOW, _COINCIDENT, _CONSTANT_BEARING = 1, 2, 3
+_VERDICTS = {
+    _ZERO_FLOW: (StationaryPoint, "zero pixel displacement between frames"),
+    _COINCIDENT: (DegenerateGeometry, "epipole coincides with a track point"),
+    _CONSTANT_BEARING: (StationaryPoint, "angular motion below threshold"),
+}
 
 
 class MotionClass(enum.Enum):
@@ -110,14 +126,15 @@ class CollisionEstimate:
             counted from the first frame of the pair used.
         H: lateral miss distance, >= 0, in units of per-frame relative
             displacement.
-        v_g_dir: unit 3-vector of the viewing ray through the epipole.
-            For an approaching point this is the direction the point
-            comes from (the negated relative motion direction).
+        v_g_dir: unit 3-vector of the direction the point comes from,
+            the negated relative motion direction: the viewing ray
+            through the epipole for an approaching point, its antipode
+            for a receding one.
         v_H_dir: unit 3-vector of the lateral offset, orthogonal to
             v_g_dir, in the plane spanned by v_g_dir and the point's ray.
         point: reconstructed 3D position k * v_g_dir + H * v_H_dir, in
-            per-frame displacement units. For an approaching point this
-            equals the scene position at the first frame of the pair.
+            per-frame displacement units: the scene position at the
+            first frame of the pair divided by |v_g|.
     """
 
     k: float
@@ -125,6 +142,22 @@ class CollisionEstimate:
     v_g_dir: np.ndarray
     v_H_dir: np.ndarray
     point: np.ndarray
+
+
+def _k_from_tangents(ya, xa, yb, xb, eps_tan: float):
+    """Sweep of an observation pair whose ray angles have tangents
+    tan(alpha) = ya / xa and tan(beta) = yb / xb.
+
+    Returns (k, kt, still): k = tan(beta) / (tan(beta) - tan(alpha)),
+    kt = k * tan(alpha), and still marking angular motion |tan(beta) -
+    tan(alpha)| below eps_tan (constant bearing), where both are
+    meaningless. With the tangents kept as fractions a right angle
+    (x = 0, the point at its sweep) needs no special case.
+    """
+    den = yb * xa - ya * xb
+    still = ~(np.abs(den) >= eps_tan * np.abs(xa * xb)) | (den == 0.0)
+    den = np.where(still, 1.0, den)
+    return yb * xa / den, ya * yb / den, still
 
 
 def ttc_from_angles(alpha: float, beta: float, *, eps_tan: float = 1e-12) -> float:
@@ -154,43 +187,49 @@ def ttc_from_angles(alpha: float, beta: float, *, eps_tan: float = 1e-12) -> flo
         raise InvalidInput("angles must be finite")
     if abs(a) >= np.pi or abs(b) >= np.pi:
         raise InvalidInput(f"angles must lie in (-pi, pi), got {a}, {b}")
-    ta = np.tan(a)
-    tb = np.tan(b)
-    if abs(tb - ta) < eps_tan:
-        raise StationaryPoint(f"angular motion {tb - ta:.3e} below threshold {eps_tan:.3e}")
-    return float(tb / (tb - ta))
+    k, _, still = _k_from_tangents(np.sin(a), np.cos(a), np.sin(b), np.cos(b), eps_tan)
+    if still:
+        raise StationaryPoint(
+            f"angular motion {np.tan(b) - np.tan(a):.3e} below threshold {eps_tan:.3e}"
+        )
+    return float(k)
 
 
-def _ray_angle(e: np.ndarray, p: np.ndarray, intrinsics: CameraIntrinsics) -> float:
-    """True viewing-ray angle from the epipole ray to the point ray.
+def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics,
+               eps_tan: float):
+    """Collision-plane decomposition of N observation pairs against one epipole.
 
-    Measured in the 1D frame of the image line joining the two, oriented
-    epipole -> point, so the result lies in (0, pi). Values above pi/2
-    mean the point's ray makes an obtuse angle with the epipole ray,
-    which happens after the collision plane has swept past.
+    Args:
+        p0, p1: float pixels at the pair's two frames, shape (N, 2).
+        e: epipole pixel, shape (2,).
+
+    Returns:
+        (k, H, from_epipole, verdict), each of shape (N,). from_epipole
+        is True where the angle to the epipole ray grows between the
+        frames: the point comes from that ray, elsewhere from its
+        antipode. Since k * tan(alpha) = 1 / (cot(alpha) - cot(beta)),
+        the angle grows exactly where k * tan(alpha) > 0, and H is its
+        magnitude. verdict is 0 for a valid row, else a _VERDICTS key;
+        k and H are NaN there.
     """
-    frame = line_angle_frame(e, p, intrinsics)
-    return frame.angle_of(p) - frame.angle_of(e)
-
-
-def _pair_angles(p0: np.ndarray, p1: np.ndarray, epipole, intrinsics: CameraIntrinsics):
-    """Epipole-relative angles (alpha, beta) of an observation pair.
-
-    Each angle is the exact ray angle between the epipole and that
-    observation. For geometrically consistent input (epipole on the flow
-    line) this matches the in-line construction exactly; for a wrong
-    epipole hypothesis the angles shift in every displacement direction,
-    which is what makes the three-frame consistency residual usable as
-    an epipole validation signal.
-    """
-    e = as_pixel(epipole)
-    # zero flow first: a point parked on the epipole is constant bearing,
-    # not a geometric degeneracy
-    if np.linalg.norm(p1 - p0) == 0.0:
-        raise StationaryPoint("zero pixel displacement between frames")
-    if np.linalg.norm(p0 - e) < _EPS_COINCIDENT or np.linalg.norm(p1 - e) < _EPS_COINCIDENT:
-        raise DegenerateGeometry("epipole coincides with a track point")
-    return _ray_angle(e, p0, intrinsics), _ray_angle(e, p1, intrinsics)
+    pp = intrinsics.pp
+    f = intrinsics.focal_px
+    ex, ey = e - pp
+    pair = np.stack([p0, p1])
+    x = pair[..., 0] - pp[0]
+    y = pair[..., 1] - pp[1]
+    gap = np.hypot(pair[..., 0] - e[0], pair[..., 1] - e[1])
+    # tan = |r_e x r| / (r_e . r) with r = (x, y, f), r_e = (ex, ey, f)
+    (ya, yb), (xa, xb) = np.hypot(f * gap, ex * y - ey * x), ex * x + ey * y + f * f
+    k, h, still = _k_from_tangents(ya, xa, yb, xb, eps_tan)
+    verdict = np.zeros(len(k), dtype=np.int8)
+    verdict[still] = _CONSTANT_BEARING
+    verdict[(gap < _EPS_COINCIDENT).any(axis=0)] = _COINCIDENT
+    verdict[(p0 == p1).all(axis=1)] = _ZERO_FLOW
+    bad = verdict != 0
+    k[bad] = np.nan
+    h[bad] = np.nan
+    return k, np.abs(h), h >= 0.0, verdict
 
 
 def collision_estimate(
@@ -221,28 +260,26 @@ def collision_estimate(
     """
     if not 0 <= pair_index <= len(track) - 2:
         raise InvalidInput(f"pair_index {pair_index} out of range for {len(track)} frames")
-    p0 = track.pixel(pair_index)
-    p1 = track.pixel(pair_index + 1)
-    alpha, beta = _pair_angles(p0, p1, epipole, intrinsics)
-    k = ttc_from_angles(alpha, beta, eps_tan=eps_tan)
-    h = k * np.tan(alpha)
-
     e = as_pixel(epipole)
+    pair = track.positions[pair_index : pair_index + 2]
+    k, h, from_epipole, verdict = _decompose(pair[:1], pair[1:], e, intrinsics, eps_tan)
+    if verdict[0]:
+        error, message = _VERDICTS[verdict[0]]
+        raise error(message)
+
     pp = intrinsics.pp
-    v_g_dir = np.array([e[0] - pp[0], e[1] - pp[1], intrinsics.focal_px])
-    v_g_dir /= np.linalg.norm(v_g_dir)
-    ray0 = np.array([p0[0] - pp[0], p0[1] - pp[1], intrinsics.focal_px])
-    # Lateral direction: component of the point's ray orthogonal to the
-    # motion axis, via the double cross product. Antipode-invariant in
-    # v_g_dir, so the epipole ray can stand in for the motion direction.
-    lateral = np.cross(np.cross(v_g_dir, ray0), v_g_dir)
-    lateral_norm = np.linalg.norm(lateral)
-    if lateral_norm < 1e-15:
-        # Point ray parallel to the motion axis: direct collision course.
-        raise StationaryPoint("track lies on the epipole ray; lateral direction undefined")
-    v_h_dir = lateral / lateral_norm
-    point = k * v_g_dir + h * v_h_dir
-    return CollisionEstimate(k=float(k), H=float(h), v_g_dir=v_g_dir, v_H_dir=v_h_dir, point=point)
+    f = intrinsics.focal_px
+    # the point comes from the epipole ray or from its antipode
+    v_g_dir = np.array([e[0] - pp[0], e[1] - pp[1], f])
+    v_g_dir *= (1.0 if from_epipole[0] else -1.0) / np.linalg.norm(v_g_dir)
+    ray0 = np.array([pair[0, 0] - pp[0], pair[0, 1] - pp[1], f])
+    # Lateral direction: the component of the point's ray orthogonal to
+    # the motion axis.
+    lateral = ray0 - (ray0 @ v_g_dir) * v_g_dir
+    v_h_dir = lateral / np.linalg.norm(lateral)
+    k = float(k[0])
+    h = float(h[0])
+    return CollisionEstimate(k=k, H=h, v_g_dir=v_g_dir, v_H_dir=v_h_dir, point=k * v_g_dir + h * v_h_dir)
 
 
 def classify_motion(track: TrackObservation, epipole, *, eps_px: float = 0.05) -> MotionClass:
@@ -306,38 +343,12 @@ def ttc_batch(
     Returns:
         (k, H) float arrays of shape (N,). Degenerate rows (zero flow,
         epipole on the flow's pixels, sub-threshold angular motion) are
-        NaN rather than raised, so batch callers can mask them.
-
-    The epipole-relative angle of each observation is the true angle
-    between viewing rays, so tan(angle) = ||r_e x r_p|| / (r_e . r_p);
-    a negative dot product marks the obtuse after-the-sweep regime.
-    This matches collision_estimate row for row.
+        NaN rather than raised, so batch callers can mask them. Each row
+        equals collision_estimate on that pair.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
     if p0.ndim != 2 or p0.shape[1] != 2 or p0.shape != p1.shape:
         raise InvalidInput(f"expected matching (N, 2) arrays, got {p0.shape} and {p1.shape}")
-    e = as_pixel(epipole)
-    pp = intrinsics.pp
-    f = intrinsics.focal_px
-
-    ray_e = np.array([e[0] - pp[0], e[1] - pp[1], f])
-    rays0 = np.column_stack([p0 - pp[np.newaxis, :], np.full(len(p0), f)])
-    rays1 = np.column_stack([p1 - pp[np.newaxis, :], np.full(len(p1), f)])
-    cross0 = np.cross(np.broadcast_to(ray_e, rays0.shape), rays0)
-    cross1 = np.cross(np.broadcast_to(ray_e, rays1.shape), rays1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tan_a = np.linalg.norm(cross0, axis=1) / (rays0 @ ray_e)
-        tan_b = np.linalg.norm(cross1, axis=1) / (rays1 @ ray_e)
-
-    denom = tan_b - tan_a
-    valid = np.isfinite(tan_a) & np.isfinite(tan_b)
-    valid &= np.linalg.norm(p1 - p0, axis=1) > 0.0
-    valid &= np.abs(denom) >= eps_tan
-    valid &= np.linalg.norm(p0 - e, axis=1) >= _EPS_COINCIDENT
-    valid &= np.linalg.norm(p1 - e, axis=1) >= _EPS_COINCIDENT
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where(valid, tan_b / np.where(denom == 0.0, 1.0, denom), np.nan)
-    h = np.where(valid, k * tan_a, np.nan)
+    k, h, _, _ = _decompose(p0, p1, as_pixel(epipole), intrinsics, eps_tan)
     return k, h

@@ -127,7 +127,6 @@ class TestConfigValidation:
         assert cfg.eps_dist == 2.0
         assert cfg.eps_ttc is None
         assert cfg.max_iterations == 500
-        assert cfg.sample_size == 2
         assert cfg.min_cluster_size == 3
 
     @pytest.mark.parametrize(
@@ -137,7 +136,6 @@ class TestConfigValidation:
             {"eps_dist": -1.0},
             {"eps_ttc": 0.0},
             {"max_iterations": 0},
-            {"sample_size": 1},
             {"min_cluster_size": 2},
         ],
     )

@@ -328,6 +328,45 @@ class TestCollisionMap:
                     assert result.miss_distance[fi, li] == pytest.approx(miss, abs=1e-9)
                 assert bool(result.collision[fi, li]) is hit
 
+    def test_every_cell_matches_plain_formulas(self, intr800):
+        # per point k0 = -(P . v)/|v|^2 and metric miss |P - (P . v^) v^|,
+        # written out here rather than taken from simulate()
+        rng = np.random.default_rng(78)
+        layout = [([0.0, 0.0, 20.0], [0.0, 0.0, 0.0]),
+                  ([-3.0, 0.0, 30.0], [0.0, 0.0, -0.5]),
+                  ([8.0, 0.5, 15.0], [-0.6, 0.0, 0.0])]
+        objects = tuple(
+            SceneObject(f"o{j}", np.array(c) + rng.uniform(-0.8, 0.8, size=(4, 3)), np.array(v))
+            for j, (c, v) in enumerate(layout)
+        )
+        scenario = Scenario(intrinsics=intr800, objects=objects,
+                            camera_velocity=np.array([0.0, 0.0, 1.0]), frame_count=40)
+        grid = GridSpec(1.0, 1.5, 5, 5)
+        result = collision_map(scenario, grid)
+        points = np.concatenate([o.points for o in objects])
+        v_obj = np.concatenate([np.tile(o.velocity, (len(o.points), 1)) for o in objects])
+        for fi, dv_f in enumerate(grid.forward_offsets):
+            for li, dv_l in enumerate(grid.lateral_offsets):
+                v = v_obj - (scenario.camera_velocity + np.array([dv_l, 0.0, dv_f]))
+                # the cell that stops the camera leaves the wall without
+                # relative motion: NaN there, which is never pending
+                with np.errstate(invalid="ignore"):
+                    k0 = -np.sum(points * v, axis=1) / np.sum(v * v, axis=1)
+                    v_hat = v / np.linalg.norm(v, axis=1)[:, np.newaxis]
+                along = np.sum(points * v_hat, axis=1)[:, np.newaxis]
+                miss = np.linalg.norm(points - along * v_hat, axis=1)
+                pending = k0 > 0.0
+                if pending.any():
+                    nearest = np.argmin(np.where(pending, k0, np.inf))
+                    assert result.min_ttc[fi, li] == pytest.approx(k0[nearest], rel=1e-12)
+                    assert result.miss_distance[fi, li] == pytest.approx(miss[nearest], rel=1e-9)
+                else:
+                    assert np.isinf(result.min_ttc[fi, li])
+                    assert np.isnan(result.miss_distance[fi, li])
+                hit = np.any(pending & (k0 <= 40) & (miss < 2.0))
+                assert bool(result.collision[fi, li]) is bool(hit)
+        assert result.collision.any() and not result.collision.all()
+
     def test_slow_approach_beyond_horizon_not_collision(self, intr800):
         scenario = single_point_scenario(
             intr800, [0.0, 0.0, 30.0], [0.0, 0.0, 0.0],

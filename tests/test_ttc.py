@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ttckit import (
     CameraIntrinsics,
@@ -18,7 +20,13 @@ from ttckit import (
     ttc_three_frame_consistency,
 )
 
-from conftest import oracle_epipole, oracle_h, oracle_k0, random_approach_scenario
+from conftest import (
+    oracle_epipole,
+    oracle_h,
+    oracle_k0,
+    oracle_project,
+    random_approach_scenario,
+)
 
 
 class TestTtcFromAngles:
@@ -283,8 +291,137 @@ class TestTtcBatch:
         assert np.isnan(k[1]) and np.isnan(h[1])
         assert np.isnan(k[2]) and np.isnan(h[2])
 
+    def test_point_observed_at_its_sweep(self, intr_origin):
+        # (-2, 0, 2) is perpendicular to v = (1, 0, 1): the sweep falls
+        # on frame 1, whose ray is at a right angle to the epipole ray
+        v = np.array([1.0, 0.0, 1.0])
+        pixels = np.array(
+            [oracle_project(np.array([-3.0, 0.0, 1.0]) + t * v, intr_origin) for t in range(3)]
+        )
+        e = oracle_epipole(v, intr_origin)
+        k, h = ttc_batch(pixels[:2], pixels[1:], e, intr_origin)
+        assert k == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert h == pytest.approx([2.0, 2.0], rel=1e-12)
+        track = TrackObservation.from_positions(pixels)
+        for i in range(2):
+            est = collision_estimate(track, e, intr_origin, pair_index=i)
+            assert (est.k, est.H) == (k[i], h[i])
+
     def test_shape_validation(self, intr_origin):
         with pytest.raises(InvalidInput):
             ttc_batch(
                 np.zeros((3, 2)), np.zeros((4, 2)), np.array([0.0, 0.0]), intr_origin
             )
+
+
+class TestRecedingPoint:
+    # (1, 0.3, 10) moving straight away at unit speed: the sweep was 10
+    # frames ago and the motion line misses the camera by |(1, 0.3)|
+    P = np.array([1.0, 0.3, 10.0])
+    V = np.array([0.0, 0.0, 1.0])
+
+    def pixels(self, intr):
+        return np.array([oracle_project(self.P + t * self.V, intr) for t in (0, 1)])
+
+    def test_collision_estimate(self, intr_origin):
+        track = TrackObservation.from_positions(self.pixels(intr_origin))
+        est = collision_estimate(track, oracle_epipole(self.V, intr_origin), intr_origin)
+        assert est.k == pytest.approx(-10.0, rel=1e-9)
+        assert est.H == pytest.approx(1.0440306508910551, rel=1e-9)
+        assert np.allclose(est.v_g_dir, -self.V, atol=1e-12)
+        assert np.allclose(est.point, self.P, atol=1e-9)
+
+    def test_ttc_batch(self, intr_origin):
+        pix = self.pixels(intr_origin)
+        k, h = ttc_batch(pix[:1], pix[1:], oracle_epipole(self.V, intr_origin), intr_origin)
+        assert k[0] == pytest.approx(-10.0, rel=1e-9)
+        assert h[0] == pytest.approx(1.0440306508910551, rel=1e-9)
+
+
+# the intr800 fixture as a constant: a function-scoped fixture would be
+# shared by every example of a hypothesis test
+INTR = CameraIntrinsics(focal_px=800.0, principal_point=(320.0, 240.0), image_size=(640, 480))
+
+# Frames until the sweep at frame 0 that each regime asks for.
+REGIME_K0 = {
+    "approaching": (1.5, 40.0),
+    "receding": (-40.0, -0.5),
+    "sweep between frames": (0.05, 0.95),
+    "near-lateral approaching": (1.5, 40.0),
+    "near-lateral receding": (-40.0, -0.5),
+}
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def regime_motion(draw):
+    """(P0, v) of one point whose k0 lies in a drawn regime's range.
+
+    The motion direction is drawn, flipped so the sweep lies on the
+    requested side, and the speed set so k0 hits the drawn value.
+    Near-lateral motion tilts out of the image plane by at most 1e-2,
+    which puts the epipole at least 8e4 px off the principal point.
+    """
+    regime = draw(st.sampled_from(sorted(REGIME_K0)))
+    z = draw(st.floats(1.0, 40.0, **finite))
+    p0 = np.array([draw(st.floats(-2.0, 2.0, **finite)) * z,
+                   draw(st.floats(-2.0, 2.0, **finite)) * z, z])
+    if regime.startswith("near-lateral"):
+        phi = draw(st.floats(0.0, 2.0 * np.pi, **finite))
+        tilt = draw(st.floats(1e-4, 1e-2, **finite)) * draw(st.sampled_from([-1.0, 1.0]))
+        d = np.array([np.cos(phi), np.sin(phi), tilt])
+    else:
+        d = np.array([draw(st.floats(-1.0, 1.0, **finite)) for _ in range(3)])
+        assume(abs(d[2]) > 0.05)
+    d /= np.linalg.norm(d)
+    k0 = draw(st.floats(*REGIME_K0[regime], **finite))
+    if (p0 @ d) * k0 > 0.0:
+        d = -d
+    speed = -(p0 @ d) / k0
+    assume(0.05 <= speed <= 50.0)
+    v = speed * d
+    # in front of the camera for three frames, off the motion line by
+    # more than 1e-3 rad, and moving by more than 0.01 px per frame
+    assume(all((p0 + t * v)[2] > 0.1 for t in range(3)))
+    assume(oracle_h(p0, v) * speed > 1e-3 * np.linalg.norm(p0))
+    pixels = np.array([oracle_project(p0 + t * v, INTR) for t in range(3)])
+    assume(np.all(np.linalg.norm(np.diff(pixels, axis=0), axis=1) > 1e-2))
+    return p0, v, pixels
+
+
+class TestRegimeProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(regime_motion())
+    def test_scalar_batch_and_truth_agree(self, motion):
+        p0, v, pixels = motion
+        track = TrackObservation.from_positions(pixels)
+        e = oracle_epipole(v, INTR)
+        speed = np.linalg.norm(v)
+        k, h = ttc_batch(pixels[:2], pixels[1:], e, INTR)
+        for i in range(2):
+            est = collision_estimate(track, e, INTR, pair_index=i)
+            assert est.k == k[i] and est.H == h[i]
+            p = p0 + i * v
+            assert est.k == pytest.approx(oracle_k0(p, v), rel=1e-6)
+            assert est.H == pytest.approx(oracle_h(p, v), rel=1e-6)
+            assert np.allclose(est.point, p / speed, rtol=0.0, atol=1e-6 * np.linalg.norm(p) / speed)
+            assert np.allclose(est.v_g_dir, -v / speed, atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(1.0, 40.0, **finite),
+        st.floats(-2.0, 2.0, **finite),
+        st.floats(-2.0, 2.0, **finite),
+        st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+    )
+    def test_constant_bearing_is_stationary(self, z, x, y, scale):
+        # scaling by a power of two moves the point along its own ray and
+        # projects to the very same pixel
+        p0 = np.array([x * z, y * z, z])
+        v = (scale - 1.0) * p0
+        pixels = np.array([oracle_project(p0, INTR), oracle_project(scale * p0, INTR)])
+        e = oracle_epipole(v, INTR)
+        with pytest.raises(StationaryPoint):
+            collision_estimate(TrackObservation.from_positions(pixels), e, INTR)
+        k, h = ttc_batch(pixels[:1], pixels[1:], e, INTR)
+        assert np.isnan(k[0]) and np.isnan(h[0])
