@@ -136,6 +136,7 @@ class TestConfigValidation:
             {"eps_dist": -1.0},
             {"eps_ttc": 0.0},
             {"max_iterations": 0},
+            {"eps_ttc": -1.0},
             {"min_cluster_size": 2},
         ],
     )
