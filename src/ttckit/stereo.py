@@ -20,7 +20,8 @@ stays bounded as Z grows (and improves with segment length), not by Z
 squared.
 
 orientation_error_sweep runs both estimators on the same seeded
-Monte-Carlo perturbations and tabulates the comparison per depth.
+Monte-Carlo perturbations, all trials of one depth as arrays, and
+tabulates the comparison per depth.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, line_angle_frame, project
-from .errors import InvalidInput, TtcError
-from .ttc import ttc_from_angles
+from .camera import CameraIntrinsics, project
+from .epipole import HorizonLine, _cut_horizon, _tls_lines
+from .errors import InvalidInput
+from .ttc import ttc_batch
 
 __all__ = [
     "SensitivityRow",
@@ -152,11 +154,10 @@ class SensitivityTable:
     rng_seed: int
 
 
-def _tls_line(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total least squares line through points: (centroid, unit direction)."""
-    centroid = points.mean(axis=0)
-    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    return centroid, vt[0]
+def _atan2_deg(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise atan2 in degrees through libm's math.atan2: np.arctan2's
+    SIMD kernel, picked per CPU, can differ in the last bit."""
+    return np.degrees([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
 
 
 def orientation_error_sweep(
@@ -177,13 +178,17 @@ def orientation_error_sweep(
     pixel detection with Gaussian noise of scale detection_error_px and
     estimates:
 
-    * stereo heading: triangulate the first and last frames from noisy
+    * stereo heading: triangulate the first two frames from noisy
       left/right detections, take the direction of the position change.
     * collision-plane heading: total-least-squares line through the
       noisy monocular track, intersected with the (known, level)
       horizon; the intersection is the epipole and arctan of its offset
       over the focal length is the heading.
-    * TTC: first/last noisy pixels against that epipole.
+    * TTC: the collision-plane kernel (ttc_batch) on the first and last
+      noisy pixels against that epipole.
+
+    One mask drops a degenerate trial (flow line exactly parallel to the
+    horizon, non-positive disparity, undefined TTC) from all three means.
 
     The object must stay in front of the camera for the whole segment;
     too-small Z raises InvalidInput.
@@ -217,8 +222,6 @@ def orientation_error_sweep(
     theta = math.radians(model.heading_deg)
     v_g = model.speed_mps * np.array([-math.sin(theta), 0.0, -math.cos(theta)])
     step = v_g * frame_dt
-    step_norm = float(np.linalg.norm(step))
-    dp = model.detection_error_px
     b = model.baseline_m
     span = track_frames - 1
 
@@ -235,65 +238,46 @@ def orientation_error_sweep(
             )
         pixels_true = project(positions, intr)
         # True quantities for this depth.
-        k_true = float(-(p_start @ step) / step_norm**2)
-        heading_true_deg = model.heading_deg
+        k_true = float(-(p_start @ step) / (step @ step))
+        # One row of noise per trial: the monocular track, then the left
+        # and the right detections of the first two frames.
+        noise = rng.normal(0.0, model.detection_error_px, size=(trials, 2 * track_frames + 4))
+        noisy = pixels_true + noise[:, : 2 * track_frames].reshape(trials, track_frames, 2)
         # Stereo image coordinates: left camera at the origin, right
         # camera baseline b to the +X side, so disparity = u_L - u_R.
         # Heading comes from two consecutive triangulated positions.
-        u_left = pixels_true[[0, 1], 0]
-        u_right = intr.u0 + f * (positions[[0, 1], 0] - b) / positions[[0, 1], 2]
+        ul = pixels_true[[0, 1], 0] + noise[:, -4:-2]
+        ur = intr.u0 + f * (positions[[0, 1], 0] - b) / positions[[0, 1], 2] + noise[:, -2:]
+        disp = ul - ur
 
-        plane_err = []
-        ttc_err = []
-        stereo_err = []
-        degenerate = 0
-        for _ in range(trials):
-            trial_degenerate = False
-            # Monocular path: noisy track, TLS flow line, horizon cut.
-            noisy = pixels_true + rng.normal(0.0, dp, size=pixels_true.shape)
-            centroid, direction = _tls_line(noisy)
-            if abs(direction[1]) < 1e-12:
-                trial_degenerate = True
-            else:
-                s = (intr.v0 - centroid[1]) / direction[1]
-                e_px = centroid + s * direction
-                heading_est = math.degrees(math.atan2(e_px[0] - intr.u0, f))
-                plane_err.append(abs(heading_est - heading_true_deg))
-                frame = line_angle_frame(noisy[0], noisy[-1], intr)
-                angle_e = frame.angle_of(e_px)
-                alpha = frame.angle_of(noisy[0]) - angle_e
-                beta = frame.angle_of(noisy[-1]) - angle_e
-                try:
-                    k_est = ttc_from_angles(alpha, beta) * span
-                    ttc_err.append(abs(k_est - k_true))
-                except TtcError:
-                    trial_degenerate = True
+        # Monocular path: TLS flow line, horizon cut, TTC against that epipole.
+        centroid, direction, _ = _tls_lines(noisy)
+        e_px, sin = _cut_horizon(centroid, direction, HorizonLine.level(intr.v0))
+        valid = (np.abs(sin) >= 1e-12) & np.all(disp > 1e-9, axis=1)
+        k = np.full(trials, np.nan)
+        k[valid], _ = ttc_batch(noisy[valid, 0], noisy[valid, -1], e_px[valid], intr)
+        valid &= np.isfinite(k)
 
-            # Stereo path: noisy left/right detections, two triangulations.
-            ul = u_left + rng.normal(0.0, dp, size=2)
-            ur = u_right + rng.normal(0.0, dp, size=2)
-            disp = ul - ur
-            if np.any(disp <= 1e-9):
-                trial_degenerate = True
-            else:
-                z_est = b * f / disp
-                x_est = (ul - intr.u0) * z_est / f
-                dx = x_est[1] - x_est[0]
-                dz = z_est[1] - z_est[0]
-                heading_st = math.degrees(math.atan2(-dx, -dz))
-                err = abs(heading_st - heading_true_deg) % 360.0
-                stereo_err.append(min(err, 360.0 - err))
-            if trial_degenerate:
-                degenerate += 1
-
+        # Stereo path: triangulate both frames, heading of the change.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_est = b * f / disp
+            x_est = (ul - intr.u0) * z_est / f
+        heading_st = _atan2_deg(-(x_est[:, 1] - x_est[:, 0]), -(z_est[:, 1] - z_est[:, 0]))
+        err = np.abs(heading_st - model.heading_deg) % 360.0
+        errors = (
+            np.minimum(err, 360.0 - err),
+            np.abs(_atan2_deg(e_px[:, 0] - intr.u0, np.full(trials, f)) - model.heading_deg),
+            np.abs(k * span - k_true),
+        )
+        means = [float(np.mean(e[valid])) if valid.any() else float("nan") for e in errors]
         rows.append(
             SensitivityRow(
                 z_m=z,
                 stereo_depth_error_m=float(stereo_depth_error(model, z)),
-                stereo_heading_error_deg=float(np.mean(stereo_err)) if stereo_err else float("nan"),
-                plane_heading_error_deg=float(np.mean(plane_err)) if plane_err else float("nan"),
-                ttc_error_frames=float(np.mean(ttc_err)) if ttc_err else float("nan"),
-                degenerate_trials=degenerate,
+                stereo_heading_error_deg=means[0],
+                plane_heading_error_deg=means[1],
+                ttc_error_frames=means[2],
+                degenerate_trials=int(np.count_nonzero(~valid)),
             )
         )
     return SensitivityTable(

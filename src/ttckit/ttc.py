@@ -197,11 +197,11 @@ def ttc_from_angles(alpha: float, beta: float, *, eps_tan: float = 1e-12) -> flo
 
 def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics,
                eps_tan: float):
-    """Collision-plane decomposition of N observation pairs against one epipole.
+    """Collision-plane decomposition of N observation pairs against their epipoles.
 
     Args:
         p0, p1: float pixels at the pair's two frames, shape (N, 2).
-        e: epipole pixel, shape (2,).
+        e: epipole pixel, shape (2,) shared by all rows or (N, 2).
 
     Returns:
         (k, H, from_epipole, verdict), each of shape (N,). from_epipole
@@ -214,11 +214,11 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     """
     pp = intrinsics.pp
     f = intrinsics.focal_px
-    ex, ey = e - pp
+    ex, ey = (e - pp).T
     pair = np.stack([p0, p1])
     x = pair[..., 0] - pp[0]
     y = pair[..., 1] - pp[1]
-    gap = np.hypot(pair[..., 0] - e[0], pair[..., 1] - e[1])
+    gap = np.hypot(pair[..., 0] - e[..., 0], pair[..., 1] - e[..., 1])
     # tan = |r_e x r| / (r_e . r) with r = (x, y, f), r_e = (ex, ey, f)
     (ya, yb), (xa, xb) = np.hypot(f * gap, ex * y - ey * x), ex * x + ey * y + f * f
     k, h, still = _k_from_tangents(ya, xa, yb, xb, eps_tan)
@@ -331,12 +331,13 @@ def ttc_batch(
     *,
     eps_tan: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (k, H) of many observation pairs against one epipole.
+    """Vectorized (k, H) of many observation pairs.
 
     Args:
         p0: first-frame pixels, shape (N, 2).
         p1: second-frame pixels, shape (N, 2).
-        epipole: shared epipole pixel.
+        epipole: one epipole pixel shared by all pairs, shape (2,), or
+            one per pair, shape (N, 2); finite.
         intrinsics: camera model.
         eps_tan: degeneracy threshold, as in ttc_from_angles.
 
@@ -350,5 +351,8 @@ def ttc_batch(
     p1 = np.asarray(p1, dtype=np.float64)
     if p0.ndim != 2 or p0.shape[1] != 2 or p0.shape != p1.shape:
         raise InvalidInput(f"expected matching (N, 2) arrays, got {p0.shape} and {p1.shape}")
-    k, h, _, _ = _decompose(p0, p1, as_pixel(epipole), intrinsics, eps_tan)
+    e = np.asarray(getattr(epipole, "position", epipole), dtype=np.float64)
+    if e.shape not in ((2,), p0.shape) or not np.all(np.isfinite(e)):
+        raise InvalidInput(f"epipole must be finite with shape (2,) or {p0.shape}, got shape {e.shape}")
+    k, h, _, _ = _decompose(p0, p1, e, intrinsics, eps_tan)
     return k, h

@@ -263,6 +263,29 @@ class TestEstimateCommand:
         assert entry["classification"] == "ConstantBearing"
         assert doc["residuals"]["ok_tracks"] == 4
 
+    @pytest.mark.parametrize("mode", ["planar", "three-frame"])
+    def test_classification_follows_k(self, mode, tmp_path):
+        # P0 = (0, 0.5, 10) moving v = (1, 0, -1), seen at frames 6-9: its
+        # collision plane swept the camera one frame before frame 6
+        p = np.array([0.0, 0.5, 10.0]) + np.arange(6, 10)[:, np.newaxis] * [1.0, 0.0, -1.0]
+        u = 640.0 + 800.0 * p[:, 0] / p[:, 2]
+        v = 360.0 + 800.0 * p[:, 1] / p[:, 2]
+        tracks = tmp_path / "past.csv"
+        tracks.write_text(
+            "track_id,frame,u,v\n"
+            + "".join(f"past,{f},{a!r},{b!r}\n" for f, a, b in zip(range(6, 10), u.tolist(), v.tolist()))
+        )
+        out = tmp_path / "est.json"
+        code = run(
+            "estimate", tracks, "--intrinsics", "800,640,360",
+            "--mode", mode, "--horizon", "0,360", "--out", out,
+        )
+        assert code == 0
+        (entry,) = read_json(out)["estimates"]
+        assert entry["status"] == "ok"
+        assert entry["k"] == pytest.approx(-1.0, rel=1e-9)
+        assert entry["classification"] == "Receding"
+
     def test_bad_intrinsics(self, planar_files, capsys):
         _, tracks_path, _ = planar_files
         code = run(

@@ -29,6 +29,7 @@ from ttckit import (
     planar_epipole,
     project,
     simulate,
+    ttc_three_frame_consistency,
 )
 from conftest import oracle_epipole, random_approach_scenario, wrap_half_pi
 
@@ -299,6 +300,18 @@ class TestThreeFrameOffset:
                 continue
             assert est.position == pytest.approx(oracle_epipole(v, intr800), abs=1e-5)
             assert est.residual <= 1e-8
+
+    def test_residual_measures_off_line_pixel(self, intr800):
+        # the third pixel moved 0.5 px off the flow line of the first two
+        track = track_from_point([1.0, 0.8, 18.0], [0.25, 0.12, -1.0], intr800)
+        fl = FlowVector.from_track(track)
+        moved = track.positions.copy()
+        moved[2] += 0.5 * fl.n
+        track = TrackObservation(frames=track.frames, positions=moved)
+        _, est = epipole_offset_three_frames(track, HorizonLine.level(intr800.v0), intr800)
+        assert est.residual > 1e-4
+        consistency = ttc_three_frame_consistency(track, est, intr800)
+        assert est.residual == pytest.approx(abs(consistency - 1.0), rel=1e-9)
 
     def test_two_frames_insufficient(self, intr800):
         track = TrackObservation(

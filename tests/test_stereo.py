@@ -174,6 +174,16 @@ class TestOrientationErrorSweep:
         assert row.degenerate_trials > 0
         assert np.isfinite(row.plane_heading_error_deg)
 
+    def test_degenerate_trial_excluded_from_every_mean(self):
+        # the one trial's disparity turns non-positive at 150 m: it must
+        # not count in the plane and TTC means either
+        m = rig(detection_error_px=6.0)
+        row = orientation_error_sweep(m, [150.0], trials=1, rng_seed=0).rows[0]
+        assert row.degenerate_trials == 1
+        assert np.isnan(row.stereo_heading_error_deg)
+        assert np.isnan(row.plane_heading_error_deg)
+        assert np.isnan(row.ttc_error_frames)
+
     def test_table_records_parameters(self):
         m = rig()
         table = orientation_error_sweep(

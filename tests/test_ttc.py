@@ -313,6 +313,34 @@ class TestTtcBatch:
                 np.zeros((3, 2)), np.zeros((4, 2)), np.array([0.0, 0.0]), intr_origin
             )
 
+    def test_epipole_per_row_equals_shared_calls(self, intr800):
+        rng = np.random.default_rng(44)
+        p0 = rng.uniform(0.0, 640.0, size=(6, 2))
+        p1 = p0 + rng.uniform(-5.0, 5.0, size=(6, 2))
+        e = rng.uniform(-200.0, 800.0, size=(6, 2))
+        p1[1] = p0[1]  # zero flow
+        e[2] = p0[2]  # epipole on the track point
+        k, h = ttc_batch(p0, p1, e, intr800)
+        for i in range(6):
+            ki, hi = ttc_batch(p0[i : i + 1], p1[i : i + 1], e[i], intr800)
+            np.testing.assert_array_equal([k[i], h[i]], [ki[0], hi[0]])
+        assert np.isnan(k[[1, 2]]).all() and np.isfinite(k[[0, 3, 4, 5]]).all()
+
+    @pytest.mark.parametrize(
+        "epipole",
+        [
+            np.zeros((2, 2)),
+            np.zeros((3, 3)),
+            np.zeros((1, 3, 2)),
+            [[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]],
+            [[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]],
+        ],
+    )
+    def test_epipole_per_row_validated(self, epipole, intr_origin):
+        p0 = np.array([[10.0, 0.0], [20.0, 5.0], [30.0, -5.0]])
+        with pytest.raises(InvalidInput):
+            ttc_batch(p0, p0 + 1.0, epipole, intr_origin)
+
 
 class TestRecedingPoint:
     # (1, 0.3, 10) moving straight away at unit speed: the sweep was 10
