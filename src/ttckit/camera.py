@@ -61,6 +61,16 @@ def as_pixel(p) -> np.ndarray:
     return arr
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of (N, d) arrays, shape (N,).
+
+    Each row goes through the same dot kernel as ``a[i] @ b[i]`` (BLAS
+    may fuse its multiply-adds, where an elementwise sum would not), so
+    batch kernels reproduce their one-row calls bit for bit.
+    """
+    return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics: focal length in pixels, principal point, size.

@@ -5,7 +5,13 @@ Subcommands:
 * ``simulate``: scenario JSON in, track CSV and ground-truth JSON out.
 * ``estimate``: track CSV in, per-track collision estimates out (JSON),
   with the epipole found per --mode (planar horizon intersection,
-  three-frame offset, or one shared least-squares epipole).
+  three-frame offset, or one shared least-squares epipole). Estimates
+  are computed for all tracks at once: one pass of the epipole kernel
+  and one of the collision-plane kernel over arrays of every track's
+  pixels, each row equal to the per-track library call. A track that
+  does not move between its first two frames is stationary in every
+  mode; in three-frame mode it carries the collision-plane kernel's
+  zero-flow message.
 * ``cluster``: track CSV in, motion clusters out (JSON).
 * ``collision-map``: scenario JSON in, velocity-perturbation grid out
   (CSV).
@@ -32,12 +38,13 @@ from .camera import CameraIntrinsics
 from .clustering import ClusteringConfig, cluster_flows
 from .epipole import (
     Epipole,
+    EpipoleMethod,
     FlowVector,
     HorizonLine,
+    _offset_three_frames,
+    _planar_epipoles,
     calibrate_horizon,
     epipole_least_squares,
-    epipole_offset_three_frames,
-    planar_epipole,
 )
 from .errors import (
     DegenerateFlow,
@@ -63,7 +70,7 @@ from .stereo import (
     orientation_error_sweep,
     preset_approach_45deg,
 )
-from .ttc import MotionClass, collision_estimate
+from .ttc import MotionClass, _collision_rows
 
 __all__ = ["main"]
 
@@ -179,19 +186,12 @@ def _degenerate_entry(track_id: str, exc: TtcError) -> dict:
     }
 
 
-def _estimate_entry(track_id: str, track, epipole: Epipole, intrinsics) -> dict:
-    est = collision_estimate(track, epipole, intrinsics)
-    # the truth label's rule: the collision plane has yet to sweep the camera
-    classification = MotionClass.APPROACHING if est.k > 0.0 else MotionClass.RECEDING
-    return {
-        "track_id": track_id,
-        "status": "ok",
-        "k": est.k,
-        "H": est.H,
-        "classification": classification.value,
-        "v_g_dir": est.v_g_dir,
-        "point": est.point,
-    }
+def _failed_entry(track_id: str, error: TtcError) -> dict:
+    """Zero flow and constant bearing make a track stationary; every other
+    per-track problem makes it degenerate."""
+    if isinstance(error, (DegenerateFlow, StationaryPoint)):
+        return _stationary_entry(track_id, str(error))
+    return _degenerate_entry(track_id, error)
 
 
 def _span_flow(track) -> FlowVector:
@@ -262,31 +262,62 @@ def _cmd_estimate(args) -> int:
     if horizon is not None:
         document["horizon"] = _horizon_doc(horizon)
 
-    shared_epipole = None
-    if args.mode == "least-squares":
+    # Every track at once: pixel i of each track as one (N, 2) array.
+    n = len(tracks)
+    first, second, last = (np.array([t.positions[i] for t in tracks]).reshape(n, 2) for i in (0, 1, -1))
+    method = None
+    if args.mode == "planar":
+        # the full-span flow: less noise than the first pair, same epipolar line
+        epipoles, _, errors = _planar_epipoles(first, last, horizon)
+        residual = np.zeros(n)
+        method = EpipoleMethod.HORIZON_INTERSECTION
+    elif args.mode == "three-frame":
+        lengths = np.array([len(t) for t in tracks], dtype=np.int64)
+        third = np.array([t.positions[min(2, len(t) - 1)] for t in tracks]).reshape(n, 2)
+        x, epipoles, residual, errors = _offset_three_frames(first, second, third, horizon, intrinsics)
+        for i in np.flatnonzero(lengths < 3):
+            errors[i] = InsufficientData(f"need at least 3 frames, got {lengths[i]}")
+        # A track that does not move between its first two frames is
+        # stationary, as in the other modes, not a degenerate offset fit:
+        # the collision-plane kernel below reports its zero flow.
+        for i in np.flatnonzero((lengths >= 3) & (first == second).all(axis=1)):
+            errors[i] = None
+        x = x.tolist()
+        method = EpipoleMethod.THREE_FRAME_OFFSET
+    else:
         # One epipole for the whole set: least squares assumes all
         # tracks share a single rigid relative motion.
         kept, _ = _moving_tracks(tracks)
         shared_epipole = epipole_least_squares([_span_flow(t) for t in kept])
         document["epipoles"].append(_epipole_doc(shared_epipole, None))
+        epipoles, errors = shared_epipole.position, [None] * n
 
-    for track_id, track in zip(ids, tracks):
-        try:
-            if args.mode == "planar":
-                epi = planar_epipole(_span_flow(track), horizon)
-                entry = _estimate_entry(track_id, track, epi, intrinsics)
-                document["epipoles"].append(_epipole_doc(epi, track_id))
-            elif args.mode == "three-frame":
-                x, epi = epipole_offset_three_frames(track, horizon, intrinsics)
-                entry = _estimate_entry(track_id, track, epi, intrinsics)
-                entry["offset_angle_rad"] = x
-                document["epipoles"].append(_epipole_doc(epi, track_id))
-            else:
-                entry = _estimate_entry(track_id, track, shared_epipole, intrinsics)
-        except (DegenerateFlow, StationaryPoint) as exc:
-            entry = _stationary_entry(track_id, str(exc))
-        except TtcError as exc:
-            entry = _degenerate_entry(track_id, exc)
+    k, H, v_g_dir, _, point, pair_errors = _collision_rows(first, second, epipoles, intrinsics)
+    k, H, v_g_dir, point = k.tolist(), H.tolist(), v_g_dir.tolist(), point.tolist()
+    if method is not None:
+        positions, residual = epipoles.tolist(), residual.tolist()
+    for i, track_id in enumerate(ids):
+        error = errors[i] or pair_errors[i]
+        if error is not None:
+            document["estimates"].append(_failed_entry(track_id, error))
+            continue
+        # the truth label's rule: the collision plane has yet to sweep the camera
+        classification = MotionClass.APPROACHING if k[i] > 0.0 else MotionClass.RECEDING
+        entry = {
+            "track_id": track_id,
+            "status": "ok",
+            "k": k[i],
+            "H": H[i],
+            "classification": classification.value,
+            "v_g_dir": v_g_dir[i],
+            "point": point[i],
+        }
+        if args.mode == "three-frame":
+            entry["offset_angle_rad"] = x[i]
+        if method is not None:
+            document["epipoles"].append(
+                {"track_id": track_id, "position": positions[i], "method": method.value, "residual": residual[i]}
+            )
         document["estimates"].append(entry)
 
     residuals = [e["residual"] for e in document["epipoles"]]

@@ -28,16 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, as_pixel, line_angle_frame
+from .camera import CameraIntrinsics, _dot_rows, as_pixel
 from .errors import (
     DegenerateConfiguration,
     DegenerateFlow,
+    DegenerateGeometry,
     InsufficientData,
     InvalidInput,
     ParallelToHorizon,
     SingularGeometry,
 )
-from .ttc import TrackObservation, ttc_batch
+from .ttc import TrackObservation, _decompose
 
 __all__ = [
     "Epipole",
@@ -189,6 +190,34 @@ def _tls_lines(points: np.ndarray):
     return centroid, vt[..., 0, :], singular[..., 0]
 
 
+def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine,
+                     eps_parallel_deg: float = EPS_PARALLEL_DEG):
+    """Cut the flow lines through pixels p and q, shape (N, 2), with the horizon.
+
+    Returns:
+        (positions, directions, errors): the epipoles and the unit flow
+        directions, shape (N, 2), and errors, a list holding per row the
+        exception planar_epipole raises for it (DegenerateFlow for zero
+        displacement, else ParallelToHorizon), or None.
+    """
+    t = q - p
+    norm = np.sqrt(_dot_rows(t, t))
+    still = norm == 0.0
+    directions = t / np.where(still, 1.0, norm)[:, np.newaxis]
+    positions, sin = _cut_horizon(p, directions, horizon)
+    parallel = np.abs(sin) < np.sin(np.deg2rad(eps_parallel_deg))
+    errors = [None] * len(p)
+    for i in np.flatnonzero(still | parallel):
+        errors[i] = (
+            DegenerateFlow(f"zero displacement at pixel {p[i]}")
+            if still[i]
+            else ParallelToHorizon(
+                f"flow direction {directions[i]} within {eps_parallel_deg} deg of the horizon"
+            )
+        )
+    return positions, directions, errors
+
+
 def planar_epipole(
     flow: FlowVector,
     horizon: HorizonLine,
@@ -202,11 +231,11 @@ def planar_epipole(
             horizon direction; fall back to the least-squares or
             three-frame estimators.
     """
-    positions, sin = _cut_horizon(flow.p[np.newaxis], flow.direction[np.newaxis], horizon)
-    if abs(sin[0]) < np.sin(np.deg2rad(eps_parallel_deg)):
-        raise ParallelToHorizon(
-            f"flow direction {flow.direction} within {eps_parallel_deg} deg of the horizon"
-        )
+    positions, _, errors = _planar_epipoles(
+        flow.p[np.newaxis], flow.p_prime[np.newaxis], horizon, eps_parallel_deg
+    )
+    if errors[0] is not None:
+        raise errors[0]
     return Epipole(position=positions[0], method=EpipoleMethod.HORIZON_INTERSECTION, residual=0.0)
 
 
@@ -246,6 +275,72 @@ def epipole_least_squares(
     return Epipole(position=solution, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
 
 
+def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon: HorizonLine,
+                         intrinsics: CameraIntrinsics, eps_tan: float = 1e-12,
+                         eps_parallel_deg: float = EPS_PARALLEL_DEG):
+    """Three-frame offset fit of N tracks at once.
+
+    Args:
+        p0, p1, p2: the pixels of each track's first three frames, shape
+            (N, 2).
+
+    Each row is worked as epipole_offset_three_frames describes: the
+    flow line p0 -> p1 is cut with the horizon, and with the angles a,
+    b, c of p0, p1, p2 measured from that anchor along the line (the
+    3-D angles between viewing rays, as camera.LineAngleFrame measures
+    them) the offset x is solved in closed form, and the epipole moved
+    to in-line angle (anchor angle) - x. The residual of each row comes
+    from one _decompose call over its pairs (0, 1) and (1, 2) against
+    the corrected epipole.
+
+    Returns:
+        (x, positions, residual, errors): x and residual of shape (N,),
+        the corrected epipoles of shape (N, 2), and errors, a list
+        holding per row the exception epipole_offset_three_frames
+        raises for it, or None. Rows with an error hold meaningless
+        values.
+    """
+    anchors, directions, errors = _planar_epipoles(p0, p1, horizon, eps_parallel_deg)
+    pp = intrinsics.pp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the line frame of p0 -> p1: its foot nearest the principal point,
+        # and the distance from the camera center to the line
+        foot = p0 + _dot_rows(pp - p0, directions)[:, np.newaxis] * directions
+        depth = np.hypot(np.sqrt(_dot_rows(foot - pp, foot - pp)), intrinsics.focal_px)
+        angle_anchor = np.arctan2(_dot_rows(anchors - foot, directions), depth)
+        ta, tb, tc = (np.tan(np.arctan2(_dot_rows(p - foot, directions), depth) - angle_anchor)
+                      for p in (p0, p1, p2))
+        denominator = ta - 2.0 * tb + tc
+        x = np.arctan((ta * tb - 2.0 * ta * tc + tb * tc) / denominator)
+        angle = angle_anchor - x
+        positions = foot + (depth * np.tan(angle))[:, np.newaxis] * directions
+        # Residual: the observed pairs' TTC must differ by exactly one frame.
+        n = len(p0)
+        k, _, _, _ = _decompose(
+            np.concatenate([p0, p1]), np.concatenate([p1, p2]), np.concatenate([positions, positions]),
+            intrinsics, eps_tan,
+        )
+        residual = np.abs(k[:n] - k[n:] - 1.0)
+        at_infinity = np.abs(np.cos(angle)) < 1e-12
+    uniform = np.abs(denominator) < eps_tan
+    undefined = ~np.isfinite(residual)
+    for i in np.flatnonzero(uniform | at_infinity | undefined):
+        if errors[i] is not None:
+            continue
+        if uniform[i]:
+            errors[i] = DegenerateConfiguration(
+                f"offset denominator {denominator[i]:.3e} below {eps_tan:.3e}"
+            )
+        elif at_infinity[i]:
+            errors[i] = DegenerateGeometry(f"angle {float(angle[i])} maps to a point at infinity on the line")
+        else:
+            errors[i] = DegenerateConfiguration("corrected epipole leaves TTC undefined")
+    for i, error in enumerate(errors):
+        if isinstance(error, DegenerateFlow):
+            errors[i] = DegenerateConfiguration(f"static track: {error}")
+    return x, positions, residual, errors
+
+
 def epipole_offset_three_frames(
     track: TrackObservation,
     horizon: HorizonLine,
@@ -277,42 +372,23 @@ def epipole_offset_three_frames(
     Raises:
         InsufficientData: fewer than 3 frames.
         DegenerateConfiguration: static track, vanishing offset
-            denominator (uniformly spaced angles), corrected epipole
-            at infinity, or no finite TTC against it.
+            denominator (uniformly spaced angles), or no finite TTC
+            against the corrected epipole.
+        DegenerateGeometry: corrected epipole at infinity.
         ParallelToHorizon: the track's flow line never meets the horizon.
     """
     if len(track) < 3:
         raise InsufficientData(f"need at least 3 frames, got {len(track)}")
-    p0, p1, p2 = track.pixel(0), track.pixel(1), track.pixel(2)
-    try:
-        flow = FlowVector(p=p0, p_prime=p1)
-    except DegenerateFlow as exc:
-        raise DegenerateConfiguration(f"static track: {exc}") from exc
-    anchor = planar_epipole(flow, horizon, eps_parallel_deg=eps_parallel_deg)
-
-    frame = line_angle_frame(p0, p1, intrinsics)
-    angle_anchor = frame.angle_of(anchor.position)
-    a = frame.angle_of(p0) - angle_anchor
-    b = frame.angle_of(p1) - angle_anchor
-    c = frame.angle_of(p2) - angle_anchor
-    ta, tb, tc = np.tan(a), np.tan(b), np.tan(c)
-    denominator = ta - 2.0 * tb + tc
-    if abs(denominator) < eps_tan:
-        raise DegenerateConfiguration(
-            f"offset denominator {denominator:.3e} below {eps_tan:.3e}"
-        )
-    x = float(np.arctan((ta * tb - 2.0 * ta * tc + tb * tc) / denominator))
-    corrected = frame.point_at(angle_anchor - x)
-
-    # Residual: the observed pairs' TTC must differ by exactly one frame.
-    k, _ = ttc_batch(track.positions[:2], track.positions[1:3], corrected, intrinsics, eps_tan=eps_tan)
-    residual = float(abs(k[0] - k[1] - 1.0))
-    if not np.isfinite(residual):
-        raise DegenerateConfiguration("corrected epipole leaves TTC undefined")
-    epipole = Epipole(
-        position=corrected, method=EpipoleMethod.THREE_FRAME_OFFSET, residual=residual
+    p0, p1, p2 = track.positions[:3, np.newaxis]
+    x, positions, residual, errors = _offset_three_frames(
+        p0, p1, p2, horizon, intrinsics, eps_tan, eps_parallel_deg
     )
-    return x, epipole
+    if errors[0] is not None:
+        raise errors[0]
+    epipole = Epipole(
+        position=positions[0], method=EpipoleMethod.THREE_FRAME_OFFSET, residual=float(residual[0])
+    )
+    return float(x[0]), epipole
 
 
 def calibrate_horizon(epipoles: list[Epipole]) -> HorizonLine:

@@ -15,6 +15,7 @@ failures raise InvalidInput with the offending line or field named.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -134,7 +135,7 @@ def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
             v = float(parts[3])
         except ValueError as exc:
             raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
-        if not (np.isfinite(u) and np.isfinite(v)):
+        if not (math.isfinite(u) and math.isfinite(v)):
             raise InvalidInput(f"{path}: line {lineno}: coordinates must be finite")
         if tid not in rows:
             rows[tid] = []

@@ -28,7 +28,9 @@ for one coming from the antipode (receding), where H changes sign and k
 does not.
 
 _decompose is the only code that turns observations and an epipole into
-k, H and a degeneracy verdict; ttc_batch and collision_estimate wrap it.
+k, H and a degeneracy verdict; ttc_batch wraps it, and _collision_rows
+adds the collision-plane directions for N pairs at once, of which
+collision_estimate is the one-row wrapper.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, as_pixel
+from .camera import CameraIntrinsics, _dot_rows, as_pixel
 from .errors import DegenerateGeometry, InsufficientData, InvalidInput, StationaryPoint
 
 __all__ = [
@@ -232,6 +234,42 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     return k, np.abs(h), h >= 0.0, verdict
 
 
+def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics,
+                    eps_tan: float = 1e-12):
+    """Full collision-plane decomposition of N observation pairs.
+
+    Args:
+        p0, p1: float pixels at the pair's two frames, shape (N, 2).
+        e: epipole pixel, shape (2,) shared by all rows or (N, 2).
+
+    Returns:
+        (k, H, v_g_dir, v_H_dir, point, errors): k and H of shape (N,),
+        the three CollisionEstimate vectors of shape (N, 3), and errors,
+        a list holding per row the exception collision_estimate raises
+        for it, or None. Rows with an error hold NaN or meaningless
+        values, and non-finite epipoles are allowed there.
+    """
+    n = len(p0)
+    pp = intrinsics.pp
+    f = np.full(n, intrinsics.focal_px)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k, h, from_epipole, verdict = _decompose(p0, p1, e, intrinsics, eps_tan)
+        # the point comes from the epipole ray or from its antipode
+        v_g_dir = np.column_stack([np.broadcast_to(e - pp, (n, 2)), f])
+        v_g_dir *= (np.where(from_epipole, 1.0, -1.0) / np.sqrt(_dot_rows(v_g_dir, v_g_dir)))[:, np.newaxis]
+        ray0 = np.column_stack([p0 - pp, f])
+        # Lateral direction: the component of the point's ray orthogonal to
+        # the motion axis.
+        lateral = ray0 - _dot_rows(ray0, v_g_dir)[:, np.newaxis] * v_g_dir
+        v_h_dir = lateral / np.sqrt(_dot_rows(lateral, lateral))[:, np.newaxis]
+    point = k[:, np.newaxis] * v_g_dir + h[:, np.newaxis] * v_h_dir
+    errors = [None] * n
+    for i in np.flatnonzero(verdict):
+        error, message = _VERDICTS[verdict[i]]
+        errors[i] = error(message)
+    return k, h, v_g_dir, v_h_dir, point, errors
+
+
 def collision_estimate(
     track: TrackObservation,
     epipole,
@@ -262,24 +300,10 @@ def collision_estimate(
         raise InvalidInput(f"pair_index {pair_index} out of range for {len(track)} frames")
     e = as_pixel(epipole)
     pair = track.positions[pair_index : pair_index + 2]
-    k, h, from_epipole, verdict = _decompose(pair[:1], pair[1:], e, intrinsics, eps_tan)
-    if verdict[0]:
-        error, message = _VERDICTS[verdict[0]]
-        raise error(message)
-
-    pp = intrinsics.pp
-    f = intrinsics.focal_px
-    # the point comes from the epipole ray or from its antipode
-    v_g_dir = np.array([e[0] - pp[0], e[1] - pp[1], f])
-    v_g_dir *= (1.0 if from_epipole[0] else -1.0) / np.linalg.norm(v_g_dir)
-    ray0 = np.array([pair[0, 0] - pp[0], pair[0, 1] - pp[1], f])
-    # Lateral direction: the component of the point's ray orthogonal to
-    # the motion axis.
-    lateral = ray0 - (ray0 @ v_g_dir) * v_g_dir
-    v_h_dir = lateral / np.linalg.norm(lateral)
-    k = float(k[0])
-    h = float(h[0])
-    return CollisionEstimate(k=k, H=h, v_g_dir=v_g_dir, v_H_dir=v_h_dir, point=k * v_g_dir + h * v_h_dir)
+    k, h, v_g_dir, v_h_dir, point, errors = _collision_rows(pair[:1], pair[1:], e, intrinsics, eps_tan)
+    if errors[0] is not None:
+        raise errors[0]
+    return CollisionEstimate(k=float(k[0]), H=float(h[0]), v_g_dir=v_g_dir[0], v_H_dir=v_h_dir[0], point=point[0])
 
 
 def classify_motion(track: TrackObservation, epipole, *, eps_px: float = 0.05) -> MotionClass:

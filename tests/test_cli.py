@@ -10,7 +10,20 @@ import json
 import numpy as np
 import pytest
 
-from ttckit import CameraIntrinsics, Scenario, SceneObject
+from ttckit import (
+    CameraIntrinsics,
+    DegenerateFlow,
+    FlowVector,
+    HorizonLine,
+    Scenario,
+    SceneObject,
+    StationaryPoint,
+    TtcError,
+    collision_estimate,
+    epipole_least_squares,
+    epipole_offset_three_frames,
+    planar_epipole,
+)
 from ttckit.cli import main
 from ttckit.fileio import read_json, read_tracks_csv, write_scenario
 
@@ -263,6 +276,30 @@ class TestEstimateCommand:
         assert entry["classification"] == "ConstantBearing"
         assert doc["residuals"]["ok_tracks"] == 4
 
+    @pytest.mark.parametrize("mode", ["three-frame", "least-squares"])
+    def test_stationary_track_reported_in_other_modes(self, mode, planar_files, tmp_path):
+        # three-frame used to report a track without motion as a degenerate offset fit
+        _, tracks_path, _ = planar_files
+        merged = tmp_path / "with-static.csv"
+        merged.write_text(
+            tracks_path.read_text()
+            + "still,0,111.0,222.0\nstill,1,111.0,222.0\nstill,2,111.0,222.0\n"
+        )
+        out = tmp_path / "est.json"
+        code = run(
+            "estimate", merged, "--intrinsics", "800,320,240",
+            "--mode", mode, "--horizon", "0,240", "--out", out,
+        )
+        assert code == 0
+        doc = read_json(out)
+        entry = next(e for e in doc["estimates"] if e["track_id"] == "still")
+        assert entry["status"] == "stationary"
+        assert entry["message"] == "zero pixel displacement between frames"
+        assert entry["H"] == 0.0
+        assert entry["classification"] == "ConstantBearing"
+        assert doc["residuals"]["ok_tracks"] == 4
+        assert "still" not in [e["track_id"] for e in doc["epipoles"]]
+
     @pytest.mark.parametrize("mode", ["planar", "three-frame"])
     def test_classification_follows_k(self, mode, tmp_path):
         # P0 = (0, 0.5, 10) moving v = (1, 0, -1), seen at frames 6-9: its
@@ -323,6 +360,123 @@ class TestEstimateCommand:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Tracks that reach every per-track outcome of `estimate` against the
+# horizon v = 360 with f = 800 and principal point (640, 360).
+HOSTILE_TRACKS = {
+    "approaching": [(700.0, 400.0), (710.0, 404.0), (722.0, 408.8)],
+    "receding": [(722.0, 408.8), (710.0, 404.0), (700.0, 400.0)],
+    # P0 = (0, 0.5, 10), v = (1, 0, -1) seen at frames 6-9
+    "past-sweep": [(640.0 + 800.0 * (f / (10.0 - f)), 360.0 + 400.0 / (10.0 - f)) for f in range(6, 10)],
+    "zero-first-pair": [(500.0, 300.0), (500.0, 300.0), (510.0, 305.0)],
+    "zero-span": [(500.0, 300.0), (510.0, 305.0), (500.0, 300.0)],
+    "still": [(111.0, 222.0)] * 3,
+    "parallel": [(500.0, 300.0), (510.0, 300.0), (520.0, 300.0)],
+    "epipole-on-point": [(640.0, 360.0), (650.0, 361.0), (660.0, 362.0)],
+    "two-frame": [(400.0, 200.0), (405.0, 198.0)],
+    "uniform-angle": [(600.0, 380.0), (601.0, 381.0), (602.0, 382.0)],
+}
+
+
+class TestEstimateArrayPath:
+    """`estimate` computes every track at once; each of its entries must
+    equal the per-track library calls."""
+
+    @pytest.fixture
+    def hostile_tracks(self, tmp_path):
+        rng = np.random.default_rng(17)
+        intr = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
+        # noisy tracks with vertical motion, so three-frame offsets are nonzero
+        objects = tuple(
+            SceneObject(
+                f"obj{i}",
+                np.column_stack([rng.uniform(-4.0, 4.0, 12), rng.uniform(0.3, 1.5, 12), rng.uniform(12.0, 30.0, 12)]),
+                np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1), -rng.uniform(0.8, 1.5)]),
+            )
+            for i in range(3)
+        )
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, Scenario(
+            intrinsics=intr, objects=objects, camera_velocity=np.zeros(3),
+            frame_count=4, pixel_noise_sigma=0.3, rng_seed=5,
+        ))
+        path = tmp_path / "tracks.csv"
+        assert run("simulate", scene, "--out-tracks", path, "--out-truth", tmp_path / "truth.json") == 0
+        rows = "".join(
+            f"{tid},{f},{u!r},{v!r}\n" for tid, pixels in HOSTILE_TRACKS.items() for f, (u, v) in enumerate(pixels)
+        )
+        path.write_text(path.read_text() + rows)
+        return path
+
+    @staticmethod
+    def reference(mode, ids, tracks, horizon, intr):
+        """The documents' estimates and epipoles, one library call per track."""
+        estimates, epipoles = [], []
+        shared = None
+        if mode == "least-squares":
+            flows = [FlowVector(t.pixel(0), t.pixel(len(t) - 1)) for t in tracks
+                     if not np.array_equal(t.pixel(0), t.pixel(len(t) - 1))]
+            shared = epipole_least_squares(flows)
+            epipoles.append({"track_id": None, "position": shared.position, "method": "LeastSquares",
+                             "residual": shared.residual})
+        for tid, track in zip(ids, tracks):
+            entry = {"track_id": tid}
+            try:
+                if mode == "planar":
+                    epi = planar_epipole(FlowVector(track.pixel(0), track.pixel(len(track) - 1)), horizon)
+                elif mode == "three-frame":
+                    if len(track) >= 3 and np.array_equal(track.pixel(0), track.pixel(1)):
+                        raise StationaryPoint("zero pixel displacement between frames")
+                    entry["offset_angle_rad"], epi = epipole_offset_three_frames(track, horizon, intr)
+                else:
+                    epi = shared
+                est = collision_estimate(track, epi, intr)
+            except (DegenerateFlow, StationaryPoint) as exc:
+                entry.update(status="stationary", message=str(exc), classification="ConstantBearing", k=None, H=0.0)
+            except TtcError as exc:
+                entry.update(status=f"degenerate:{type(exc).__name__}", message=str(exc),
+                             classification=None, k=None, H=None)
+            else:
+                entry.update(status="ok", k=est.k, H=est.H, v_g_dir=est.v_g_dir, point=est.point,
+                             classification="Approaching" if est.k > 0.0 else "Receding")
+                if epi is not shared:
+                    epipoles.append({"track_id": tid, "position": epi.position, "method": epi.method.value,
+                                     "residual": epi.residual})
+            estimates.append(entry)
+        return estimates, epipoles
+
+    @pytest.mark.parametrize("mode", ["planar", "three-frame", "least-squares"])
+    def test_entries_equal_per_track_calls(self, mode, hostile_tracks, tmp_path):
+        out = tmp_path / "est.json"
+        assert run(
+            "estimate", hostile_tracks, "--intrinsics", "800,640,360",
+            "--mode", mode, "--horizon", "0,360", "--out", out,
+        ) == 0
+        doc = read_json(out)
+        intr = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
+        ids, tracks = read_tracks_csv(hostile_tracks)
+        estimates, epipoles = self.reference(mode, ids, tracks, HorizonLine.from_slope_intercept(0.0, 360.0), intr)
+        # three-frame offsets are ill-conditioned: looser bars
+        rel, px = (1e-10, 1e-6) if mode == "three-frame" else (1e-12, 1e-9)
+        statuses = {e["status"] for e in estimates}
+        assert {"ok", "stationary"} <= statuses
+        if mode != "least-squares":
+            assert any(s.startswith("degenerate:") for s in statuses)
+        assert len(doc["estimates"]) == len(estimates)
+        for got, want in zip(doc["estimates"], estimates):
+            assert set(got) == set(want)
+            for key, value in want.items():
+                if key in ("k", "H", "offset_angle_rad", "v_g_dir", "point") and value is not None:
+                    np.testing.assert_allclose(got[key], value, rtol=rel, atol=1e-12, err_msg=str(want))
+                else:
+                    assert got[key] == value, (got, want)
+        assert len(doc["epipoles"]) == len(epipoles)
+        for got, want in zip(doc["epipoles"], epipoles):
+            assert got["track_id"] == want["track_id"]
+            assert got["method"] == want["method"]
+            np.testing.assert_allclose(got["position"], want["position"], rtol=0.0, atol=px)
+            assert got["residual"] == pytest.approx(want["residual"], rel=rel, abs=1e-12)
 
 
 class TestClusterCommand:

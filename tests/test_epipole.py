@@ -8,6 +8,8 @@ and the true epipole in the flow-line angle frame.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttckit import (
     CameraIntrinsics,
@@ -22,6 +24,7 @@ from ttckit import (
     ParallelToHorizon,
     SingularGeometry,
     TrackObservation,
+    TtcError,
     calibrate_horizon,
     epipole_least_squares,
     epipole_offset_three_frames,
@@ -31,6 +34,7 @@ from ttckit import (
     simulate,
     ttc_three_frame_consistency,
 )
+from ttckit.epipole import _offset_three_frames
 from conftest import oracle_epipole, random_approach_scenario, wrap_half_pi
 
 
@@ -345,6 +349,47 @@ class TestThreeFrameOffset:
         )
         with pytest.raises(DegenerateConfiguration):
             epipole_offset_three_frames(track, HorizonLine.level(0.0), intr_origin)
+
+
+# Pixel coordinates on a coarse grid or anywhere: the grid makes zero
+# flows, flows along the horizon and epipoles on track pixels likely.
+pixel_coordinate = st.one_of(
+    st.integers(630, 650).map(float),
+    st.floats(0.0, 1280.0, allow_nan=False, allow_infinity=False),
+)
+three_pixels = st.lists(st.tuples(pixel_coordinate, pixel_coordinate), min_size=3, max_size=3)
+
+
+class TestThreeFrameBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(three_pixels, min_size=1, max_size=8),
+        st.sampled_from([0.0, 0.1, -0.5]),
+        st.sampled_from([360.0, 361.0, 200.0]),
+    )
+    # static, parallel, vanishing denominator (epipole on a track pixel)
+    # and corrected epipole at infinity (uniform angles)
+    @example(
+        [[(500.0, 300.0)] * 3, [(500.0, 300.0), (510.0, 300.0), (520.0, 300.0)],
+         [(640.0, 360.0), (650.0, 361.0), (660.0, 362.0)], [(600.0, 380.0), (601.0, 381.0), (602.0, 382.0)]],
+        0.0, 360.0,
+    )
+    def test_one_row_wrapper_equals_batch_rows(self, tracks, slope, intercept):
+        intr = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
+        horizon = HorizonLine.from_slope_intercept(slope, intercept)
+        pixels = np.array(tracks, dtype=np.float64)
+        x, positions, residual, errors = _offset_three_frames(
+            pixels[:, 0], pixels[:, 1], pixels[:, 2], horizon, intr
+        )
+        for i, row in enumerate(pixels):
+            try:
+                offset, epipole = epipole_offset_three_frames(TrackObservation.from_positions(row), horizon, intr)
+            except TtcError as exc:
+                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+            else:
+                assert errors[i] is None
+                assert offset == x[i] and epipole.residual == residual[i]
+                assert np.array_equal(epipole.position, positions[i])
 
 
 class TestCalibrateHorizon:

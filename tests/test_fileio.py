@@ -110,6 +110,13 @@ class TestTracksCsv:
         with pytest.raises(InvalidInput, match="line 2"):
             read_tracks_csv(path)
 
+    @pytest.mark.parametrize("row", ["x,1,1.0,nan", "x,1,-inf,2.0"])
+    def test_non_finite_rejected_on_either_coordinate(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{TRACKS_HEADER}\nx,0,1.0,2.0\n{row}\n")
+        with pytest.raises(InvalidInput, match="line 3: coordinates must be finite"):
+            read_tracks_csv(path)
+
     def test_non_increasing_frames_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"{TRACKS_HEADER}\nx,1,1.0,2.0\nx,1,1.5,2.0\n")
