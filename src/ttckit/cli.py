@@ -275,13 +275,13 @@ def _cmd_estimate(args) -> int:
         lengths = np.array([len(t) for t in tracks], dtype=np.int64)
         third = np.array([t.positions[min(2, len(t) - 1)] for t in tracks]).reshape(n, 2)
         x, epipoles, residual, errors = _offset_three_frames(first, second, third, horizon, intrinsics)
-        for i in np.flatnonzero(lengths < 3):
-            errors[i] = InsufficientData(f"need at least 3 frames, got {lengths[i]}")
         # A track that does not move between its first two frames is
         # stationary, as in the other modes, not a degenerate offset fit:
         # the collision-plane kernel below reports its zero flow.
-        for i in np.flatnonzero((lengths >= 3) & (first == second).all(axis=1)):
+        for i in np.flatnonzero((first == second).all(axis=1)):
             errors[i] = None
+        for i in np.flatnonzero(lengths < 3):
+            errors[i] = InsufficientData(f"need at least 3 frames, got {lengths[i]}")
         x = x.tolist()
         method = EpipoleMethod.THREE_FRAME_OFFSET
     else:

@@ -428,7 +428,7 @@ class TestEstimateArrayPath:
                 elif mode == "three-frame":
                     if len(track) >= 3 and np.array_equal(track.pixel(0), track.pixel(1)):
                         raise StationaryPoint("zero pixel displacement between frames")
-                    entry["offset_angle_rad"], epi = epipole_offset_three_frames(track, horizon, intr)
+                    offset, epi = epipole_offset_three_frames(track, horizon, intr)
                 else:
                     epi = shared
                 est = collision_estimate(track, epi, intr)
@@ -440,6 +440,8 @@ class TestEstimateArrayPath:
             else:
                 entry.update(status="ok", k=est.k, H=est.H, v_g_dir=est.v_g_dir, point=est.point,
                              classification="Approaching" if est.k > 0.0 else "Receding")
+                if mode == "three-frame":
+                    entry["offset_angle_rad"] = offset
                 if epi is not shared:
                     epipoles.append({"track_id": tid, "position": epi.position, "method": epi.method.value,
                                      "residual": epi.residual})
