@@ -32,12 +32,10 @@ rotation compensation are out of scope.
 from .camera import (
     CameraIntrinsics,
     LineAngleFrame,
-    angle_from_pixel,
-    angular_separation,
     line_angle_frame,
     project,
 )
-from .clustering import ClusteringConfig, MotionCluster, cluster_flows, line_epipole_distance
+from .clustering import ClusteringConfig, MotionCluster, cluster_flows
 from .epipole import (
     Epipole,
     EpipoleMethod,
@@ -88,8 +86,6 @@ from .ttc import (
     classify_motion,
     collision_estimate,
     ttc_batch,
-    ttc_from_angles,
-    ttc_three_frame_consistency,
 )
 
 __version__ = "0.1.0"
@@ -125,8 +121,6 @@ __all__ = [
     "StereoErrorModel",
     "TrackObservation",
     "TtcError",
-    "angle_from_pixel",
-    "angular_separation",
     "calibrate_horizon",
     "classify_motion",
     "cluster_flows",
@@ -137,7 +131,6 @@ __all__ = [
     "epipole_offset_three_frames",
     "focal_px_from_metric",
     "line_angle_frame",
-    "line_epipole_distance",
     "orientation_error_sweep",
     "planar_epipole",
     "point_truth",
@@ -146,6 +139,4 @@ __all__ = [
     "simulate",
     "stereo_depth_error",
     "ttc_batch",
-    "ttc_from_angles",
-    "ttc_three_frame_consistency",
 ]

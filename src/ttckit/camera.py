@@ -25,7 +25,7 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,10 @@ from .errors import BehindCamera, DegenerateGeometry, InvalidInput
 __all__ = [
     "CameraIntrinsics",
     "LineAngleFrame",
-    "angle_from_pixel",
-    "angular_separation",
     "as_pixel",
     "line_angle_frame",
     "project",
 ]
-
-# Axis selectors accepted by angle_from_pixel.
-_AXES = ("horizontal", "vertical")
 
 
 def as_pixel(p) -> np.ndarray:
@@ -159,30 +154,6 @@ def project(point, intrinsics: CameraIntrinsics) -> np.ndarray:
     return uv[0] if single else uv
 
 
-def angle_from_pixel(coord: float, intrinsics: CameraIntrinsics, axis: str = "horizontal") -> float:
-    """Angle between the optical axis and the ray through one pixel coordinate.
-
-    Args:
-        coord: pixel coordinate (u for horizontal, v for vertical).
-        intrinsics: camera model.
-        axis: "horizontal" measures against u0, "vertical" against v0.
-
-    Returns:
-        arctan((coord - principal_component) / focal_px), strictly
-        monotone in coord, odd around the principal point.
-
-    Raises:
-        InvalidInput: non-finite coord or unknown axis.
-    """
-    if axis not in _AXES:
-        raise InvalidInput(f"axis must be one of {_AXES}, got {axis!r}")
-    c = float(coord)
-    if not np.isfinite(c):
-        raise InvalidInput(f"coordinate must be finite, got {coord}")
-    center = intrinsics.u0 if axis == "horizontal" else intrinsics.v0
-    return float(np.arctan2(c - center, intrinsics.focal_px))
-
-
 @dataclass(frozen=True)
 class LineAngleFrame:
     """Exact 1D angular parameterization of an image line.
@@ -246,18 +217,3 @@ def line_angle_frame(a, b, intrinsics: CameraIntrinsics) -> LineAngleFrame:
     foot = pa + ((pp - pa) @ direction) * direction
     depth = float(np.hypot(np.linalg.norm(foot - pp), intrinsics.focal_px))
     return LineAngleFrame(foot=foot, direction=direction, depth=depth)
-
-
-def angular_separation(a, b, intrinsics: CameraIntrinsics) -> float:
-    """Signed 3D angle from pixel a to pixel b along the line joining them.
-
-    The frame is oriented from a toward b, so the result is always
-    positive for distinct points; callers needing comparable signed
-    angles of several points should build one LineAngleFrame and use
-    angle_of with a shared orientation.
-
-    Raises:
-        DegenerateGeometry: coincident points.
-    """
-    frame = line_angle_frame(a, b, intrinsics)
-    return frame.angle_of(b) - frame.angle_of(a)

@@ -11,8 +11,11 @@ Subcommands:
   pixels, each row equal to the per-track library call. A track that
   does not move between its first two frames is stationary in every
   mode; in three-frame mode it carries the collision-plane kernel's
-  zero-flow message.
-* ``cluster``: track CSV in, motion clusters out (JSON).
+  zero-flow message. Least-squares mode fits its one epipole with the
+  row kernel over the first-to-last flows of the moving tracks.
+* ``cluster``: track CSV in, motion clusters out (JSON). Tracks whose
+  first and last pixels coincide are listed as stationary; the others
+  are clustered by their first-to-last flows.
 * ``collision-map``: scenario JSON in, velocity-perturbation grid out
   (CSV).
 * ``sensitivity``: stereo-vs-monocular error comparison table out (CSV).
@@ -28,23 +31,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from .camera import CameraIntrinsics
+from .camera import CameraIntrinsics, _dot_rows
 from .clustering import ClusteringConfig, cluster_flows
 from .epipole import (
     Epipole,
     EpipoleMethod,
-    FlowVector,
     HorizonLine,
+    _flow_lines,
+    _least_squares_epipole,
     _offset_three_frames,
     _planar_epipoles,
     calibrate_horizon,
-    epipole_least_squares,
 )
 from .errors import (
     DegenerateFlow,
@@ -54,7 +56,7 @@ from .errors import (
     TtcError,
 )
 from .fileio import (
-    jsonify,
+    _json_text,
     read_scenario,
     read_tracks_csv,
     truth_document,
@@ -97,9 +99,17 @@ def _parse_floats(text: str, n: int | tuple[int, ...], what: str) -> list[float]
         raise InvalidInput(f"{what}: {exc}") from exc
 
 
+def _integers(values: list[float], what: str) -> list[int]:
+    """values as ints; int() would silently truncate a fraction."""
+    for v in values:
+        if not v.is_integer():
+            raise InvalidInput(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 def _parse_intrinsics(text: str) -> CameraIntrinsics:
     vals = _parse_floats(text, (3, 5), "--intrinsics")
-    size = (int(vals[3]), int(vals[4])) if len(vals) == 5 else None
+    size = tuple(_integers(vals[3:], "--intrinsics: width and height")) if len(vals) == 5 else None
     return CameraIntrinsics(
         focal_px=vals[0],
         principal_point=(vals[1], vals[2]),
@@ -140,9 +150,7 @@ def _result_skeleton(command: str, seed: int, config: dict) -> dict:
 
 def _emit_json(document: dict, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(
-            json.dumps(jsonify(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
+        sys.stdout.write(_json_text(document))
     else:
         write_json(out_path, document)
 
@@ -194,31 +202,23 @@ def _failed_entry(track_id: str, error: TtcError) -> dict:
     return _degenerate_entry(track_id, error)
 
 
-def _span_flow(track) -> FlowVector:
-    """Flow along the track's full span: less noise, same epipolar line."""
-    return FlowVector(track.pixel(0), track.pixel(len(track) - 1))
+def _pixels(tracks, i: int) -> np.ndarray:
+    """Pixel i of every track, shape (N, 2)."""
+    return np.array([t.positions[i] for t in tracks]).reshape(len(tracks), 2)
 
 
-def _moving_tracks(tracks) -> tuple[list, list[int]]:
-    """Tracks with a nonzero full-span flow, and their indices: a zero net
-    displacement defines no motion line to fit or cluster."""
-    kept = []
-    index: list[int] = []
-    for i, track in enumerate(tracks):
-        try:
-            _span_flow(track)
-        except DegenerateFlow:
-            continue
-        kept.append(track)
-        index.append(i)
-    return kept, index
+def _moving_tracks(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Indices of the tracks whose full-span flow, from pixels first to
+    last of shape (N, 2), is nonzero: a zero net displacement defines no
+    motion line to fit or cluster."""
+    span = last - first
+    return np.flatnonzero(np.sqrt(_dot_rows(span, span)) != 0.0)
 
 
-def _calibrate(tracks, ids, intrinsics, seed: int):
+def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
     """Cluster the moving tracks, fit the horizon through cluster epipoles."""
-    kept, flow_index = _moving_tracks(tracks)
     clusters, _ = cluster_flows(
-        None, kept, config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics
+        None, [tracks[i] for i in flow_index], config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics
     )
     if len(clusters) < 2:
         raise InsufficientData(
@@ -252,9 +252,13 @@ def _cmd_estimate(args) -> int:
             "calibrated": bool(args.calibrate),
         },
     )
+    # Every track at once: pixel i of each track as one (N, 2) array.
+    n = len(tracks)
+    first, second, last = (_pixels(tracks, i) for i in (0, 1, -1))
+    moving = _moving_tracks(first, last)
     horizon = None
     if args.calibrate:
-        horizon, cluster_docs = _calibrate(tracks, ids, intrinsics, seed)
+        horizon, cluster_docs = _calibrate(tracks, ids, moving, intrinsics, seed)
         document["clusters"] = cluster_docs
     elif args.horizon:
         a, b = _parse_floats(args.horizon, 2, "--horizon")
@@ -262,9 +266,6 @@ def _cmd_estimate(args) -> int:
     if horizon is not None:
         document["horizon"] = _horizon_doc(horizon)
 
-    # Every track at once: pixel i of each track as one (N, 2) array.
-    n = len(tracks)
-    first, second, last = (np.array([t.positions[i] for t in tracks]).reshape(n, 2) for i in (0, 1, -1))
     method = None
     if args.mode == "planar":
         # the full-span flow: less noise than the first pair, same epipolar line
@@ -287,8 +288,11 @@ def _cmd_estimate(args) -> int:
     else:
         # One epipole for the whole set: least squares assumes all
         # tracks share a single rigid relative motion.
-        kept, _ = _moving_tracks(tracks)
-        shared_epipole = epipole_least_squares([_span_flow(t) for t in kept])
+        normals, offsets, _ = _flow_lines(first[moving], last[moving])
+        position, residual, error = _least_squares_epipole(normals, offsets)
+        if error is not None:
+            raise error
+        shared_epipole = Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
         document["epipoles"].append(_epipole_doc(shared_epipole, None))
         epipoles, errors = shared_epipole.position, [None] * n
 
@@ -336,8 +340,8 @@ def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
     ids, tracks = read_tracks_csv(args.tracks)
     seed = args.seed if args.seed is not None else _default_seed()
-    kept, flow_index = _moving_tracks(tracks)
-    moving = set(flow_index)
+    flow_index = _moving_tracks(_pixels(tracks, 0), _pixels(tracks, -1))
+    moving = set(flow_index.tolist())
     stationary = [track_id for i, track_id in enumerate(ids) if i not in moving]
     config = ClusteringConfig(
         eps_dist=args.eps_dist,
@@ -346,7 +350,9 @@ def _cmd_cluster(args) -> int:
         min_cluster_size=args.min_size,
         rng_seed=seed,
     )
-    clusters, outliers = cluster_flows(None, kept, config=config, intrinsics=intrinsics)
+    clusters, outliers = cluster_flows(
+        None, [tracks[i] for i in flow_index], config=config, intrinsics=intrinsics
+    )
     document = _result_skeleton(
         "cluster",
         seed,
@@ -381,12 +387,13 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_collision_map(args) -> int:
     scenario = read_scenario(args.scenario)
-    lat_ext, fwd_ext, lat_cells, fwd_cells = _parse_floats(args.grid, 4, "--grid")
+    lat_ext, fwd_ext, *cells = _parse_floats(args.grid, 4, "--grid")
+    lat_cells, fwd_cells = _integers(cells, "--grid: cell counts")
     grid = GridSpec(
         lateral_extent=lat_ext,
         forward_extent=fwd_ext,
-        lateral_cells=int(lat_cells),
-        forward_cells=int(fwd_cells),
+        lateral_cells=lat_cells,
+        forward_cells=fwd_cells,
     )
     cmap = collision_map(scenario, grid, collision_radius=args.radius)
     write_collision_map_csv(args.out, cmap)

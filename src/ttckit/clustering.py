@@ -14,6 +14,11 @@ Greedy extraction alone tends to steal members that lie near the line
 joining two epipoles; the sweep returns them. Whatever is left over,
 plus any group too small to stand on its own, is reported as outliers.
 
+The flows become arrays once, at entry: endpoints, unit line normals n
+and offsets n . p (epipole._flow_lines). Every hypothesis, refit and
+sweep epipole is then epipole._least_squares_epipole on rows of those
+arrays, and every line distance is |n . e - offset|.
+
 Determinism contract: given identical inputs and the same rng_seed the
 clustering is byte-for-byte reproducible. When the number of candidate
 pairs in a round is at most max_iterations, all pairs are enumerated in
@@ -29,15 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .epipole import Epipole, EpipoleMethod, FlowVector, epipole_least_squares
-from .errors import DegenerateFlow, InsufficientData, InvalidInput, SingularGeometry
+from .epipole import Epipole, EpipoleMethod, FlowVector, _flow_lines, _least_squares_epipole
+from .errors import InsufficientData, InvalidInput
 from .ttc import TrackObservation, ttc_batch
 
 __all__ = [
     "ClusteringConfig",
     "MotionCluster",
     "cluster_flows",
-    "line_epipole_distance",
 ]
 
 
@@ -104,21 +108,6 @@ class MotionCluster:
             raise InvalidInput("ttc_values must align with member_indices")
 
 
-def line_epipole_distance(flow: FlowVector, epipole) -> float:
-    """Perpendicular distance from the epipole to the flow's image line.
-
-    Returns |n . (e - p)| where n is the flow line's unit normal.
-
-    Raises:
-        DegenerateFlow: flow with zero displacement (defensive; a
-            constructed FlowVector always has one).
-    """
-    if np.linalg.norm(flow.t) == 0.0:
-        raise DegenerateFlow("zero-length flow has no line")
-    e = np.asarray(getattr(epipole, "position", epipole), dtype=np.float64)
-    return float(abs(flow.n @ (e - flow.p)))
-
-
 def _collect_inliers(
     e_pos: np.ndarray,
     candidate_idx: np.ndarray,
@@ -176,7 +165,6 @@ def _trim_to_invariants(
 
 
 def _reassignment_sweep(
-    flows: list[FlowVector],
     state: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     p0: np.ndarray,
     p1: np.ndarray,
@@ -196,7 +184,6 @@ def _reassignment_sweep(
     min_cluster_size is discarded and the previous state kept, so the
     sweep can only rearrange, never destroy, the extracted structure.
     """
-    n = len(flows)
     for _ in range(rounds):
         dist = np.column_stack(
             [np.abs(normals @ e - offsets) for _, _, e in state]
@@ -220,9 +207,8 @@ def _reassignment_sweep(
             members = np.flatnonzero(any_ok & (choice == c))
             if members.size < config.min_cluster_size:
                 return state
-            try:
-                e_pos = epipole_least_squares([flows[i] for i in members]).position
-            except SingularGeometry:
+            e_pos, _, error = _least_squares_epipole(normals[members], offsets[members])
+            if error is not None:  # all lines parallel
                 e_pos = state[c][2]
             k, _h = ttc_batch(p0[members], p1[members], e_pos, intrinsics)
             k = k * spans[members]
@@ -274,24 +260,25 @@ def cluster_flows(
     """
     if config is None:
         config = ClusteringConfig()
-    spans = None
     if flows is None:
         if tracks is None:
             raise InvalidInput("pass flows, or tracks to derive them from")
-        flows = [FlowVector(t.pixel(0), t.pixel(len(t) - 1)) for t in tracks]
+        n = len(tracks)
+        p0 = np.array([t.positions[0] for t in tracks]).reshape(n, 2)
+        p1 = np.array([t.positions[-1] for t in tracks]).reshape(n, 2)
         spans = np.array([float(t.frames[-1] - t.frames[0]) for t in tracks])
-    elif tracks is not None and len(tracks) != len(flows):
-        raise InvalidInput(f"{len(flows)} flows but {len(tracks)} tracks")
-    n = len(flows)
+    else:
+        if tracks is not None and len(tracks) != len(flows):
+            raise InvalidInput(f"{len(flows)} flows but {len(tracks)} tracks")
+        n = len(flows)
+        p0 = np.array([fl.p for fl in flows]).reshape(n, 2)
+        p1 = np.array([fl.p_prime for fl in flows]).reshape(n, 2)
+        spans = np.ones(n)
+    normals, offsets, error = _flow_lines(p0, p1)
+    if error is not None:
+        raise error
     if n < config.min_cluster_size:
         raise InsufficientData(f"need at least {config.min_cluster_size} flows, got {n}")
-    if spans is None:
-        spans = np.ones(n)
-
-    p0 = np.array([fl.p for fl in flows])
-    p1 = np.array([fl.p_prime for fl in flows])
-    normals = np.array([fl.n for fl in flows])
-    offsets = np.einsum("ij,ij->i", normals, p0)
 
     rng = np.random.default_rng(config.rng_seed)
     remaining = np.arange(n, dtype=np.int64)
@@ -300,24 +287,20 @@ def cluster_flows(
     while remaining.size >= config.min_cluster_size:
         m = remaining.size
         if m * (m - 1) // 2 <= config.max_iterations:
-            samples = [
-                (remaining[i], remaining[j]) for i, j in itertools.combinations(range(m), 2)
-            ]
+            samples = [remaining[[i, j]] for i, j in itertools.combinations(range(m), 2)]
         else:
             samples = [
-                tuple(remaining[rng.choice(m, size=2, replace=False)])
-                for _ in range(config.max_iterations)
+                remaining[rng.choice(m, size=2, replace=False)] for _ in range(config.max_iterations)
             ]
 
         best_key = None
         best = None
         for sample in samples:
-            try:
-                hypothesis = epipole_least_squares([flows[i] for i in sample])
-            except (SingularGeometry, InsufficientData):
+            hypothesis, _, error = _least_squares_epipole(normals[sample], offsets[sample])
+            if error is not None:  # the pair's lines are parallel
                 continue
             members, k_values, rms = _collect_inliers(
-                hypothesis.position, remaining, p0, p1, normals, offsets, spans, intrinsics, config
+                hypothesis, remaining, p0, p1, normals, offsets, spans, intrinsics, config
             )
             if members.size < config.min_cluster_size:
                 continue
@@ -331,19 +314,16 @@ def cluster_flows(
             break
 
         members, k_values, hypothesis = best
-        try:
-            refit = epipole_least_squares([flows[i] for i in members])
-        except SingularGeometry:
+        refit, _, error = _least_squares_epipole(normals[members], offsets[members])
+        if error is not None:  # all member lines parallel
             refit = hypothesis
-        re_members, re_k, re_rms = _collect_inliers(
-            refit.position, remaining, p0, p1, normals, offsets, spans, intrinsics, config
+        re_members, re_k, _ = _collect_inliers(
+            refit, remaining, p0, p1, normals, offsets, spans, intrinsics, config
         )
         if re_members.size >= members.size:
-            members, k_values = re_members, re_k
-            epipole_pos, rms = refit.position, re_rms
+            members, k_values, epipole_pos = re_members, re_k, refit
         else:
-            epipole_pos = hypothesis.position
-            rms = float(best_key[1] * -1.0)
+            epipole_pos = hypothesis
 
         members, k_values = _trim_to_invariants(members, k_values, config)
         if members.size < config.min_cluster_size:
@@ -353,7 +333,7 @@ def cluster_flows(
 
     if extracted:
         extracted = _reassignment_sweep(
-            flows, extracted, p0, p1, normals, offsets, spans, intrinsics, config
+            extracted, p0, p1, normals, offsets, spans, intrinsics, config
         )
 
     clusters: list[MotionCluster] = []

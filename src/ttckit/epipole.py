@@ -239,6 +239,52 @@ def planar_epipole(
     return Epipole(position=positions[0], method=EpipoleMethod.HORIZON_INTERSECTION, residual=0.0)
 
 
+def _flow_lines(p: np.ndarray, q: np.ndarray):
+    """Lines of the flows from pixels p to pixels q, shape (N, 2).
+
+    Returns:
+        (normals, offsets, error): the unit normals (FlowVector.n) of
+        shape (N, 2), the offsets n . p of shape (N,), so that a pixel e
+        lies at signed distance n . e - offset from a line, and error,
+        the DegenerateFlow a FlowVector raises for the first flow of zero
+        displacement, or None. Zero-displacement rows are not finite.
+    """
+    t = q - p
+    norm = np.sqrt(_dot_rows(t, t))
+    still = np.flatnonzero(norm == 0.0)
+    error = DegenerateFlow(f"zero displacement at pixel {p[still[0]]}") if still.size else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = np.column_stack([-t[:, 1], t[:, 0]]) / norm[:, np.newaxis]
+    return normals, np.einsum("ij,ij->i", normals, p), error
+
+
+def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray,
+                           eps_parallel_deg: float = EPS_PARALLEL_DEG):
+    """Least-squares meeting point of N flow lines given as _flow_lines rows.
+
+    Returns:
+        (position, residual, error): the epipole pixel, the RMS distance
+        of the lines from it, and error, the exception
+        epipole_least_squares raises for these lines (InsufficientData,
+        SingularGeometry), or None; position and residual are None then.
+    """
+    n = len(normals)
+    if n < 2:
+        return None, None, InsufficientData(f"need at least 2 flows, got {n}")
+    min_sin = np.sin(np.deg2rad(eps_parallel_deg))
+    # Orientation-free: |sin(angle between lines)| is the 2D cross product
+    # of the normals, which equals that of the flow directions exactly.
+    spread_ok = any(
+        np.any(np.abs(normals[i, 0] * normals[i + 1:, 1] - normals[i, 1] * normals[i + 1:, 0]) >= min_sin)
+        for i in range(n - 1)
+    )
+    if not spread_ok:
+        return None, None, SingularGeometry("all flow lines parallel; epipole unconstrained")
+    solution, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
+    distances = normals @ solution - offsets
+    return solution, float(np.sqrt(np.mean(distances**2))), None
+
+
 def epipole_least_squares(
     flows: list[FlowVector],
     *,
@@ -255,24 +301,13 @@ def epipole_least_squares(
         SingularGeometry: no two flow directions differ by more than
             eps_parallel_deg (the lines meet nowhere or everywhere).
     """
-    if len(flows) < 2:
-        raise InsufficientData(f"need at least 2 flows, got {len(flows)}")
-    dirs = np.array([fl.direction for fl in flows])
-    min_sin = np.sin(np.deg2rad(eps_parallel_deg))
-    # Orientation-free: |sin(angle between lines)| via the 2D cross product.
-    spread_ok = any(
-        abs(dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]) >= min_sin
-        for i in range(len(dirs))
-        for j in range(i + 1, len(dirs))
-    )
-    if not spread_ok:
-        raise SingularGeometry("all flow lines parallel; epipole unconstrained")
-    normals = np.array([fl.n for fl in flows])
-    offsets = np.einsum("ij,ij->i", normals, np.array([fl.p for fl in flows]))
-    solution, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
-    distances = normals @ solution - offsets
-    residual = float(np.sqrt(np.mean(distances**2)))
-    return Epipole(position=solution, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
+    p = np.array([fl.p for fl in flows]).reshape(-1, 2)
+    q = np.array([fl.p_prime for fl in flows]).reshape(-1, 2)
+    normals, offsets, _ = _flow_lines(p, q)
+    position, residual, error = _least_squares_epipole(normals, offsets, eps_parallel_deg)
+    if error is not None:
+        raise error
+    return Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
 
 
 def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon: HorizonLine,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
 
 import numpy as np
 
@@ -51,17 +50,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def jsonify(value: Any) -> Any:
-    """Recursively convert numpy containers/scalars to JSON-ready types."""
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    return value
+def _json_text(document: dict) -> str:
+    """The text write_json writes; numpy arrays and scalars become lists
+    and numbers."""
+    return json.dumps(
+        document, indent=2, sort_keys=True, allow_nan=False,
+        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
+    ) + "\n"
 
 
 def write_json(path, document: dict) -> None:
@@ -69,9 +64,9 @@ def write_json(path, document: dict) -> None:
 
     Rejects NaN/Infinity: documents must encode missing values as null.
     """
-    text = json.dumps(jsonify(document), indent=2, sort_keys=True, allow_nan=False)
+    text = _json_text(document)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def read_json(path) -> dict:

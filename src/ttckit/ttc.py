@@ -28,9 +28,10 @@ for one coming from the antipode (receding), where H changes sign and k
 does not.
 
 _decompose is the only code that turns observations and an epipole into
-k, H and a degeneracy verdict; ttc_batch wraps it, and _collision_rows
-adds the collision-plane directions for N pairs at once, of which
-collision_estimate is the one-row wrapper.
+k, H and a degeneracy verdict, N rows at a time. ttc_batch wraps it for
+the clustering gates and the sensitivity sweep, and _collision_rows adds
+the collision-plane directions; ttckit estimate calls it on every track
+at once, and collision_estimate is its one-row wrapper.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, _dot_rows, as_pixel
-from .errors import DegenerateGeometry, InsufficientData, InvalidInput, StationaryPoint
+from .errors import DegenerateGeometry, InvalidInput, StationaryPoint
 
 __all__ = [
     "CollisionEstimate",
@@ -50,8 +51,6 @@ __all__ = [
     "classify_motion",
     "collision_estimate",
     "ttc_batch",
-    "ttc_from_angles",
-    "ttc_three_frame_consistency",
 ]
 
 # Pixel coincidence tolerance for "epipole on top of a track point".
@@ -146,57 +145,6 @@ class CollisionEstimate:
     point: np.ndarray
 
 
-def _k_from_tangents(ya, xa, yb, xb, eps_tan: float):
-    """Sweep of an observation pair whose ray angles have tangents
-    tan(alpha) = ya / xa and tan(beta) = yb / xb.
-
-    Returns (k, kt, still): k = tan(beta) / (tan(beta) - tan(alpha)),
-    kt = k * tan(alpha), and still marking angular motion |tan(beta) -
-    tan(alpha)| below eps_tan (constant bearing), where both are
-    meaningless. With the tangents kept as fractions a right angle
-    (x = 0, the point at its sweep) needs no special case.
-    """
-    den = yb * xa - ya * xb
-    still = ~(np.abs(den) >= eps_tan * np.abs(xa * xb)) | (den == 0.0)
-    den = np.where(still, 1.0, den)
-    return yb * xa / den, ya * yb / den, still
-
-
-def ttc_from_angles(alpha: float, beta: float, *, eps_tan: float = 1e-12) -> float:
-    """Frames to collision-plane sweep from two epipole-relative angles.
-
-    Args:
-        alpha: signed ray angle of the point at the pair's first frame,
-            measured from the epipole direction along the flow line.
-            Obtuse values are legal; they mean the plane already swept
-            past the camera before that observation.
-        beta: same angle one frame later.
-        eps_tan: degeneracy threshold on |tan(beta) - tan(alpha)|.
-
-    Returns:
-        k = tan(beta) / (tan(beta) - tan(alpha)). k > 1 for an
-        approaching point observed before the sweep; 0 < k < 1 when the
-        sweep happens between the two observations; k < 0 after it.
-
-    Raises:
-        StationaryPoint: angular motion below eps_tan (constant bearing;
-            no finite TTC from one track).
-        InvalidInput: angles outside (-pi, pi) or non-finite.
-    """
-    a = float(alpha)
-    b = float(beta)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise InvalidInput("angles must be finite")
-    if abs(a) >= np.pi or abs(b) >= np.pi:
-        raise InvalidInput(f"angles must lie in (-pi, pi), got {a}, {b}")
-    k, _, still = _k_from_tangents(np.sin(a), np.cos(a), np.sin(b), np.cos(b), eps_tan)
-    if still:
-        raise StationaryPoint(
-            f"angular motion {np.tan(b) - np.tan(a):.3e} below threshold {eps_tan:.3e}"
-        )
-    return float(k)
-
-
 def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics,
                eps_tan: float):
     """Collision-plane decomposition of N observation pairs against their epipoles.
@@ -223,7 +171,14 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     gap = np.hypot(pair[..., 0] - e[..., 0], pair[..., 1] - e[..., 1])
     # tan = |r_e x r| / (r_e . r) with r = (x, y, f), r_e = (ex, ey, f)
     (ya, yb), (xa, xb) = np.hypot(f * gap, ex * y - ey * x), ex * x + ey * y + f * f
-    k, h, still = _k_from_tangents(ya, xa, yb, xb, eps_tan)
+    # k = tan(beta) / (tan(beta) - tan(alpha)) and h = k * tan(alpha), the
+    # tangents kept as fractions so that a right angle (x = 0, the point
+    # at its sweep) needs no special case. Angular motion |tan(beta) -
+    # tan(alpha)| below eps_tan is constant bearing.
+    den = yb * xa - ya * xb
+    still = ~(np.abs(den) >= eps_tan * np.abs(xa * xb)) | (den == 0.0)
+    den = np.where(still, 1.0, den)
+    k, h = yb * xa / den, ya * yb / den
     verdict = np.zeros(len(k), dtype=np.int8)
     verdict[still] = _CONSTANT_BEARING
     verdict[(gap < _EPS_COINCIDENT).any(axis=0)] = _COINCIDENT
@@ -322,31 +277,6 @@ def classify_motion(track: TrackObservation, epipole, *, eps_px: float = 0.05) -
     return MotionClass.CONSTANT_BEARING
 
 
-def ttc_three_frame_consistency(
-    track: TrackObservation,
-    epipole,
-    intrinsics: CameraIntrinsics,
-    *,
-    start: int = 0,
-    eps_tan: float = 1e-12,
-) -> float:
-    """k(start, start+1) - k(start+1, start+2), a residual for epipole checks.
-
-    Equals exactly 1 for noise-free constant-velocity motion with the
-    correct epipole: each elapsed frame brings the plane sweep one frame
-    closer.
-
-    Raises:
-        InsufficientData: fewer than 3 frames from start.
-        StationaryPoint: propagated from either pair.
-    """
-    if len(track) - start < 3:
-        raise InsufficientData("three-frame consistency needs at least 3 frames")
-    first = collision_estimate(track, epipole, intrinsics, pair_index=start, eps_tan=eps_tan)
-    second = collision_estimate(track, epipole, intrinsics, pair_index=start + 1, eps_tan=eps_tan)
-    return first.k - second.k
-
-
 def ttc_batch(
     p0: np.ndarray,
     p1: np.ndarray,
@@ -363,7 +293,8 @@ def ttc_batch(
         epipole: one epipole pixel shared by all pairs, shape (2,), or
             one per pair, shape (N, 2); finite.
         intrinsics: camera model.
-        eps_tan: degeneracy threshold, as in ttc_from_angles.
+        eps_tan: degeneracy threshold on the angular motion |tan(beta) -
+            tan(alpha)| of a pair.
 
     Returns:
         (k, H) float arrays of shape (N,). Degenerate rows (zero flow,

@@ -6,8 +6,6 @@ from ttckit import (
     CameraIntrinsics,
     DegenerateGeometry,
     InvalidInput,
-    angle_from_pixel,
-    angular_separation,
     line_angle_frame,
     project,
 )
@@ -44,41 +42,6 @@ class TestCameraIntrinsics:
     def test_frozen(self, intr800):
         with pytest.raises(AttributeError):
             intr800.focal_px = 500.0
-
-
-class TestAngleFromPixel:
-    def test_principal_point_is_zero(self, intr800):
-        assert angle_from_pixel(320.0, intr800, axis="horizontal") == 0.0
-        assert angle_from_pixel(240.0, intr800, axis="vertical") == 0.0
-
-    def test_one_focal_length_is_quarter_turn(self, intr800):
-        assert angle_from_pixel(320.0 + 800.0, intr800, axis="horizontal") == pytest.approx(
-            np.pi / 4.0, abs=1e-15
-        )
-
-    def test_direct_arithmetic(self, intr800):
-        got = angle_from_pixel(420.0, intr800, axis="horizontal")
-        assert got == pytest.approx(np.arctan(0.125), abs=1e-15)
-
-    def test_odd_symmetry_about_principal_point(self, intr800):
-        rng = np.random.default_rng(0)
-        for d in rng.uniform(0.0, 5000.0, size=50):
-            plus = angle_from_pixel(320.0 + d, intr800, axis="horizontal")
-            minus = angle_from_pixel(320.0 - d, intr800, axis="horizontal")
-            assert plus == pytest.approx(-minus, abs=1e-12)
-
-    def test_strictly_monotone(self, intr800):
-        coords = np.linspace(-2000.0, 3000.0, 101)
-        angles = [angle_from_pixel(c, intr800, axis="horizontal") for c in coords]
-        assert np.all(np.diff(angles) > 0.0)
-
-    def test_rejects_non_finite(self, intr800):
-        with pytest.raises(InvalidInput):
-            angle_from_pixel(np.nan, intr800, axis="horizontal")
-
-    def test_rejects_unknown_axis(self, intr800):
-        with pytest.raises(InvalidInput):
-            angle_from_pixel(100.0, intr800, axis="diagonal")
 
 
 class TestProject:
@@ -118,12 +81,12 @@ class TestProject:
             assert np.allclose(project(p, intr800), project(c * p, intr800), atol=1e-9)
 
     def test_angle_composition_on_axis(self, intr800):
-        # project then angle_from_pixel equals arctan(X/Z) for Y=0 points
+        # the ray angle of the projected u equals arctan(X/Z) for Y=0 points
         rng = np.random.default_rng(3)
         for _ in range(50):
             x, z = rng.uniform(-8, 8), rng.uniform(1, 60)
             u, _ = project([x, 0.0, z], intr800)
-            got = angle_from_pixel(u, intr800, axis="horizontal")
+            got = np.arctan2(u - intr800.u0, intr800.focal_px)
             assert got == pytest.approx(np.arctan(x / z), rel=1e-12, abs=1e-15)
 
 
@@ -148,42 +111,6 @@ class TestLineAngleFrame:
         frame = line_angle_frame([100.0, 50.0], [110.0, 40.0], intr800)
         for ang in np.linspace(-1.4, 1.4, 15):
             assert frame.angle_of(frame.point_at(ang)) == pytest.approx(ang, abs=1e-12)
-
-
-class TestAngularSeparation:
-    def test_coincident_points(self, intr_origin):
-        with pytest.raises(DegenerateGeometry):
-            angular_separation([80.0, 0.0], [80.0, 0.0], intr_origin)
-
-    def test_horizontal_pair(self, intr_origin):
-        got = angular_separation([0.0, 0.0], [80.0, 0.0], intr_origin)
-        assert got == pytest.approx(np.arctan(0.1), abs=1e-15)
-
-    def test_matches_true_ray_angle(self, intr800):
-        # the 1D construction must reproduce the exact 3D angle between
-        # the two viewing rays, for any pixel pair, not just axis-aligned
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = rng.uniform(-400, 1000, 2)
-            b = rng.uniform(-400, 1000, 2)
-            if np.linalg.norm(a - b) < 1e-6:
-                continue
-            ray_a = np.array([a[0] - 320.0, a[1] - 240.0, 800.0])
-            ray_b = np.array([b[0] - 320.0, b[1] - 240.0, 800.0])
-            cosang = ray_a @ ray_b / (np.linalg.norm(ray_a) * np.linalg.norm(ray_b))
-            expected = np.arccos(np.clip(cosang, -1.0, 1.0))
-            got = angular_separation(a, b, intr800)
-            assert abs(got) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_symmetric_positive(self, intr800):
-        # the separation is measured along the oriented line from the
-        # first to the second point, so swapping arguments flips the
-        # orientation too and the magnitude is preserved
-        a, b = [100.0, 300.0], [250.0, 410.0]
-        fwd = angular_separation(a, b, intr800)
-        rev = angular_separation(b, a, intr800)
-        assert fwd > 0.0
-        assert fwd == pytest.approx(rev, abs=1e-15)
 
 
 class TestAsPixel:

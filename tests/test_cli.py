@@ -332,6 +332,18 @@ class TestEstimateCommand:
         assert code == 2
         assert "--intrinsics" in capsys.readouterr().err
 
+    def test_fractional_image_size_rejected(self, planar_files, tmp_path, capsys):
+        # int() would take 640.5 as a width of 640
+        _, tracks_path, _ = planar_files
+        out = tmp_path / "est.json"
+        code = run(
+            "estimate", tracks_path, "--intrinsics", "800,320,240,640.5,480",
+            "--mode", "least-squares", "--out", out,
+        )
+        assert code == 2
+        assert "--intrinsics: width and height must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_horizon_string(self, planar_files, capsys):
         _, tracks_path, _ = planar_files
         code = run(
@@ -598,6 +610,15 @@ class TestCollisionMapCommand:
         )
         assert code == 2
         assert "odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells", ["11.7,3", "5,inf"])
+    def test_non_integer_cells_rejected(self, cells, wall_scene, tmp_path, capsys):
+        # int() would write an 11 x 3 map for 11.7 cells, and fail on inf
+        out = tmp_path / "m.csv"
+        code = run("collision-map", wall_scene, "--grid", f"1,1,{cells}", "--out", out)
+        assert code == 2
+        assert "--grid: cell counts must be integers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_radius_rejected(self, wall_scene, tmp_path):
         code = run(

@@ -24,7 +24,6 @@ from ttckit import (
     Scenario,
     SceneObject,
     cluster_flows,
-    line_epipole_distance,
     simulate,
     ttc_batch,
 )
@@ -86,39 +85,6 @@ def triple_object_scenario(seed, noise):
         pixel_noise_sigma=noise,
         rng_seed=seed,
     )
-
-
-class TestLineEpipoleDistance:
-    def test_point_on_line(self):
-        fl = FlowVector(p=(0.0, 0.0), p_prime=(10.0, 0.0))
-        assert line_epipole_distance(fl, (50.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_perpendicular_offset(self):
-        fl = FlowVector(p=(0.0, 0.0), p_prime=(10.0, 0.0))
-        assert line_epipole_distance(fl, (5.0, 5.0)) == pytest.approx(5.0)
-        assert line_epipole_distance(fl, (-40.0, -3.0)) == pytest.approx(3.0)
-
-    def test_accepts_epipole_record(self):
-        fl = FlowVector(p=(0.0, 0.0), p_prime=(3.0, 4.0))
-        e = Epipole(position=(-4.0, 3.0), method=EpipoleMethod.LEAST_SQUARES)
-        assert line_epipole_distance(fl, e) == pytest.approx(
-            line_epipole_distance(fl, (-4.0, 3.0))
-        )
-
-    def test_distance_is_perpendicular(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = rng.uniform(-100.0, 100.0, size=2)
-            q = p + rng.uniform(-20.0, 20.0, size=2)
-            if np.allclose(p, q):
-                continue
-            e = rng.uniform(-200.0, 200.0, size=2)
-            fl = FlowVector(p=p, p_prime=q)
-            d = fl.direction
-            # independent oracle: component of (e - p) orthogonal to d
-            rel = e - p
-            expected = abs(rel[0] * d[1] - rel[1] * d[0])
-            assert line_epipole_distance(fl, e) == pytest.approx(expected, abs=1e-9)
 
 
 class TestConfigValidation:
@@ -332,9 +298,8 @@ class TestClusterFlows:
             assert claimed.isdisjoint(cluster.member_indices)
             claimed.update(cluster.member_indices)
             for idx in cluster.member_indices:
-                assert (
-                    line_epipole_distance(flows[idx], cluster.epipole) < config.eps_dist
-                )
+                fl = flows[idx]
+                assert abs(fl.n @ (cluster.epipole.position - fl.p)) < config.eps_dist
             eps_ttc = config.effective_eps_ttc(float(np.median(cluster.ttc_values)))
             assert np.all(
                 np.abs(cluster.ttc_values - cluster.mean_ttc) <= eps_ttc + 1e-9

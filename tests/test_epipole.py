@@ -32,9 +32,8 @@ from ttckit import (
     planar_epipole,
     project,
     simulate,
-    ttc_three_frame_consistency,
 )
-from ttckit.epipole import _offset_three_frames
+from ttckit.epipole import _flow_lines, _least_squares_epipole, _offset_three_frames
 from conftest import oracle_epipole, random_approach_scenario, wrap_half_pi
 
 
@@ -314,7 +313,11 @@ class TestThreeFrameOffset:
         track = TrackObservation(frames=track.frames, positions=moved)
         _, est = epipole_offset_three_frames(track, HorizonLine.level(intr800.v0), intr800)
         assert est.residual > 1e-4
-        consistency = ttc_three_frame_consistency(track, est, intr800)
+        # k of the pairs (0, 1) and (1, 2): tan = |r_e x r| / (r_e . r) per ray
+        rays = np.column_stack([track.positions - intr800.pp, np.full(3, intr800.focal_px)])
+        ray_e = np.append(est.position - intr800.pp, intr800.focal_px)
+        tan = np.linalg.norm(np.cross(ray_e, rays), axis=1) / (rays @ ray_e)
+        consistency = tan[1] / (tan[1] - tan[0]) - tan[2] / (tan[2] - tan[1])
         assert est.residual == pytest.approx(abs(consistency - 1.0), rel=1e-9)
 
     def test_two_frames_insufficient(self, intr800):
@@ -390,6 +393,30 @@ class TestThreeFrameBatch:
                 assert errors[i] is None
                 assert offset == x[i] and epipole.residual == residual[i]
                 assert np.array_equal(epipole.position, positions[i])
+
+
+two_pixels = st.lists(st.tuples(pixel_coordinate, pixel_coordinate), min_size=2, max_size=2)
+
+
+class TestLeastSquaresKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(two_pixels, max_size=8))
+    @example([])
+    @example([[(0.0, 0.0), (10.0, 0.0)]])
+    @example([[(0.0, 0.0), (10.0, 0.0)], [(5.0, 7.0), (12.0, 7.0)], [(-3.0, 20.0), (4.0, 20.0)]])
+    @example([[(0.0, 0.0), (10.0, 0.0)], [(3.0, 4.0), (3.0, 4.0)], [(5.0, 7.0), (5.0, 9.0)]])
+    def test_wrapper_equals_kernel(self, flows):
+        pixels = np.array(flows, dtype=np.float64).reshape(-1, 2, 2)
+        normals, offsets, error = _flow_lines(pixels[:, 0], pixels[:, 1])
+        if error is None:
+            position, residual, error = _least_squares_epipole(normals, offsets)
+        try:
+            epipole = epipole_least_squares([FlowVector(p, q) for p, q in pixels])
+        except TtcError as exc:
+            assert type(error) is type(exc) and str(error) == str(exc)
+        else:
+            assert error is None
+            assert np.array_equal(epipole.position, position) and epipole.residual == residual
 
 
 class TestCalibrateHorizon:

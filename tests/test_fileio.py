@@ -17,7 +17,6 @@ from ttckit import (
 )
 from ttckit.fileio import (
     TRACKS_HEADER,
-    jsonify,
     read_json,
     read_scenario,
     read_tracks_csv,
@@ -243,17 +242,19 @@ class TestScenarioJson:
 
 
 class TestJsonHelpers:
-    def test_jsonify_numpy(self):
-        doc = jsonify(
+    def test_write_json_numpy(self, tmp_path):
+        path = tmp_path / "numpy.json"
+        write_json(
+            path,
             {
                 "arr": np.array([[1.0, 2.0]]),
                 "scalar": np.float64(3.5),
                 "int": np.int64(7),
                 "flag": np.bool_(True),
                 "nested": (np.int32(1), [np.float32(0.5)]),
-            }
+            },
         )
-        assert doc == {
+        assert read_json(path) == {
             "arr": [[1.0, 2.0]],
             "scalar": 3.5,
             "int": 7,

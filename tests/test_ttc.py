@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ttckit import (
     CameraIntrinsics,
     DegenerateGeometry,
-    InsufficientData,
     InvalidInput,
     MotionClass,
     StationaryPoint,
@@ -16,8 +15,6 @@ from ttckit import (
     project,
     simulate,
     ttc_batch,
-    ttc_from_angles,
-    ttc_three_frame_consistency,
 )
 
 from conftest import (
@@ -27,47 +24,6 @@ from conftest import (
     oracle_project,
     random_approach_scenario,
 )
-
-
-class TestTtcFromAngles:
-    def test_doubling_tangent_gives_two(self):
-        assert ttc_from_angles(np.arctan(0.1), np.arctan(0.2)) == pytest.approx(2.0, abs=1e-12)
-
-    def test_equal_angles_are_stationary(self):
-        with pytest.raises(StationaryPoint):
-            ttc_from_angles(np.arctan(0.1), np.arctan(0.1))
-
-    def test_anchor_pair_gives_ten(self):
-        # point (1,0,10) at unit approach speed: angles arctan(1/10) then
-        # arctan(1/9), plane sweep after exactly 10 frames
-        assert ttc_from_angles(np.arctan(0.1), np.arctan(1.0 / 9.0)) == pytest.approx(
-            10.0, abs=1e-12
-        )
-
-    def test_mid_pair_crossing_uses_obtuse_angle(self):
-        # plane crosses at k=6.11 inside a 7-frame pair: the later ray is
-        # on the far side of the epipole, an obtuse ray angle
-        h, k, span = 2.0, 6.11, 7.0
-        alpha = np.arctan2(h, k)
-        beta = np.pi - np.arctan2(h, span - k)
-        assert ttc_from_angles(alpha, beta) * span == pytest.approx(k, abs=1e-9)
-
-    def test_negative_k_after_crossing(self):
-        # both observations after the sweep: k is negative, counting
-        # frames since the plane passed
-        h, k = 1.5, -2.0
-        alpha = -np.arctan2(h, -k) + np.pi  # obtuse, time 0
-        beta = np.pi - np.arctan2(h, -(k - 1.0))  # time 1
-        got = ttc_from_angles(np.pi - np.arctan2(h, 2.0), np.pi - np.arctan2(h, 3.0))
-        assert got == pytest.approx(-2.0, abs=1e-9)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInput):
-            ttc_from_angles(np.nan, 0.1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            ttc_from_angles(3.2, 0.1)
 
 
 class TestTrackObservation:
@@ -227,45 +183,6 @@ class TestClassifyMotion:
         )
         assert oracle_h(p, v) == pytest.approx(0.0, abs=1e-12)
         assert classify_motion(track, oracle_epipole(v, intr800)) is MotionClass.CONSTANT_BEARING
-
-
-class TestThreeFrameConsistency:
-    def test_exactly_one_frame_apart(self, intr800):
-        rng = np.random.default_rng(15)
-        for _ in range(40):
-            scenario = random_approach_scenario(rng, intr800, frame_count=4)
-            tracks, truth = simulate(scenario)
-            for track, pt in zip(tracks, truth.points):
-                resid = ttc_three_frame_consistency(track, pt.epipole, intr800)
-                assert resid == pytest.approx(1.0, abs=1e-9)
-
-    def test_wrong_epipole_breaks_consistency(self, intr800):
-        rng = np.random.default_rng(16)
-        scenario = random_approach_scenario(rng, intr800, frame_count=3)
-        tracks, truth = simulate(scenario)
-        track, pt = tracks[0], truth.points[0]
-        wrong = np.asarray(pt.epipole) + np.array([0.0, 50.0])
-        resid = ttc_three_frame_consistency(track, wrong, intr800)
-        assert abs(resid - 1.0) > 0.01
-
-    def test_needs_three_frames(self, intr_origin):
-        track = TrackObservation.from_positions(np.array([[80.0, 0.0], [88.9, 0.0]]))
-        with pytest.raises(InsufficientData):
-            ttc_three_frame_consistency(track, np.array([0.0, 0.0]), intr_origin)
-
-    def test_static_point(self, intr_origin):
-        track = TrackObservation.from_positions(np.array([[80.0, 10.0]] * 3))
-        with pytest.raises(StationaryPoint):
-            ttc_three_frame_consistency(track, np.array([0.0, 0.0]), intr_origin)
-
-    def test_start_offset(self, intr800):
-        rng = np.random.default_rng(17)
-        scenario = random_approach_scenario(rng, intr800, frame_count=6)
-        tracks, truth = simulate(scenario)
-        track, pt = tracks[0], truth.points[0]
-        for start in range(4):
-            resid = ttc_three_frame_consistency(track, pt.epipole, intr800, start=start)
-            assert resid == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTtcBatch:
