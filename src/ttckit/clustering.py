@@ -1,42 +1,56 @@
 """RANSAC grouping of flow vectors into independently moving clusters.
 
 Flows belonging to one rigid translation share an epipole: every flow
-line passes through it. Two sampled flows define a hypothesis epipole by
-least squares; flows whose lines pass within eps_dist pixels of it AND
-whose time-to-collision agrees with the consensus median within eps_ttc
-are inliers. The largest consensus set wins, its epipole is refit on all
-members, members are removed, and the process repeats on the remainder
-until no cluster of at least min_cluster_size survives. A deterministic
-reassignment sweep then lets clusters exchange ambiguous members: each
-flow joins the consistent cluster whose epipole its line passes nearest,
-epipoles are refit, and the sweep repeats a bounded number of rounds.
-Greedy extraction alone tends to steal members that lie near the line
-joining two epipoles; the sweep returns them. Whatever is left over,
-plus any group too small to stand on its own, is reported as outliers.
+line passes through it. Two sampled flows define a hypothesis epipole,
+the meeting point of their lines; flows whose lines pass within eps_dist
+pixels of it AND whose time-to-collision agrees with the consensus
+median within eps_ttc are inliers. The largest consensus set wins, its
+epipole is refit on all members by least squares, members are removed,
+and the process repeats on the remainder until no cluster of at least
+min_cluster_size survives. A deterministic reassignment sweep then lets
+clusters exchange ambiguous members: each flow joins the consistent
+cluster whose epipole its line passes nearest, epipoles are refit, and
+the sweep repeats a bounded number of rounds. Greedy extraction alone
+tends to steal members that lie near the line joining two epipoles; the
+sweep returns them. Whatever is left over, plus any group too small to
+stand on its own, is reported as outliers.
 
 The flows become arrays once, at entry: endpoints, unit line normals n
-and offsets n . p (epipole._flow_lines). Every hypothesis, refit and
-sweep epipole is then epipole._least_squares_epipole on rows of those
-arrays, and every line distance is |n . e - offset|.
+and offsets n . p (epipole._flow_lines), and every line distance is
+|n . e - offset|. A round scores all its hypotheses as arrays: the pair
+epipoles come from one batched 2x2 solve, and _consensus gates and
+ranks them _BLOCK at a time, one matrix product for the line distances
+and one _decompose call for the TTC of the geometric inliers. The refit
+and sweep epipoles are epipole._least_squares_epipole on rows of the
+flow arrays.
 
 Determinism contract: given identical inputs and the same rng_seed the
 clustering is byte-for-byte reproducible. When the number of candidate
 pairs in a round is at most max_iterations, all pairs are enumerated in
 index order and the RNG is not consulted at all, which also makes the
-small-input behavior identical to brute-force enumeration.
+small-input behavior identical to brute-force enumeration. Otherwise
+each hypothesis draws its pair with one rng.choice call, in order.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .epipole import Epipole, EpipoleMethod, FlowVector, _flow_lines, _least_squares_epipole
+from .epipole import (
+    EPS_PARALLEL_DEG,
+    Epipole,
+    EpipoleMethod,
+    FlowVector,
+    _cross_abs,
+    _flow_lines,
+    _least_squares_epipole,
+)
 from .errors import InsufficientData, InvalidInput
-from .ttc import TrackObservation, ttc_batch
+from .ttc import TrackObservation, _decompose, ttc_batch
 
 __all__ = [
     "ClusteringConfig",
@@ -44,14 +58,19 @@ __all__ = [
     "cluster_flows",
 ]
 
+# Hypotheses scored at once: bounds the (block, flows) work arrays.
+_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class ClusteringConfig:
     """Tuning knobs for cluster_flows.
 
     Attributes:
-        eps_dist: inlier threshold on flow-line-to-epipole distance, px.
-        eps_ttc: inlier threshold on |k - consensus k|, frames. None
+        eps_dist: inlier threshold on flow-line-to-epipole distance, px;
+            finite and > 0.
+        eps_ttc: inlier threshold on |k - consensus k|, frames; finite
+            and > 0. None
             selects the adaptive default max(1.0, 0.1 * |median k|),
             which treats near and far objects uniformly.
         max_iterations: RANSAC hypothesis budget per extraction round;
@@ -70,19 +89,20 @@ class ClusteringConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.eps_dist <= 0.0:
-            raise InvalidInput(f"eps_dist must be > 0, got {self.eps_dist}")
-        if self.eps_ttc is not None and self.eps_ttc <= 0.0:
-            raise InvalidInput(f"eps_ttc must be > 0 or None, got {self.eps_ttc}")
+        if not (math.isfinite(self.eps_dist) and self.eps_dist > 0.0):
+            raise InvalidInput(f"eps_dist must be finite and > 0, got {self.eps_dist}")
+        if self.eps_ttc is not None and not (math.isfinite(self.eps_ttc) and self.eps_ttc > 0.0):
+            raise InvalidInput(f"eps_ttc must be finite and > 0, or None, got {self.eps_ttc}")
         if self.max_iterations < 1:
             raise InvalidInput(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.min_cluster_size < 3:
             raise InvalidInput(f"min_cluster_size must be >= 3, got {self.min_cluster_size}")
 
-    def effective_eps_ttc(self, median_k: float) -> float:
+    def effective_eps_ttc(self, median_k):
+        """The TTC gate around a median k, or around each of an array of them."""
         if self.eps_ttc is not None:
             return self.eps_ttc
-        return max(1.0, 0.1 * abs(float(median_k)))
+        return np.maximum(1.0, 0.1 * np.abs(median_k))
 
 
 @dataclass(frozen=True)
@@ -108,8 +128,8 @@ class MotionCluster:
             raise InvalidInput("ttc_values must align with member_indices")
 
 
-def _collect_inliers(
-    e_pos: np.ndarray,
+def _consensus(
+    epipoles: np.ndarray,
     candidate_idx: np.ndarray,
     p0: np.ndarray,
     p1: np.ndarray,
@@ -118,33 +138,68 @@ def _collect_inliers(
     spans: np.ndarray,
     intrinsics: CameraIntrinsics,
     config: ClusteringConfig,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Consensus set of the hypothesis epipole among candidate flows.
+):
+    """Best consensus set among hypothesis epipoles of shape (H, 2).
 
-    Geometric gate first (line distance < eps_dist), then TTC agreement
-    with the median k of the geometric inliers. k values are rescaled by
-    each flow's frame span so they compare in frame units. Returns
-    (member indices, their k values, RMS line distance); members are
-    empty when nothing passes.
+    Each hypothesis gathers the candidate flows whose lines pass within
+    eps_dist of it, then keeps those whose k agrees with the median k of
+    that geometric set within eps_ttc; k values are rescaled by each
+    flow's frame span so they compare in frame units. Hypotheses are
+    scored _BLOCK at a time and ranked by (members, -RMS line distance
+    of the members); the first of exact ties wins, and hypotheses with
+    fewer than min_cluster_size members are not ranked. Every value,
+    including each RMS, is computed with the same arithmetic as a
+    one-hypothesis scan, so the ranking does not depend on the block.
+
+    Returns:
+        (h, members, k_values): the winner's row in epipoles, its
+        members in candidate order and their k, or None.
     """
-    dist = np.abs(normals[candidate_idx] @ e_pos - offsets[candidate_idx])
-    geo_mask = dist < config.eps_dist
-    if not np.any(geo_mask):
-        empty = np.array([], dtype=np.int64)
-        return empty, np.array([]), np.inf
-    geo_idx = candidate_idx[geo_mask]
-    k, _ = ttc_batch(p0[geo_idx], p1[geo_idx], e_pos, intrinsics)
-    k = k * spans[geo_idx]
-    finite = np.isfinite(k)
-    if not np.any(finite):
-        empty = np.array([], dtype=np.int64)
-        return empty, np.array([]), np.inf
-    median_k = float(np.median(k[finite]))
-    eps_ttc = config.effective_eps_ttc(median_k)
-    ok = finite & (np.abs(k - median_k) <= eps_ttc)
-    members = geo_idx[ok]
-    rms = float(np.sqrt(np.mean(dist[geo_mask][ok] ** 2))) if members.size else np.inf
-    return members, k[ok], rms
+    best_key, best = None, None
+    line_offsets = offsets[candidate_idx]
+    lines = np.broadcast_to(normals[candidate_idx], (_BLOCK, len(candidate_idx), 2))
+    for first in range(0, len(epipoles), _BLOCK):
+        e = epipoles[first:first + _BLOCK]
+        b = len(e)
+        # one matrix-vector product per hypothesis, as normals @ e[i] computes it
+        dist = np.abs((lines[:b] @ e[:, :, np.newaxis])[..., 0] - line_offsets)
+        hyp, col = np.nonzero(dist < config.eps_dist)  # grouped by hypothesis, flows in order
+        counts = np.bincount(hyp, minlength=b)
+        # the TTC gate only removes members
+        least = config.min_cluster_size if best_key is None else best_key[0]
+        if counts.max() < least:
+            continue
+        flow = candidate_idx[col]
+        k = _decompose(p0[flow], p1[flow], e[hyp], intrinsics, 1e-12)[0] * spans[flow]
+        finite = np.isfinite(k)
+        # median of each hypothesis's finite k, from one sort of a NaN-padded table
+        starts = np.cumsum(counts) - counts
+        table = np.full((b, counts.max()), np.nan)
+        table[hyp, np.arange(hyp.size) - starts[hyp]] = np.where(finite, k, np.nan)
+        table.sort(axis=1)
+        n_finite = np.bincount(hyp[finite], minlength=b)
+        half = n_finite // 2
+        upper = table[np.arange(b), half]
+        lower = table[np.arange(b), np.maximum(half - 1, 0)]
+        median = np.where(n_finite % 2 == 1, upper, (lower + upper) / 2)[hyp]
+        ok = finite & (np.abs(k - median) <= config.effective_eps_ttc(median))
+        sizes = np.bincount(hyp[ok], minlength=b)
+        top = int(sizes.max())
+        if top < least:
+            continue
+        # Summed in another order, the squares of each hypothesis agree with
+        # np.mean's sum to n * 1.1e-16 relative, so only the hypotheses
+        # within 1e-9 of the lowest such sum can hold the lowest RMS.
+        squares = np.bincount(hyp[ok], weights=dist[hyp[ok], col[ok]] ** 2, minlength=b)
+        tied = sizes == top
+        for h in np.flatnonzero(tied & (squares <= squares[tied].min() * (1.0 + 1e-9))):
+            rows = slice(starts[h], starts[h] + counts[h])
+            keep = ok[rows]
+            rms = float(np.sqrt(np.mean(dist[h, col[rows][keep]] ** 2)))
+            key = (top, -rms)
+            if best_key is None or key > best_key:
+                best_key, best = key, (first + int(h), flow[rows][keep], k[rows][keep])
+    return best
 
 
 def _trim_to_invariants(
@@ -249,6 +304,13 @@ def cluster_flows(
         config: thresholds and seed; defaults to ClusteringConfig().
         intrinsics: camera model, required for the TTC consistency gate.
 
+    Each round ranks its hypotheses by consensus size, then by lower RMS
+    line distance of the members; of exactly tied hypotheses the first
+    pair (in index order, or in draw order when sampling) wins. Clusters
+    of equal size whose RMS differs only at rounding level (noise-free
+    input, about 1e-13 px) can therefore come out in either order when
+    the arithmetic of the hypothesis epipole changes.
+
     Returns:
         (clusters, outlier_indices): clusters in extraction order
         (largest consensus first), and the sorted indices of flows not
@@ -281,47 +343,37 @@ def cluster_flows(
         raise InsufficientData(f"need at least {config.min_cluster_size} flows, got {n}")
 
     rng = np.random.default_rng(config.rng_seed)
+    min_sin = np.sin(np.deg2rad(EPS_PARALLEL_DEG))
     remaining = np.arange(n, dtype=np.int64)
     extracted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     while remaining.size >= config.min_cluster_size:
         m = remaining.size
         if m * (m - 1) // 2 <= config.max_iterations:
-            samples = [remaining[[i, j]] for i, j in itertools.combinations(range(m), 2)]
+            pairs = remaining[np.column_stack(np.triu_indices(m, 1))]
         else:
-            samples = [
-                remaining[rng.choice(m, size=2, replace=False)] for _ in range(config.max_iterations)
+            pairs = remaining[
+                np.array([rng.choice(m, size=2, replace=False) for _ in range(config.max_iterations)])
             ]
-
-        best_key = None
-        best = None
-        for sample in samples:
-            hypothesis, _, error = _least_squares_epipole(normals[sample], offsets[sample])
-            if error is not None:  # the pair's lines are parallel
-                continue
-            members, k_values, rms = _collect_inliers(
-                hypothesis, remaining, p0, p1, normals, offsets, spans, intrinsics, config
-            )
-            if members.size < config.min_cluster_size:
-                continue
-            # Larger consensus wins; ties prefer lower RMS distance. The
-            # in-order scan makes the earliest best sample decisive.
-            key = (members.size, -rms)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (members, k_values, hypothesis)
+        # a pair of lines closer than eps_parallel_deg defines no epipole
+        lhs = normals[pairs]
+        pairs_ok = _cross_abs(lhs[:, 0], lhs[:, 1]) >= min_sin
+        hypotheses = np.linalg.solve(lhs[pairs_ok], offsets[pairs[pairs_ok]][:, :, np.newaxis])[..., 0]
+        best = _consensus(hypotheses, remaining, p0, p1, normals, offsets, spans, intrinsics, config)
         if best is None:
             break
 
-        members, k_values, hypothesis = best
+        h, members, k_values = best
+        hypothesis = hypotheses[h]
         refit, _, error = _least_squares_epipole(normals[members], offsets[members])
         if error is not None:  # all member lines parallel
             refit = hypothesis
-        re_members, re_k, _ = _collect_inliers(
-            refit, remaining, p0, p1, normals, offsets, spans, intrinsics, config
+        refit_best = _consensus(
+            refit[np.newaxis], remaining, p0, p1, normals, offsets, spans, intrinsics, config
         )
-        if re_members.size >= members.size:
-            members, k_values, epipole_pos = re_members, re_k, refit
+        if refit_best is not None and refit_best[1].size >= members.size:
+            _, members, k_values = refit_best
+            epipole_pos = refit
         else:
             epipole_pos = hypothesis
 

@@ -258,6 +258,43 @@ def _flow_lines(p: np.ndarray, q: np.ndarray):
     return normals, np.einsum("ij,ij->i", normals, p), error
 
 
+def _cross_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|sin(angle)| between lines of unit normals a and b, shape (..., 2),
+    broadcast. Orientation-free: it is the 2D cross product of the
+    normals, which equals that of the flow directions exactly."""
+    return np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+
+
+def _lines_spread(normals: np.ndarray, min_sin: float) -> bool:
+    """Whether some two of N >= 2 unit line normals make |sin(angle)| >= min_sin.
+
+    The verdict is that of _cross_abs over every pair, in O(N log N). The
+    line directions, angles mod pi, are sorted round the circle; all lines
+    lie on the arc left by the widest gap, from line a to line b. Row a
+    is tested against every line: on an arc under pi/4 the line farthest
+    from a is b (the pair that bounds the arc), and on a wider arc some
+    line lies 45-135 deg from a, so row a finds a witness whenever the
+    lines spread by more than rounding. Otherwise the only pairs that can
+    still pass are those of lines within rounding of the two ends of the
+    arc, and they are tested directly.
+    """
+    theta = np.arctan2(normals[:, 1], normals[:, 0]) % np.pi
+    order = np.argsort(theta)
+    gaps = np.diff(theta[order], append=theta[order[0]] + np.pi)
+    widest = int(np.argmax(gaps))
+    a, b = order[(widest + 1) % len(order)], order[widest]
+    if _cross_abs(normals[a], normals).max() >= min_sin:
+        return True
+    if _cross_abs(normals[a], normals[b]) < min_sin - 1e-12:
+        return False
+    # within rounding of the threshold: angle errors are ~1e-16 rad
+    from_a = (theta - theta[a]) % np.pi
+    arc = from_a[b]
+    ends_a = np.unique(normals[from_a <= 1e-12], axis=0)
+    ends_b = np.unique(normals[from_a >= arc - 1e-12], axis=0)
+    return bool(np.any(_cross_abs(ends_a[:, np.newaxis], ends_b) >= min_sin))
+
+
 def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray,
                            eps_parallel_deg: float = EPS_PARALLEL_DEG):
     """Least-squares meeting point of N flow lines given as _flow_lines rows.
@@ -271,14 +308,7 @@ def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray,
     n = len(normals)
     if n < 2:
         return None, None, InsufficientData(f"need at least 2 flows, got {n}")
-    min_sin = np.sin(np.deg2rad(eps_parallel_deg))
-    # Orientation-free: |sin(angle between lines)| is the 2D cross product
-    # of the normals, which equals that of the flow directions exactly.
-    spread_ok = any(
-        np.any(np.abs(normals[i, 0] * normals[i + 1:, 1] - normals[i, 1] * normals[i + 1:, 0]) >= min_sin)
-        for i in range(n - 1)
-    )
-    if not spread_ok:
+    if not _lines_spread(normals, np.sin(np.deg2rad(eps_parallel_deg))):
         return None, None, SingularGeometry("all flow lines parallel; epipole unconstrained")
     solution, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
     distances = normals @ solution - offsets

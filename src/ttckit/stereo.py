@@ -75,6 +75,8 @@ class StereoErrorModel:
         speed_mps: object speed relative to the camera, m/s, > 0.
         heading_deg: motion direction in the horizontal plane, degrees
             from the optical axis (0 = head-on).
+
+    Every field must be finite; NaN or infinity raises InvalidInput.
     """
 
     baseline_m: float
@@ -84,6 +86,9 @@ class StereoErrorModel:
     heading_deg: float
 
     def __post_init__(self):
+        for name in ("baseline_m", "focal_px", "detection_error_px", "speed_mps", "heading_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
         if self.baseline_m <= 0.0:
             raise InvalidInput(f"baseline_m must be > 0, got {self.baseline_m}")
         if self.focal_px <= 0.0:

@@ -577,6 +577,14 @@ class TestClusterCommand:
         assert code == 2
         assert "COLLISION_PLANE_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--eps-dist", "nan"), ("--eps-ttc", "nan"), ("--eps-dist", "inf")])
+    def test_non_finite_threshold_rejected(self, noisy_tracks, tmp_path, capsys, flag, value):
+        out = tmp_path / "c.json"
+        code = run("cluster", noisy_tracks, "--intrinsics", "700,320,240", flag, value, "--out", out)
+        assert code == 2
+        assert flag[2:].replace("-", "_") + " must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCollisionMapCommand:
     @pytest.fixture
@@ -664,6 +672,16 @@ class TestSensitivityCommand:
     def test_focal_required(self, tmp_path):
         code = run("sensitivity", "--z-values", "20", "--trials", 5, "--out", tmp_path / "s.csv")
         assert code == 2
+
+    def test_non_finite_detection_error_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run(
+            "sensitivity", "--focal-px", 800, "--detection-error-px", "nan",
+            "--trials", 10, "--out", out,
+        )
+        assert code == 2
+        assert "detection_error_px must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_detection_error_zero_rows(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -4,7 +4,9 @@ The brute-force reference below re-derives the documented consensus rule
 from the public contract (enumerate pairs in index order, geometric gate
 strictly below eps_dist, TTC gate against the median of the geometric
 inliers, best key = (size, -rms) with first-wins ties) using its own
-2x2 line intersection for the hypothesis epipole.
+2x2 line intersection for the hypothesis epipole. per_hypothesis_clustering
+replays whole sampled runs, RNG draws included, with every hypothesis
+scored on its own, and the array scorer must match it bit for bit.
 """
 
 import itertools
@@ -27,6 +29,9 @@ from ttckit import (
     simulate,
     ttc_batch,
 )
+from ttckit import clustering
+from ttckit.clustering import _consensus, _reassignment_sweep, _trim_to_invariants
+from ttckit.epipole import _flow_lines, _least_squares_epipole
 from conftest import oracle_epipole, oracle_k0
 
 
@@ -104,6 +109,10 @@ class TestConfigValidation:
             {"max_iterations": 0},
             {"eps_ttc": -1.0},
             {"min_cluster_size": 2},
+            {"eps_dist": float("nan")},
+            {"eps_dist": float("inf")},
+            {"eps_ttc": float("nan")},
+            {"eps_ttc": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -385,3 +394,191 @@ class TestBruteForceEquivalence:
         # first extracted cluster starts from the same consensus set;
         # refit may only grow it
         assert set(best[0]).issubset(set(clusters[0].member_indices))
+
+
+def per_hypothesis_clustering(flows, intrinsics, config):
+    """cluster_flows with every hypothesis scored on its own.
+
+    Replays the rounds of cluster_flows, including its rng.choice draws,
+    but solves each pair's 2x2 line system and gathers each consensus
+    set in a loop. Returns (clusters as (members, epipole, k_values),
+    number of parallel pairs skipped).
+    """
+    p0 = np.array([fl.p for fl in flows])
+    p1 = np.array([fl.p_prime for fl in flows])
+    normals, offsets, _ = _flow_lines(p0, p1)
+    spans = np.ones(len(flows))
+
+    def consensus(e, candidates):
+        dist = np.abs(normals[candidates] @ e - offsets[candidates])
+        geo = dist < config.eps_dist
+        k, _ = ttc_batch(p0[candidates[geo]], p1[candidates[geo]], e, intrinsics)
+        finite = np.isfinite(k)
+        if not np.any(finite):
+            return candidates[:0], k[:0], np.inf
+        median_k = float(np.median(k[finite]))
+        ok = finite & (np.abs(k - median_k) <= config.effective_eps_ttc(median_k))
+        rms = float(np.sqrt(np.mean(dist[geo][ok] ** 2))) if ok.any() else np.inf
+        return candidates[geo][ok], k[ok], rms
+
+    rng = np.random.default_rng(config.rng_seed)
+    remaining = np.arange(len(flows))
+    extracted, parallel = [], 0
+    while remaining.size >= config.min_cluster_size:
+        m = remaining.size
+        if m * (m - 1) // 2 <= config.max_iterations:
+            samples = [remaining[[i, j]] for i, j in itertools.combinations(range(m), 2)]
+        else:
+            samples = [remaining[rng.choice(m, size=2, replace=False)] for _ in range(config.max_iterations)]
+        best_key, best = None, None
+        for sample in samples:
+            lhs = normals[sample]
+            if abs(lhs[0, 0] * lhs[1, 1] - lhs[0, 1] * lhs[1, 0]) < np.sin(np.deg2rad(0.5)):
+                parallel += 1
+                continue
+            e = np.linalg.solve(lhs, offsets[sample])
+            members, k, rms = consensus(e, remaining)
+            if members.size < config.min_cluster_size:
+                continue
+            if best_key is None or (members.size, -rms) > best_key:
+                best_key, best = (members.size, -rms), (members, k, e)
+        if best is None:
+            break
+        members, k, e = best
+        refit, _, error = _least_squares_epipole(normals[members], offsets[members])
+        if error is not None:
+            refit = e
+        re_members, re_k, _ = consensus(refit, remaining)
+        if re_members.size >= members.size:
+            members, k, e = re_members, re_k, refit
+        members, k = _trim_to_invariants(members, k, config)
+        if members.size < config.min_cluster_size:
+            break
+        extracted.append((members, k, e))
+        remaining = np.setdiff1d(remaining, members, assume_unique=True)
+    if extracted:
+        extracted = _reassignment_sweep(extracted, p0, p1, normals, offsets, spans, intrinsics, config)
+    return [(tuple(int(i) for i in mem), e, k) for mem, k, e in extracted], parallel
+
+
+def sampled_scene(per_object=12, noise=0.3, seed=0, extra=()):
+    """First-to-last-frame flows of the three-object scene with per_object
+    points each, plus extra flows."""
+    scenario = triple_object_scenario(seed=seed, noise=noise)
+    rng = np.random.default_rng(seed)
+    objects = tuple(
+        SceneObject(o.object_id, o.points.mean(axis=0) + rng.uniform(-0.7, 0.7, size=(per_object, 3)), o.velocity)
+        for o in scenario.objects
+    )
+    scenario = Scenario(
+        intrinsics=scenario.intrinsics, objects=objects, camera_velocity=np.zeros(3),
+        frame_count=9, pixel_noise_sigma=noise, rng_seed=seed,
+    )
+    tracks, _ = simulate(scenario)
+    return [FlowVector(t.pixel(0), t.pixel(len(t) - 1)) for t in tracks] + list(extra), scenario.intrinsics
+
+
+class TestSampledEquivalence:
+    """More than 32 flows: rounds draw max_iterations pairs with the RNG."""
+
+    def assert_same(self, flows, intrinsics, config):
+        clusters, outliers = cluster_flows(flows, config=config, intrinsics=intrinsics)
+        expected, parallel = per_hypothesis_clustering(flows, intrinsics, config)
+        assert [c.member_indices for c in clusters] == [members for members, _, _ in expected]
+        for cluster, (_, e, k) in zip(clusters, expected):
+            assert np.array_equal(cluster.epipole.position, e)
+            assert np.array_equal(cluster.ttc_values, k)
+        claimed = {i for members, _, _ in expected for i in members}
+        assert outliers == tuple(i for i in range(len(flows)) if i not in claimed)
+        return clusters, parallel
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_scene_matches_per_hypothesis_loop(self, seed):
+        flows, intrinsics = sampled_scene(seed=seed)
+        assert len(flows) * (len(flows) - 1) // 2 > ClusteringConfig().max_iterations
+        clusters, _ = self.assert_same(flows, intrinsics, ClusteringConfig(rng_seed=seed))
+        assert len(clusters) == 3
+
+    def test_every_pair_parallel_gives_no_cluster(self):
+        # near-lateral motion: 40 flow lines meet 2e4 px off the image,
+        # all within 0.45 deg of one another, too close to define an epipole
+        rng = np.random.default_rng(3)
+        points = np.array([0.0, 0.0, 20.0]) + rng.uniform(-1.0, 1.0, size=(40, 3)) * [0.5, 2.2, 0.5]
+        scenario = Scenario(
+            intrinsics=intr700(),
+            objects=(SceneObject("a", points, np.array([1.0, 0.0, -0.035])),),
+            camera_velocity=np.zeros(3),
+            frame_count=2,
+        )
+        tracks, _ = simulate(scenario)
+        flows = [FlowVector.from_track(t) for t in tracks]
+        clusters, parallel = self.assert_same(flows, scenario.intrinsics, ClusteringConfig())
+        assert clusters == [] and parallel == 500
+
+    def test_parallel_pairs_among_valid_ones_skipped(self):
+        strays = [FlowVector(p=(100.0, 20.0 * i), p_prime=(106.0, 20.0 * i)) for i in range(6)]
+        flows, intrinsics = sampled_scene(seed=4, extra=strays)
+        clusters, parallel = self.assert_same(flows, intrinsics, ClusteringConfig(rng_seed=4))
+        assert parallel > 0 and len(clusters) == 3
+
+    @pytest.mark.parametrize("seed", [54, 56, 189])
+    def test_equal_sizes_tie_on_rms(self, seed):
+        # noise-free objects of 12 flows each: every round ties on size,
+        # and on these seeds the extraction order turns on RMS values of
+        # about 1e-13 px, so it follows the last bits of every epipole
+        # and distance
+        flows, intrinsics = sampled_scene(noise=0.0, seed=seed)
+        clusters, _ = self.assert_same(flows, intrinsics, ClusteringConfig(rng_seed=seed))
+        assert [len(c.member_indices) for c in clusters] == [12, 12, 12]
+
+    def test_hypothesis_count_does_not_change_epipole_calls(self, monkeypatch):
+        # per-hypothesis least-squares calls would scale with the budget
+        calls = []
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return _least_squares_epipole(*a, **kw)
+
+        monkeypatch.setattr(clustering, "_least_squares_epipole", counted)
+        flows, intrinsics = sampled_scene(noise=0.1, seed=8)
+        counts = []
+        for budget in (50, 500):
+            calls.clear()
+            clusters, _ = cluster_flows(
+                flows, config=ClusteringConfig(max_iterations=budget, rng_seed=8), intrinsics=intrinsics
+            )
+            assert len(clusters) == 3
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+class TestConsensusRanking:
+    """The tie rule of _consensus: size, then lower RMS, then first hypothesis."""
+
+    def scene(self):
+        flows, velocities, intrinsics = two_object_flows(n_points=6)
+        p0 = np.array([fl.p for fl in flows[:6]])
+        p1 = np.array([fl.p_prime for fl in flows[:6]])
+        normals, offsets, _ = _flow_lines(p0, p1)
+        e = np.linalg.solve(normals[:2], offsets[:2])
+        args = (np.arange(6), p0, p1, normals, offsets, np.ones(6), intrinsics, ClusteringConfig())
+        return e, args
+
+    def test_lower_rms_wins_then_first(self):
+        e, args = self.scene()
+        off = e + np.array([0.3, -0.2])
+        # 40 hypotheses span three blocks; the exact epipole sits at 5 and 20
+        hypotheses = np.array([off] * 40)
+        hypotheses[[5, 20]] = e
+        h, members, k = _consensus(hypotheses, *args)
+        assert h == 5 and members.tolist() == list(range(6))
+        h, _, _ = _consensus(hypotheses[6:], *args)
+        assert h == 14
+
+    def test_larger_consensus_beats_lower_rms(self):
+        e, args = self.scene()
+        # far off every line but the first two: three members at best
+        hypotheses = np.array([e + np.array([500.0, 0.0]), e + np.array([0.5, 0.5]), e])
+        h, members, _ = _consensus(hypotheses[:2], *args)
+        assert h == 1 and members.size == 6
+        assert _consensus(hypotheses[:1], *args) is None

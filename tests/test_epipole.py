@@ -33,7 +33,7 @@ from ttckit import (
     project,
     simulate,
 )
-from ttckit.epipole import _flow_lines, _least_squares_epipole, _offset_three_frames
+from ttckit.epipole import _flow_lines, _least_squares_epipole, _lines_spread, _offset_three_frames
 from conftest import oracle_epipole, random_approach_scenario, wrap_half_pi
 
 
@@ -417,6 +417,57 @@ class TestLeastSquaresKernel:
         else:
             assert error is None
             assert np.array_equal(epipole.position, position) and epipole.residual == residual
+
+
+def pairwise_spread(normals, min_sin):
+    """Whether any two lines make |sin(angle)| >= min_sin, pair by pair."""
+    return any(
+        abs(normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]) >= min_sin
+        for i in range(len(normals))
+        for j in range(i + 1, len(normals))
+    )
+
+
+@st.composite
+def near_threshold_bundles(draw):
+    """Line angles whose spread is 0.5 deg times (1 +- 10**-16 ... 10**-1),
+    with inner lines, some normals flipped, in random order."""
+    base = draw(st.floats(-np.pi, np.pi))
+    rel = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -1.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    fractions = np.array([0.0, 1.0, *inner])
+    flips = np.array(draw(st.lists(st.booleans(), min_size=len(fractions), max_size=len(fractions))))
+    order = draw(st.permutations(range(len(fractions))))
+    angles = base + np.deg2rad(0.5) * (1.0 + rel) * fractions + np.pi * flips
+    return angles[list(order)]
+
+
+class TestSpreadCheck:
+    MIN_SIN = np.sin(np.deg2rad(0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        near_threshold_bundles(),
+        st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=12).map(np.array),
+    ))
+    @example(np.zeros(5))
+    @example(np.array([0.0, np.pi, 2 * np.pi]))
+    @example(np.array([0.0, np.pi - np.deg2rad(0.4), np.pi + np.deg2rad(0.4)]))
+    @example(np.deg2rad(0.45) * np.arange(400))  # every gap below 0.5 deg
+    @example(np.deg2rad(np.array([0.0, 0.5])))
+    def test_verdict_equals_pairwise(self, angles):
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        expected = pairwise_spread(normals, self.MIN_SIN)
+        assert _lines_spread(normals, self.MIN_SIN) == expected
+        _, _, error = _least_squares_epipole(normals, np.zeros(len(normals)))
+        assert (error is None) == expected
+
+    def test_near_parallel_bundle_rejected(self):
+        rng = np.random.default_rng(5)
+        angles = 0.3 + rng.uniform(0.0, np.deg2rad(0.4), 20_000)
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        _, _, error = _least_squares_epipole(normals, np.zeros(len(normals)))
+        assert isinstance(error, SingularGeometry)
 
 
 class TestCalibrateHorizon:

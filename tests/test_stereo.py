@@ -64,6 +64,12 @@ class TestStereoErrorModel:
             {"focal_px": 0.0},
             {"detection_error_px": -0.1},
             {"speed_mps": 0.0},
+            {"baseline_m": float("nan")},
+            {"focal_px": float("inf")},
+            {"detection_error_px": float("nan")},
+            {"detection_error_px": float("inf")},
+            {"speed_mps": float("inf")},
+            {"heading_deg": float("nan")},
         ],
     )
     def test_invalid_rejected(self, overrides):
