@@ -6,6 +6,8 @@ three-frame offset angle measured directly between the horizon anchor
 and the true epipole in the flow-line angle frame.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -157,8 +159,12 @@ class TestPlanarEpipole:
                 est = planar_epipole(fl, HorizonLine.level(0.0))
                 assert est.position == pytest.approx([0.0, 0.0], abs=1e-9)
             else:
-                with pytest.raises(ParallelToHorizon):
+                with pytest.raises(ParallelToHorizon) as info:
                     planar_epipole(fl, HorizonLine.level(0.0))
+                # the text reaches the message field of estimate documents
+                assert str(info.value) == (
+                    "flow direction [0.99997563 0.00698126] within 0.5 deg of the horizon"
+                )
 
     def test_parallel_threshold_override(self):
         ang = np.deg2rad(0.4)
@@ -350,8 +356,10 @@ class TestThreeFrameOffset:
         track = TrackObservation(
             frames=(0, 1, 2), positions=np.column_stack([np.full(3, 200.0), vs])
         )
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateConfiguration) as info:
             epipole_offset_three_frames(track, HorizonLine.level(0.0), intr_origin)
+        # the denominator is rounding residue, so only its format is pinned
+        assert re.fullmatch(r"offset denominator -?\d\.\d{3}e[-+]\d\d below 1\.000e-12", str(info.value))
 
 
 # Pixel coordinates on a coarse grid or anywhere: the grid makes zero

@@ -103,6 +103,14 @@ class TestCollisionEstimate:
         with pytest.raises(StationaryPoint):
             collision_estimate(track, np.array([80.0, 20.0]), intr_origin)
 
+    def test_constant_bearing_message(self, intr_origin):
+        # both pixels 80 px from the epipole at the principal point: the
+        # angle to the epipole ray is the same at both frames
+        track = TrackObservation.from_positions(np.array([[80.0, 0.0], [0.0, 80.0]]))
+        with pytest.raises(StationaryPoint) as info:
+            collision_estimate(track, np.array([0.0, 0.0]), intr_origin)
+        assert str(info.value) == "angular motion below threshold"
+
     def test_epipole_on_moving_track_point(self, intr_origin):
         track = TrackObservation.from_positions(np.array([[80.0, 0.0], [100.0, 0.0]]))
         with pytest.raises(DegenerateGeometry):
