@@ -118,9 +118,9 @@ def _parse_intrinsics(text: str) -> CameraIntrinsics:
     )
 
 
-def _epipole_doc(epipole: Epipole, track_id: str | None) -> dict:
+def _epipole_doc(epipole: Epipole) -> dict:
     return {
-        "track_id": track_id,
+        "track_id": None,
         "position": epipole.position,
         "method": epipole.method.value,
         "residual": epipole.residual,
@@ -172,34 +172,21 @@ def _cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------- estimate
 
-def _stationary_entry(track_id: str, message: str) -> dict:
-    return {
-        "track_id": track_id,
-        "status": "stationary",
-        "message": message,
-        "k": None,
-        "H": 0.0,
-        "classification": MotionClass.CONSTANT_BEARING.value,
-    }
-
-
-def _degenerate_entry(track_id: str, exc: TtcError) -> dict:
-    return {
-        "track_id": track_id,
-        "status": f"degenerate:{type(exc).__name__}",
-        "message": str(exc),
-        "k": None,
-        "H": None,
-        "classification": None,
-    }
-
-
 def _failed_entry(track_id: str, error: TtcError) -> dict:
     """Zero flow and constant bearing make a track stationary; every other
     per-track problem makes it degenerate."""
     if isinstance(error, (DegenerateFlow, StationaryPoint)):
-        return _stationary_entry(track_id, str(error))
-    return _degenerate_entry(track_id, error)
+        status, h, classification = "stationary", 0.0, MotionClass.CONSTANT_BEARING.value
+    else:
+        status, h, classification = f"degenerate:{type(error).__name__}", None, None
+    return {
+        "track_id": track_id,
+        "status": status,
+        "message": str(error),
+        "k": None,
+        "H": h,
+        "classification": classification,
+    }
 
 
 def _pixels(tracks, i: int) -> np.ndarray:
@@ -228,7 +215,7 @@ def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
     cluster_docs = [
         {
             "member_ids": [ids[flow_index[m]] for m in c.member_indices],
-            "epipole": _epipole_doc(c.epipole, None),
+            "epipole": _epipole_doc(c.epipole),
             "mean_ttc": c.mean_ttc,
         }
         for c in clusters
@@ -293,7 +280,7 @@ def _cmd_estimate(args) -> int:
         if error is not None:
             raise error
         shared_epipole = Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
-        document["epipoles"].append(_epipole_doc(shared_epipole, None))
+        document["epipoles"].append(_epipole_doc(shared_epipole))
         epipoles, errors = shared_epipole.position, [None] * n
 
     k, H, v_g_dir, _, point, pair_errors = _collision_rows(first, second, epipoles, intrinsics)
@@ -367,12 +354,12 @@ def _cmd_cluster(args) -> int:
         document["clusters"].append(
             {
                 "member_ids": [ids[flow_index[m]] for m in c.member_indices],
-                "epipole": _epipole_doc(c.epipole, None),
+                "epipole": _epipole_doc(c.epipole),
                 "ttc_values": c.ttc_values,
                 "mean_ttc": c.mean_ttc,
             }
         )
-        document["epipoles"].append(_epipole_doc(c.epipole, None))
+        document["epipoles"].append(_epipole_doc(c.epipole))
     document["outliers"] = [ids[flow_index[i]] for i in outliers]
     document["stationary"] = stationary
     document["residuals"] = {

@@ -41,7 +41,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .epipole import (
-    EPS_PARALLEL_DEG,
+    _MIN_SIN_PARALLEL,
     Epipole,
     EpipoleMethod,
     FlowVector,
@@ -60,6 +60,9 @@ __all__ = [
 
 # Hypotheses scored at once: bounds the (block, flows) work arrays.
 _BLOCK = 16
+
+# Bound on the rounds of the reassignment sweep.
+_SWEEP_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _consensus(
         if counts.max() < least:
             continue
         flow = candidate_idx[col]
-        k = _decompose(p0[flow], p1[flow], e[hyp], intrinsics, 1e-12)[0] * spans[flow]
+        k = _decompose(p0[flow], p1[flow], e[hyp], intrinsics)[0] * spans[flow]
         finite = np.isfinite(k)
         # median of each hypothesis's finite k, from one sort of a NaN-padded table
         starts = np.cumsum(counts) - counts
@@ -228,7 +231,6 @@ def _reassignment_sweep(
     spans: np.ndarray,
     intrinsics: CameraIntrinsics,
     config: ClusteringConfig,
-    rounds: int = 3,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Exchange ambiguous members between extracted clusters.
 
@@ -239,7 +241,7 @@ def _reassignment_sweep(
     min_cluster_size is discarded and the previous state kept, so the
     sweep can only rearrange, never destroy, the extracted structure.
     """
-    for _ in range(rounds):
+    for _ in range(_SWEEP_ROUNDS):
         dist = np.column_stack(
             [np.abs(normals @ e - offsets) for _, _, e in state]
         )
@@ -343,7 +345,6 @@ def cluster_flows(
         raise InsufficientData(f"need at least {config.min_cluster_size} flows, got {n}")
 
     rng = np.random.default_rng(config.rng_seed)
-    min_sin = np.sin(np.deg2rad(EPS_PARALLEL_DEG))
     remaining = np.arange(n, dtype=np.int64)
     extracted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -355,9 +356,9 @@ def cluster_flows(
             pairs = remaining[
                 np.array([rng.choice(m, size=2, replace=False) for _ in range(config.max_iterations)])
             ]
-        # a pair of lines closer than eps_parallel_deg defines no epipole
+        # a pair of lines closer than EPS_PARALLEL_DEG defines no epipole
         lhs = normals[pairs]
-        pairs_ok = _cross_abs(lhs[:, 0], lhs[:, 1]) >= min_sin
+        pairs_ok = _cross_abs(lhs[:, 0], lhs[:, 1]) >= _MIN_SIN_PARALLEL
         hypotheses = np.linalg.solve(lhs[pairs_ok], offsets[pairs[pairs_ok]][:, :, np.newaxis])[..., 0]
         best = _consensus(hypotheses, remaining, p0, p1, normals, offsets, spans, intrinsics, config)
         if best is None:

@@ -38,7 +38,7 @@ from .errors import (
     ParallelToHorizon,
     SingularGeometry,
 )
-from .ttc import TrackObservation, _decompose
+from .ttc import _EPS_TAN, TrackObservation, _decompose
 
 __all__ = [
     "Epipole",
@@ -51,9 +51,10 @@ __all__ = [
     "planar_epipole",
 ]
 
-# Default angular tolerance below which two image lines count as parallel.
+# Angular tolerance below which two image lines count as parallel.
 # Intersection error grows like 1 / sin(angle), so a floor is required.
 EPS_PARALLEL_DEG = 0.5
+_MIN_SIN_PARALLEL = np.sin(np.deg2rad(EPS_PARALLEL_DEG))
 
 
 class EpipoleMethod(enum.Enum):
@@ -190,8 +191,7 @@ def _tls_lines(points: np.ndarray):
     return centroid, vt[..., 0, :], singular[..., 0]
 
 
-def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine,
-                     eps_parallel_deg: float = EPS_PARALLEL_DEG):
+def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine):
     """Cut the flow lines through pixels p and q, shape (N, 2), with the horizon.
 
     Returns:
@@ -205,35 +205,28 @@ def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine,
     still = norm == 0.0
     directions = t / np.where(still, 1.0, norm)[:, np.newaxis]
     positions, sin = _cut_horizon(p, directions, horizon)
-    parallel = np.abs(sin) < np.sin(np.deg2rad(eps_parallel_deg))
+    parallel = np.abs(sin) < _MIN_SIN_PARALLEL
     errors = [None] * len(p)
     for i in np.flatnonzero(still | parallel):
         errors[i] = (
             DegenerateFlow(f"zero displacement at pixel {p[i]}")
             if still[i]
             else ParallelToHorizon(
-                f"flow direction {directions[i]} within {eps_parallel_deg} deg of the horizon"
+                f"flow direction {directions[i]} within {EPS_PARALLEL_DEG} deg of the horizon"
             )
         )
     return positions, directions, errors
 
 
-def planar_epipole(
-    flow: FlowVector,
-    horizon: HorizonLine,
-    *,
-    eps_parallel_deg: float = EPS_PARALLEL_DEG,
-) -> Epipole:
+def planar_epipole(flow: FlowVector, horizon: HorizonLine) -> Epipole:
     """Epipole of planar motion: flow line intersected with the horizon.
 
     Raises:
-        ParallelToHorizon: flow line within eps_parallel_deg of the
+        ParallelToHorizon: flow line within EPS_PARALLEL_DEG of the
             horizon direction; fall back to the least-squares or
             three-frame estimators.
     """
-    positions, _, errors = _planar_epipoles(
-        flow.p[np.newaxis], flow.p_prime[np.newaxis], horizon, eps_parallel_deg
-    )
+    positions, _, errors = _planar_epipoles(flow.p[np.newaxis], flow.p_prime[np.newaxis], horizon)
     if errors[0] is not None:
         raise errors[0]
     return Epipole(position=positions[0], method=EpipoleMethod.HORIZON_INTERSECTION, residual=0.0)
@@ -295,8 +288,7 @@ def _lines_spread(normals: np.ndarray, min_sin: float) -> bool:
     return bool(np.any(_cross_abs(ends_a[:, np.newaxis], ends_b) >= min_sin))
 
 
-def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray,
-                           eps_parallel_deg: float = EPS_PARALLEL_DEG):
+def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray):
     """Least-squares meeting point of N flow lines given as _flow_lines rows.
 
     Returns:
@@ -308,18 +300,14 @@ def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray,
     n = len(normals)
     if n < 2:
         return None, None, InsufficientData(f"need at least 2 flows, got {n}")
-    if not _lines_spread(normals, np.sin(np.deg2rad(eps_parallel_deg))):
+    if not _lines_spread(normals, _MIN_SIN_PARALLEL):
         return None, None, SingularGeometry("all flow lines parallel; epipole unconstrained")
     solution, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
     distances = normals @ solution - offsets
     return solution, float(np.sqrt(np.mean(distances**2))), None
 
 
-def epipole_least_squares(
-    flows: list[FlowVector],
-    *,
-    eps_parallel_deg: float = EPS_PARALLEL_DEG,
-) -> Epipole:
+def epipole_least_squares(flows: list[FlowVector]) -> Epipole:
     """Epipole as the least-squares meeting point of several flow lines.
 
     Stacks one point-on-line constraint n_i . e = n_i . p_i per flow and
@@ -329,20 +317,19 @@ def epipole_least_squares(
     Raises:
         InsufficientData: fewer than 2 flows.
         SingularGeometry: no two flow directions differ by more than
-            eps_parallel_deg (the lines meet nowhere or everywhere).
+            EPS_PARALLEL_DEG (the lines meet nowhere or everywhere).
     """
     p = np.array([fl.p for fl in flows]).reshape(-1, 2)
     q = np.array([fl.p_prime for fl in flows]).reshape(-1, 2)
     normals, offsets, _ = _flow_lines(p, q)
-    position, residual, error = _least_squares_epipole(normals, offsets, eps_parallel_deg)
+    position, residual, error = _least_squares_epipole(normals, offsets)
     if error is not None:
         raise error
     return Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
 
 
 def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon: HorizonLine,
-                         intrinsics: CameraIntrinsics, eps_tan: float = 1e-12,
-                         eps_parallel_deg: float = EPS_PARALLEL_DEG):
+                         intrinsics: CameraIntrinsics):
     """Three-frame offset fit of N tracks at once.
 
     Args:
@@ -365,7 +352,7 @@ def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon
         raises for it, or None. Rows with an error hold meaningless
         values.
     """
-    anchors, directions, errors = _planar_epipoles(p0, p1, horizon, eps_parallel_deg)
+    anchors, directions, errors = _planar_epipoles(p0, p1, horizon)
     pp = intrinsics.pp
     with np.errstate(divide="ignore", invalid="ignore"):
         # the line frame of p0 -> p1: its foot nearest the principal point,
@@ -383,18 +370,18 @@ def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon
         n = len(p0)
         k, _, _, _ = _decompose(
             np.concatenate([p0, p1]), np.concatenate([p1, p2]), np.concatenate([positions, positions]),
-            intrinsics, eps_tan,
+            intrinsics,
         )
         residual = np.abs(k[:n] - k[n:] - 1.0)
         at_infinity = np.abs(np.cos(angle)) < 1e-12
-    uniform = np.abs(denominator) < eps_tan
+    uniform = np.abs(denominator) < _EPS_TAN
     undefined = ~np.isfinite(residual)
     for i in np.flatnonzero(uniform | at_infinity | undefined):
         if errors[i] is not None:
             continue
         if uniform[i]:
             errors[i] = DegenerateConfiguration(
-                f"offset denominator {denominator[i]:.3e} below {eps_tan:.3e}"
+                f"offset denominator {denominator[i]:.3e} below {_EPS_TAN:.3e}"
             )
         elif at_infinity[i]:
             errors[i] = DegenerateGeometry(f"angle {float(angle[i])} maps to a point at infinity on the line")
@@ -410,9 +397,6 @@ def epipole_offset_three_frames(
     track: TrackObservation,
     horizon: HorizonLine,
     intrinsics: CameraIntrinsics,
-    *,
-    eps_tan: float = 1e-12,
-    eps_parallel_deg: float = EPS_PARALLEL_DEG,
 ) -> tuple[float, Epipole]:
     """Angular offset and corrected epipole from three frames of one track.
 
@@ -445,9 +429,7 @@ def epipole_offset_three_frames(
     if len(track) < 3:
         raise InsufficientData(f"need at least 3 frames, got {len(track)}")
     p0, p1, p2 = track.positions[:3, np.newaxis]
-    x, positions, residual, errors = _offset_three_frames(
-        p0, p1, p2, horizon, intrinsics, eps_tan, eps_parallel_deg
-    )
+    x, positions, residual, errors = _offset_three_frames(p0, p1, p2, horizon, intrinsics)
     if errors[0] is not None:
         raise errors[0]
     epipole = Epipole(

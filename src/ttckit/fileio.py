@@ -59,14 +59,18 @@ def _json_text(document: dict) -> str:
     ) + "\n"
 
 
+def _write_text(path, text: str) -> None:
+    """Write text as UTF-8 with LF newlines on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_json(path, document: dict) -> None:
     """Write a JSON document with sorted keys and a trailing newline.
 
     Rejects NaN/Infinity: documents must encode missing values as null.
     """
-    text = _json_text(document)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, _json_text(document))
 
 
 def read_json(path) -> dict:
@@ -96,8 +100,7 @@ def write_tracks_csv(path, tracks: list[TrackObservation], ids: list[str] | None
             raise InvalidInput(f"track id {label!r} must not contain commas or newlines")
         for frame, (u, v) in zip(track.frames, track.positions):
             lines.append(f"{label},{int(frame)},{_fmt(u)},{_fmt(v)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
@@ -284,8 +287,7 @@ def write_collision_map_csv(path, cmap: CollisionMap) -> None:
                     ]
                 )
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_sensitivity_csv(path, table: SensitivityTable) -> None:
@@ -303,5 +305,4 @@ def write_sensitivity_csv(path, table: SensitivityTable) -> None:
                 ]
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

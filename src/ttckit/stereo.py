@@ -56,9 +56,16 @@ PRESET_DETECTION_ERROR_PX = 0.2
 PRESET_SPEED_KMH = 50.0
 PRESET_HEADING_DEG = 45.0
 
+# Height of the swept point below the camera axis, meters. It must be
+# nonzero: at 0 every flow line would be the horizon.
+_HEIGHT_OFFSET_M = 2.0
+
 
 def focal_px_from_metric(focal_mm: float, pixel_pitch_um: float) -> float:
     """Convert a metric focal length to pixels via the sensor pixel pitch."""
+    for name, value in (("focal_mm", focal_mm), ("pixel_pitch_um", pixel_pitch_um)):
+        if not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value}")
     if focal_mm <= 0.0 or pixel_pitch_um <= 0.0:
         raise InvalidInput("focal_mm and pixel_pitch_um must be > 0")
     return float(focal_mm * 1000.0 / pixel_pitch_um)
@@ -171,17 +178,16 @@ def orientation_error_sweep(
     *,
     frame_dt: float = 1.0 / 12.0,
     track_frames: int = 8,
-    height_offset_m: float = 2.0,
     trials: int = 200,
     rng_seed: int = 0,
 ) -> SensitivityTable:
     """Monte-Carlo heading/TTC error comparison per object depth.
 
-    For each depth Z the object starts at (0, height_offset_m, Z) and
-    translates with model.speed_mps at model.heading_deg for
-    track_frames frames of length frame_dt. Each trial perturbs every
-    pixel detection with Gaussian noise of scale detection_error_px and
-    estimates:
+    For each depth Z the object starts at (0, _HEIGHT_OFFSET_M, Z), 2 m
+    below the camera axis, and translates with model.speed_mps at
+    model.heading_deg for track_frames frames of length frame_dt. Each
+    trial perturbs every pixel detection with Gaussian noise of scale
+    detection_error_px and estimates:
 
     * stereo heading: triangulate the first two frames from noisy
       left/right detections, take the direction of the position change.
@@ -200,12 +206,10 @@ def orientation_error_sweep(
 
     Args:
         model: rig and motion parameters.
-        z_values: depths in meters.
-        frame_dt: seconds per frame.
+        z_values: depths in meters, finite.
+        frame_dt: seconds per frame, finite and > 0.
         track_frames: observations per segment, >= 2; heading accuracy
             of the monocular method scales with segment length.
-        height_offset_m: tracked point's height offset below the camera
-            axis; 0 would put every flow line on the horizon.
         trials: Monte-Carlo repetitions per depth.
         rng_seed: seed; identical calls reproduce identical tables.
 
@@ -216,11 +220,14 @@ def orientation_error_sweep(
         raise InvalidInput(f"track_frames must be >= 2, got {track_frames}")
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
+    if not math.isfinite(frame_dt):
+        raise InvalidInput(f"frame_dt must be finite, got {frame_dt}")
     if frame_dt <= 0.0:
         raise InvalidInput(f"frame_dt must be > 0, got {frame_dt}")
-    if height_offset_m == 0.0:
-        raise InvalidInput("height_offset_m = 0 makes every flow line the horizon")
     z_values = [float(z) for z in np.atleast_1d(np.asarray(z_values, dtype=np.float64))]
+    for z in z_values:
+        if not math.isfinite(z):
+            raise InvalidInput(f"z_values must be finite, got {z}")
 
     intr = CameraIntrinsics(focal_px=model.focal_px, principal_point=(0.0, 0.0))
     f = model.focal_px
@@ -233,7 +240,7 @@ def orientation_error_sweep(
     rng = np.random.default_rng(rng_seed)
     rows = []
     for z in z_values:
-        p_start = np.array([0.0, height_offset_m, z])
+        p_start = np.array([0.0, _HEIGHT_OFFSET_M, z])
         idx = np.arange(track_frames, dtype=np.float64)
         positions = p_start[np.newaxis, :] + idx[:, np.newaxis] * step[np.newaxis, :]
         if positions[-1, 2] <= 0.1:

@@ -56,6 +56,10 @@ __all__ = [
 # Pixel coincidence tolerance for "epipole on top of a track point".
 _EPS_COINCIDENT = 1e-9
 
+# Relative floor on the angular motion |tan(beta) - tan(alpha)| of a
+# pair; below it the pair is constant bearing.
+_EPS_TAN = 1e-12
+
 # Verdicts of _decompose for rows without a decomposition, in order of
 # precedence; a valid row has verdict 0.
 _ZERO_FLOW, _COINCIDENT, _CONSTANT_BEARING = 1, 2, 3
@@ -145,8 +149,7 @@ class CollisionEstimate:
     point: np.ndarray
 
 
-def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics,
-               eps_tan: float):
+def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics):
     """Collision-plane decomposition of N observation pairs against their epipoles.
 
     Args:
@@ -174,9 +177,9 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     # k = tan(beta) / (tan(beta) - tan(alpha)) and h = k * tan(alpha), the
     # tangents kept as fractions so that a right angle (x = 0, the point
     # at its sweep) needs no special case. Angular motion |tan(beta) -
-    # tan(alpha)| below eps_tan is constant bearing.
+    # tan(alpha)| below _EPS_TAN is constant bearing.
     den = yb * xa - ya * xb
-    still = ~(np.abs(den) >= eps_tan * np.abs(xa * xb)) | (den == 0.0)
+    still = ~(np.abs(den) >= _EPS_TAN * np.abs(xa * xb)) | (den == 0.0)
     den = np.where(still, 1.0, den)
     k, h = yb * xa / den, ya * yb / den
     verdict = np.zeros(len(k), dtype=np.int8)
@@ -189,8 +192,7 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     return k, np.abs(h), h >= 0.0, verdict
 
 
-def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics,
-                    eps_tan: float = 1e-12):
+def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics):
     """Full collision-plane decomposition of N observation pairs.
 
     Args:
@@ -208,7 +210,7 @@ def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: C
     pp = intrinsics.pp
     f = np.full(n, intrinsics.focal_px)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k, h, from_epipole, verdict = _decompose(p0, p1, e, intrinsics, eps_tan)
+        k, h, from_epipole, verdict = _decompose(p0, p1, e, intrinsics)
         # the point comes from the epipole ray or from its antipode
         v_g_dir = np.column_stack([np.broadcast_to(e - pp, (n, 2)), f])
         v_g_dir *= (np.where(from_epipole, 1.0, -1.0) / np.sqrt(_dot_rows(v_g_dir, v_g_dir)))[:, np.newaxis]
@@ -231,7 +233,6 @@ def collision_estimate(
     intrinsics: CameraIntrinsics,
     *,
     pair_index: int = 0,
-    eps_tan: float = 1e-12,
 ) -> CollisionEstimate:
     """Full collision-plane decomposition of one track against an epipole.
 
@@ -242,7 +243,6 @@ def collision_estimate(
         intrinsics: camera model.
         pair_index: which consecutive frame pair to decompose; k is
             counted from track.frames[pair_index].
-        eps_tan: degeneracy threshold for the TTC denominator.
 
     Raises:
         StationaryPoint: constant-bearing track (zero or sub-threshold
@@ -255,7 +255,7 @@ def collision_estimate(
         raise InvalidInput(f"pair_index {pair_index} out of range for {len(track)} frames")
     e = as_pixel(epipole)
     pair = track.positions[pair_index : pair_index + 2]
-    k, h, v_g_dir, v_h_dir, point, errors = _collision_rows(pair[:1], pair[1:], e, intrinsics, eps_tan)
+    k, h, v_g_dir, v_h_dir, point, errors = _collision_rows(pair[:1], pair[1:], e, intrinsics)
     if errors[0] is not None:
         raise errors[0]
     return CollisionEstimate(k=float(k[0]), H=float(h[0]), v_g_dir=v_g_dir[0], v_H_dir=v_h_dir[0], point=point[0])
@@ -282,8 +282,6 @@ def ttc_batch(
     p1: np.ndarray,
     epipole,
     intrinsics: CameraIntrinsics,
-    *,
-    eps_tan: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (k, H) of many observation pairs.
 
@@ -293,14 +291,13 @@ def ttc_batch(
         epipole: one epipole pixel shared by all pairs, shape (2,), or
             one per pair, shape (N, 2); finite.
         intrinsics: camera model.
-        eps_tan: degeneracy threshold on the angular motion |tan(beta) -
-            tan(alpha)| of a pair.
 
     Returns:
         (k, H) float arrays of shape (N,). Degenerate rows (zero flow,
-        epipole on the flow's pixels, sub-threshold angular motion) are
-        NaN rather than raised, so batch callers can mask them. Each row
-        equals collision_estimate on that pair.
+        epipole on the flow's pixels, angular motion |tan(beta) -
+        tan(alpha)| below _EPS_TAN) are NaN rather than raised, so batch
+        callers can mask them. Each row equals collision_estimate on that
+        pair.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
@@ -309,5 +306,5 @@ def ttc_batch(
     e = np.asarray(getattr(epipole, "position", epipole), dtype=np.float64)
     if e.shape not in ((2,), p0.shape) or not np.all(np.isfinite(e)):
         raise InvalidInput(f"epipole must be finite with shape (2,) or {p0.shape}, got shape {e.shape}")
-    k, h, _, _ = _decompose(p0, p1, e, intrinsics, eps_tan)
+    k, h, _, _ = _decompose(p0, p1, e, intrinsics)
     return k, h

@@ -683,6 +683,24 @@ class TestSensitivityCommand:
         assert "detection_error_px must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--focal-px", 800, "--frame-dt", "nan"), "frame_dt must be finite, got nan"),
+            (("--focal-px", 800, "--frame-dt", "inf"), "frame_dt must be finite, got inf"),
+            (("--focal-px", 800, "--z-values", "20,inf"), "z_values must be finite, got inf"),
+            (("--focal-mm", 8, "--pixel-pitch-um", "inf"), "pixel_pitch_um must be finite, got inf"),
+        ],
+        ids=["frame-dt-nan", "frame-dt-inf", "z-values-inf", "pixel-pitch-um-inf"],
+    )
+    def test_non_finite_sweep_input_rejected(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.csv"
+        code = run("sensitivity", *flags, "--trials", 10, "--out", out)
+        assert code == 2
+        # the message alone: no numpy warning ahead of it
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zero_detection_error_zero_rows(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(

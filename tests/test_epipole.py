@@ -166,12 +166,6 @@ class TestPlanarEpipole:
                     "flow direction [0.99997563 0.00698126] within 0.5 deg of the horizon"
                 )
 
-    def test_parallel_threshold_override(self):
-        ang = np.deg2rad(0.4)
-        fl = FlowVector(p=(0.0, 0.0), p_prime=(100.0 * np.cos(ang), 100.0 * np.sin(ang)))
-        est = planar_epipole(fl, HorizonLine.level(0.0), eps_parallel_deg=0.3)
-        assert est.position == pytest.approx([0.0, 0.0], abs=1e-9)
-
 
 class TestEpipoleLeastSquares:
     def radial_flows(self, center, n=6, scale=1.25, radius=60.0):

@@ -46,6 +46,15 @@ class TestFocalConversion:
         with pytest.raises(InvalidInput):
             focal_px_from_metric(*args)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((float("nan"), 10.0), "focal_mm"), ((8.0, float("inf")), "pixel_pitch_um")],
+        ids=["focal_mm-nan", "pixel_pitch_um-inf"],
+    )
+    def test_non_finite_rejected(self, args, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite"):
+            focal_px_from_metric(*args)
+
 
 class TestStereoErrorModel:
     def test_preset_values(self):
@@ -208,12 +217,25 @@ class TestOrientationErrorSweep:
             {"track_frames": 1},
             {"trials": 0},
             {"frame_dt": 0.0},
-            {"height_offset_m": 0.0},
         ],
     )
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(InvalidInput):
             orientation_error_sweep(rig(), [20.0], **kwargs)
+
+    @pytest.mark.parametrize(
+        "z_values, frame_dt, name",
+        [
+            ([20.0], float("nan"), "frame_dt"),
+            ([20.0], float("inf"), "frame_dt"),
+            ([20.0, float("inf")], 0.1, "z_values"),
+            ([float("nan")], 0.1, "z_values"),
+        ],
+        ids=["frame_dt-nan", "frame_dt-inf", "z_values-inf", "z_values-nan"],
+    )
+    def test_non_finite_arguments_rejected(self, z_values, frame_dt, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be finite"):
+            orientation_error_sweep(rig(), z_values, frame_dt=frame_dt, trials=5)
 
     def test_segment_passing_camera_rejected(self):
         with pytest.raises(InvalidInput):
