@@ -23,8 +23,9 @@ Subcommands:
 Exit codes: 0 success, 2 usage or input validation failure, 1 internal
 error. Per-track geometric degeneracies never abort a batch; they are
 reported inside the result document. Every command is deterministic
-under a fixed --seed (default: the COLLISION_PLANE_SEED environment
-variable, else 0); rerunning writes byte-identical files.
+under a fixed --seed, a non-negative integer (default: the
+COLLISION_PLANE_SEED environment variable, else 0); rerunning writes
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .errors import (
     InvalidInput,
     StationaryPoint,
     TtcError,
+    _valid_seed,
 )
 from .fileio import (
     _json_text,
@@ -80,12 +82,16 @@ SEED_ENV_VAR = "COLLISION_PLANE_SEED"
 PRESET_NAMES = ("approach-45deg",)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed if given, else the COLLISION_PLANE_SEED environment variable,
+    else 0; a non-negative integer."""
+    if args.seed is not None:
+        return _valid_seed(args.seed, "--seed")
     raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+        return _valid_seed(int(raw), SEED_ENV_VAR)
+    except ValueError:  # not an integer, or (InvalidInput) a negative one
+        raise InvalidInput(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}") from None
 
 
 def _parse_floats(text: str, n: int | tuple[int, ...], what: str) -> list[float]:
@@ -160,7 +166,7 @@ def _emit_json(document: dict, out_path: str | None) -> None:
 def _cmd_simulate(args) -> int:
     scenario = read_scenario(args.scenario)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, rng_seed=args.seed)
+        scenario = dataclasses.replace(scenario, rng_seed=_valid_seed(args.seed, "--seed"))
     if args.noise_sigma is not None:
         scenario = dataclasses.replace(scenario, pixel_noise_sigma=args.noise_sigma)
     tracks, truth = simulate(scenario)
@@ -225,8 +231,8 @@ def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
 
 def _cmd_estimate(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
+    seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.mode in ("planar", "three-frame") and not (args.horizon or args.calibrate):
         raise InvalidInput(f"--mode {args.mode} needs --horizon a,b or --calibrate")
 
@@ -325,8 +331,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
+    seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
-    seed = args.seed if args.seed is not None else _default_seed()
     flow_index = _moving_tracks(_pixels(tracks, 0), _pixels(tracks, -1))
     moving = set(flow_index.tolist())
     stationary = [track_id for i, track_id in enumerate(ids) if i not in moving]
@@ -413,7 +419,7 @@ def _build_sweep_model(args) -> StereoErrorModel:
 
 def _cmd_sensitivity(args) -> int:
     model = _build_sweep_model(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     try:
         z_values = [float(p) for p in args.z_values.split(",") if p.strip()]
     except ValueError as exc:

@@ -49,7 +49,7 @@ from .epipole import (
     _flow_lines,
     _least_squares_epipole,
 )
-from .errors import InsufficientData, InvalidInput
+from .errors import InsufficientData, InvalidInput, _valid_seed
 from .ttc import TrackObservation, _decompose, ttc_batch
 
 __all__ = [
@@ -82,7 +82,7 @@ class ClusteringConfig:
         min_cluster_size: smallest reportable cluster. Two non-parallel
             lines always intersect somewhere, so 3 is the smallest value
             that rejects spurious pairings.
-        rng_seed: seed for the hypothesis sampler.
+        rng_seed: seed for the hypothesis sampler, a non-negative integer.
     """
 
     eps_dist: float = 2.0
@@ -100,6 +100,7 @@ class ClusteringConfig:
             raise InvalidInput(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.min_cluster_size < 3:
             raise InvalidInput(f"min_cluster_size must be >= 3, got {self.min_cluster_size}")
+        object.__setattr__(self, "rng_seed", _valid_seed(self.rng_seed, "rng_seed"))
 
     def effective_eps_ttc(self, median_k):
         """The TTC gate around a median k, or around each of an array of them."""

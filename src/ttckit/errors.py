@@ -61,3 +61,16 @@ class DegenerateConfiguration(DegenerateGeometry):
 
 class DegenerateFlow(DegenerateGeometry):
     """Flow vector with zero pixel displacement; it defines no line."""
+
+
+def _valid_seed(value, name: str) -> int:
+    """value as a generator seed; InvalidInput naming name unless it is a
+    non-negative integer (numpy rejects a negative seed, and int() would
+    silently truncate a fraction)."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):
+        seed = -1
+    if seed < 0 or seed != value:
+        raise InvalidInput(f"{name} must be a non-negative integer, got {value!r}")
+    return seed

@@ -213,7 +213,7 @@ def read_scenario(path) -> Scenario:
             camera_velocity=np.asarray(doc.get("camera_velocity", [0.0, 0.0, 0.0]), dtype=np.float64),
             frame_count=_require(doc, "frame_count", ""),
             pixel_noise_sigma=float(doc.get("pixel_noise_sigma", 0.0)),
-            rng_seed=int(doc.get("rng_seed", 0)),
+            rng_seed=doc.get("rng_seed", 0),
         )
     except InvalidInput:
         raise
@@ -274,19 +274,17 @@ def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
 def write_collision_map_csv(path, cmap: CollisionMap) -> None:
     """Collision map as CSV, forward-major row order."""
     lines = [_MAP_HEADER]
-    for fi, dv_f in enumerate(cmap.forward_offsets):
-        for li, dv_l in enumerate(cmap.lateral_offsets):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(dv_l),
-                        _fmt(dv_f),
-                        _fmt(cmap.min_ttc[fi, li]),
-                        _fmt(cmap.miss_distance[fi, li]),
-                        "1" if cmap.collision[fi, li] else "0",
-                    ]
-                )
-            )
+    lateral = [_fmt(dv_l) for dv_l in cmap.lateral_offsets.tolist()]
+    for dv_f, ttc_row, miss_row, hit_row in zip(
+        cmap.forward_offsets.tolist(),
+        cmap.min_ttc.tolist(),
+        cmap.miss_distance.tolist(),
+        cmap.collision.tolist(),
+    ):
+        forward = _fmt(dv_f)
+        for dv_l, ttc, miss, hit in zip(lateral, ttc_row, miss_row, hit_row):
+            # tolist() gives Python floats: repr is _fmt without the float() call
+            lines.append(f"{dv_l},{forward},{ttc!r},{miss!r},{'1' if hit else '0'}")
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -25,8 +25,10 @@ is the same computation by construction.
 
 collision_map() re-evaluates the analytic truth over a grid of camera
 velocity changes, which is the planning view: which speed adjustments
-clear every collision within the lookahead. It evaluates all points of
-all objects at once per grid cell.
+clear every collision within the lookahead. It evaluates blocks of grid
+cells, all points of all objects in each, with one truth call per block;
+a block holds about _MAP_BLOCK_ROWS (cell, point) rows, so memory stays
+bounded whatever the grid size.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, project
-from .errors import InvalidInput
+from .errors import InvalidInput, _valid_seed
 from .ttc import MotionClass, TrackObservation
 
 __all__ = [
@@ -57,6 +59,10 @@ _Z_FLOOR = 1e-9
 
 # Relative speeds below this count as zero (constant bearing, no TTC).
 _SPEED_FLOOR = 1e-12
+
+# (cell, point) rows per _truth call of collision_map: bounds its work
+# arrays to a few MB whatever the grid size.
+_MAP_BLOCK_ROWS = 16_384
 
 # Labels of _truth, by index.
 _LABELS = (MotionClass.CONSTANT_BEARING, MotionClass.APPROACHING, MotionClass.RECEDING)
@@ -101,7 +107,7 @@ class Scenario:
         camera_velocity: camera per-frame displacement, shape (3,).
         frame_count: frames to render, >= 2.
         pixel_noise_sigma: isotropic Gaussian pixel noise, >= 0.
-        rng_seed: seed for the noise generator.
+        rng_seed: seed for the noise generator, a non-negative integer.
     """
 
     intrinsics: CameraIntrinsics
@@ -121,6 +127,7 @@ class Scenario:
         if vel.shape != (3,) or not np.all(np.isfinite(vel)):
             raise InvalidInput(f"camera_velocity must be a finite 3-vector, got {vel}")
         object.__setattr__(self, "camera_velocity", vel)
+        object.__setattr__(self, "rng_seed", _valid_seed(self.rng_seed, "rng_seed"))
         # An empty object tuple is a valid (if quiet) scenario.
         object.__setattr__(self, "objects", tuple(self.objects))
 
@@ -187,12 +194,18 @@ def _truth(points, v_g, intrinsics: CameraIntrinsics):
     plane.
     """
     points, v_g = np.broadcast_arrays(points, v_g)
-    speed = np.linalg.norm(v_g, axis=-1)
+    px, py, pz = points[..., 0], points[..., 1], points[..., 2]
+    vx, vy, vz = v_g[..., 0], v_g[..., 1], v_g[..., 2]
+    # Component sums add in the order of np.sum over the last axis, so the
+    # bits match it. np.sum starts from +0.0, hence the + 0.0: it turns a
+    # dot product of all -0.0 terms into +0.0, as np.sum does.
+    speed = np.sqrt(vx * vx + vy * vy + vz * vz)
     moving = speed >= _SPEED_FLOOR
-    facing = np.abs(v_g[..., 2]) >= _SPEED_FLOOR * np.maximum(1.0, speed)
+    facing = np.abs(vz) >= _SPEED_FLOOR * np.maximum(1.0, speed)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = np.where(moving, -np.sum(points * v_g, axis=-1) / speed**2, np.nan)
-        miss = np.linalg.norm(points + k0[..., np.newaxis] * v_g, axis=-1)
+        k0 = np.where(moving, -(px * vx + py * vy + pz * vz + 0.0) / speed**2, np.nan)
+        mx, my, mz = px + k0 * vx, py + k0 * vy, pz + k0 * vz
+        miss = np.sqrt(mx * mx + my * my + mz * mz)
         h = miss / speed
         epipole = intrinsics.pp + intrinsics.focal_px * v_g[..., :2] / v_g[..., 2:]
     epipole = np.where(facing[..., np.newaxis], epipole, np.nan)
@@ -372,7 +385,11 @@ def collision_map(
 
     Each cell adds (lateral, 0, forward) to the camera velocity and
     recomputes the analytic truth for every point; the center cell
-    reproduces the unmodified scenario's collision state.
+    reproduces the unmodified scenario's collision state. Cells go
+    through _truth in forward-major blocks of about _MAP_BLOCK_ROWS
+    (cell, point) rows, one call per block, so the work arrays take a
+    few MB whatever the grid size. Each cell's values equal those of a
+    _truth call on that cell alone.
 
     Args:
         scenario: base scene.
@@ -388,35 +405,47 @@ def collision_map(
         raise InvalidInput(f"collision_radius must be > 0, got {collision_radius}")
     lat = grid.lateral_offsets
     fwd = grid.forward_offsets
-    shape = (len(fwd), len(lat))
-    min_ttc = np.full(shape, np.inf)
-    miss = np.full(shape, np.nan)
-    hit = np.zeros(shape, dtype=bool)
+    n_cells = len(fwd) * len(lat)
+    min_ttc = np.full(n_cells, np.inf)
+    miss = np.full(n_cells, np.nan)
+    hit = np.zeros(n_cells, dtype=bool)
     # every point of every object, in object order, beside its velocity
     objects = scenario.objects
     points = np.concatenate([np.zeros((0, 3))] + [obj.points for obj in objects])
     velocities = np.concatenate(
         [np.zeros((0, 3))] + [np.broadcast_to(obj.velocity, obj.points.shape) for obj in objects]
     )
-    for fi, dv_f in enumerate(fwd):
-        for li, dv_l in enumerate(lat):
-            cam_v = scenario.camera_velocity + np.array([dv_l, 0.0, dv_f])
-            k0, h, speed, _, _ = _truth(points, velocities - cam_v, scenario.intrinsics)
+    if len(points):
+        # each cell's camera velocity, forward-major, as camera_velocity
+        # + [dv_l, 0.0, dv_f]
+        change = np.zeros((n_cells, 3))
+        change[:, 0] = np.tile(lat, len(fwd))
+        change[:, 2] = np.repeat(fwd, len(lat))
+        cam_v = scenario.camera_velocity + change
+        block = max(1, _MAP_BLOCK_ROWS // len(points))
+        for start in range(0, n_cells, block):
+            cells = slice(start, start + block)
+            k0, h, speed, _, _ = _truth(
+                points, velocities - cam_v[cells, np.newaxis], scenario.intrinsics
+            )
             pending = k0 > 0.0
-            if not pending.any():
-                continue
-            # first point of the smallest pending k0, in object order
-            i = np.argmin(np.where(pending, k0, np.inf))
             miss_m = h * speed
-            min_ttc[fi, li] = k0[i]
-            miss[fi, li] = miss_m[i]
-            hit[fi, li] = np.any(pending & (k0 <= scenario.frame_count) & (miss_m < collision_radius))
+            # first point of the smallest pending k0 per cell, in object
+            # order; point 0 of a cell without one, which is not pending
+            ttc = np.where(pending, k0, np.inf)
+            rows, nearest = np.arange(len(ttc)), np.argmin(ttc, axis=1)
+            min_ttc[cells] = ttc[rows, nearest]
+            miss[cells] = np.where(pending[rows, nearest], miss_m[rows, nearest], np.nan)
+            hit[cells] = np.any(
+                pending & (k0 <= scenario.frame_count) & (miss_m < collision_radius), axis=1
+            )
+    shape = (len(fwd), len(lat))
     return CollisionMap(
         lateral_offsets=lat,
         forward_offsets=fwd,
-        min_ttc=min_ttc,
-        miss_distance=miss,
-        collision=hit,
+        min_ttc=min_ttc.reshape(shape),
+        miss_distance=miss.reshape(shape),
+        collision=hit.reshape(shape),
         collision_radius=float(collision_radius),
         frame_count=scenario.frame_count,
     )

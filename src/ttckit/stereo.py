@@ -33,7 +33,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, project
 from .epipole import HorizonLine, _cut_horizon, _tls_lines
-from .errors import InvalidInput
+from .errors import InvalidInput, _valid_seed
 from .ttc import ttc_batch
 
 __all__ = [
@@ -211,11 +211,13 @@ def orientation_error_sweep(
         track_frames: observations per segment, >= 2; heading accuracy
             of the monocular method scales with segment length.
         trials: Monte-Carlo repetitions per depth.
-        rng_seed: seed; identical calls reproduce identical tables.
+        rng_seed: seed, a non-negative integer; identical calls
+            reproduce identical tables.
 
     Returns:
         SensitivityTable with one row per depth.
     """
+    rng_seed = _valid_seed(rng_seed, "rng_seed")
     if track_frames < 2:
         raise InvalidInput(f"track_frames must be >= 2, got {track_frames}")
     if trials < 1:

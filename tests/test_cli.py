@@ -743,6 +743,68 @@ class TestSensitivityCommand:
         assert "--z-values" in capsys.readouterr().err
 
 
+class TestSeedValidation:
+    """A seed must be a non-negative integer whichever source gives it;
+    anything else is an input error (exit 2) naming that source."""
+
+    @pytest.fixture
+    def scene(self, tmp_path):
+        path = tmp_path / "scene.json"
+        write_scenario(path, planar_scenario(n_objects=2, noise=0.2, seed=3))
+        return path
+
+    @pytest.fixture
+    def tracks(self, tmp_path, scene):
+        path = tmp_path / "t.csv"
+        assert run("simulate", scene, "--out-tracks", path, "--out-truth", tmp_path / "g.json") == 0
+        return path
+
+    @staticmethod
+    def assert_rejected(code, capsys, message, out):
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_simulate_seed_flag(self, tmp_path, scene, capsys):
+        out = tmp_path / "t2.csv"
+        code = run("simulate", scene, "--out-tracks", out, "--out-truth", tmp_path / "g2.json", "--seed", -1)
+        self.assert_rejected(code, capsys, "--seed must be a non-negative integer, got -1", out)
+
+    @pytest.mark.parametrize("value", [-1, 1.5])
+    def test_scenario_rng_seed(self, tmp_path, scene, capsys, value):
+        doc = read_json(scene)
+        doc["rng_seed"] = value
+        scene.write_text(json.dumps(doc))
+        out = tmp_path / "t2.csv"
+        code = run("simulate", scene, "--out-tracks", out, "--out-truth", tmp_path / "g2.json")
+        self.assert_rejected(code, capsys, f"rng_seed must be a non-negative integer, got {value}", out)
+
+    def test_cluster_seed_flag(self, tmp_path, tracks, capsys):
+        out = tmp_path / "c.json"
+        code = run("cluster", tracks, "--intrinsics", "800,320,240", "--seed", -1, "--out", out)
+        self.assert_rejected(code, capsys, "--seed must be a non-negative integer, got -1", out)
+
+    def test_estimate_calibrate_seed_flag(self, tmp_path, tracks, capsys):
+        out = tmp_path / "e.json"
+        code = run(
+            "estimate", tracks, "--intrinsics", "800,320,240", "--calibrate", "--seed", -1, "--out", out
+        )
+        self.assert_rejected(code, capsys, "--seed must be a non-negative integer, got -1", out)
+
+    def test_sensitivity_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run("sensitivity", "--focal-px", 800, "--trials", 5, "--seed", -1, "--out", out)
+        self.assert_rejected(code, capsys, "--seed must be a non-negative integer, got -1", out)
+
+    def test_sensitivity_env_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLLISION_PLANE_SEED", "-3")
+        out = tmp_path / "s.csv"
+        code = run("sensitivity", "--focal-px", 800, "--trials", 5, "--out", out)
+        self.assert_rejected(
+            code, capsys, "COLLISION_PLANE_SEED must be a non-negative integer, got '-3'", out
+        )
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert run("frobnicate") == 2

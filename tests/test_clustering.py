@@ -113,6 +113,8 @@ class TestConfigValidation:
             {"eps_dist": float("inf")},
             {"eps_ttc": float("nan")},
             {"eps_ttc": float("inf")},
+            {"rng_seed": -1},
+            {"rng_seed": 2.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -5,6 +5,7 @@ import pytest
 
 from ttckit import (
     CameraIntrinsics,
+    CollisionMap,
     GridSpec,
     InvalidInput,
     Scenario,
@@ -348,6 +349,34 @@ class TestGridCsvWriters:
         # forward-major: dv_forward constant within each block of 3
         assert [r[1] for r in rows] == ["-1.0"] * 3 + ["0.0"] * 3 + ["1.0"] * 3
         assert [r[0] for r in rows[:3]] == ["-1.0", "0.0", "1.0"]
+
+    def test_collision_map_equals_per_cell_format(self, tmp_path):
+        # every cell written as repr(float(value)), one numpy scalar at a time
+        rng = np.random.default_rng(4)
+        ttc = rng.uniform(0.0, 50.0, size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+        ttc[0, :3] = np.inf
+        miss = rng.uniform(0.0, 5.0, size=(5, 7))
+        miss[0, :3] = np.nan
+        miss[1, 1] = 0.0
+        cmap = CollisionMap(
+            lateral_offsets=(np.arange(7) - 3) * (0.7 / 3),
+            forward_offsets=(np.arange(5) - 2) * 0.1,
+            min_ttc=ttc,
+            miss_distance=miss,
+            collision=rng.random((5, 7)) < 0.5,
+            collision_radius=2.0,
+            frame_count=30,
+        )
+        path = tmp_path / "map.csv"
+        write_collision_map_csv(path, cmap)
+        expected = ["dv_lateral,dv_forward,min_ttc_frames,miss_distance_m,collision"]
+        for fi, dv_f in enumerate(cmap.forward_offsets):
+            for li, dv_l in enumerate(cmap.lateral_offsets):
+                values = (dv_l, dv_f, ttc[fi, li], miss[fi, li])
+                expected.append(
+                    ",".join([repr(float(v)) for v in values] + ["1" if cmap.collision[fi, li] else "0"])
+                )
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_sensitivity_csv_shape(self, tmp_path):
         table = orientation_error_sweep(

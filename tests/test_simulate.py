@@ -6,8 +6,14 @@ plane-sweep time -(P . v)/|v|^2, lateral miss |P - (P.u)u|/|v|, and the
 projected motion direction for the epipole.
 """
 
+import importlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttckit import (
     CameraIntrinsics,
@@ -21,6 +27,9 @@ from ttckit import (
     simulate,
 )
 from conftest import oracle_epipole, oracle_h, oracle_k0, random_approach_scenario
+
+# the module, not the simulate() function the package exports under its name
+simulate_module = importlib.import_module("ttckit.simulate")
 
 
 def single_point_scenario(intrinsics, p, v, frames=2, camera_velocity=(0.0, 0.0, 0.0), **kw):
@@ -73,6 +82,17 @@ class TestScenario:
             single_point_scenario(
                 intr800, [0.0, 0.0, 10.0], [0.0, 0.0, -1.0], pixel_noise_sigma=-0.1
             )
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, float("nan"), "3", None])
+    def test_seed_must_be_non_negative_integer(self, intr800, bad):
+        with pytest.raises(InvalidInput, match="^rng_seed must be a non-negative integer"):
+            single_point_scenario(intr800, [0.0, 0.0, 10.0], [0.0, 0.0, -1.0], rng_seed=bad)
+
+    def test_integral_seed_becomes_int(self, intr800):
+        scenario = single_point_scenario(
+            intr800, [0.0, 0.0, 10.0], [0.0, 0.0, -1.0], rng_seed=np.float64(7.0)
+        )
+        assert scenario.rng_seed == 7 and type(scenario.rng_seed) is int
 
     def test_empty_objects_allowed(self, intr800):
         scenario = Scenario(
@@ -392,3 +412,219 @@ class TestCollisionMap:
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(InvalidInput):
                 collision_map(scenario, GridSpec(1.0, 1.0, 3, 3), collision_radius=bad)
+
+
+def truth_by_axis_reductions(points, v_g, intrinsics):
+    """_truth written with np.sum and np.linalg.norm over the last axis,
+    as the component sums must reproduce bit for bit."""
+    points, v_g = np.broadcast_arrays(points, v_g)
+    speed = np.linalg.norm(v_g, axis=-1)
+    moving = speed >= 1e-12
+    facing = np.abs(v_g[..., 2]) >= 1e-12 * np.maximum(1.0, speed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k0 = np.where(moving, -np.sum(points * v_g, axis=-1) / speed**2, np.nan)
+        miss = np.linalg.norm(points + k0[..., np.newaxis] * v_g, axis=-1)
+        h = miss / speed
+        epipole = intrinsics.pp + intrinsics.focal_px * v_g[..., :2] / v_g[..., 2:]
+    epipole = np.where(facing[..., np.newaxis], epipole, np.nan)
+    label = np.where(~(miss >= 1e-12), 0, np.where(k0 > 0.0, 1, 2))
+    return k0, h, speed, epipole, label
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind == "f":
+        a, b = a.view(np.uint64), b.view(np.uint64)
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestTruthKernel:
+    def test_component_sums_match_axis_reductions(self, intr800):
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(5000, 3)) * np.exp(rng.normal(size=(5000, 3)) * 3)
+        v_g = rng.normal(size=(5000, 3)) * np.exp(rng.normal(size=(5000, 3)) * 3)
+        # small integers with both signs of zero, so products cancel exactly
+        signs = rng.choice([1.0, -1.0], size=(2, 1000, 3))
+        points[:1000] = rng.integers(-2, 3, size=(1000, 3)) * signs[0]
+        v_g[:1000] = rng.integers(-2, 3, size=(1000, 3)) * signs[1]
+        for got, want in zip(
+            simulate_module._truth(points, v_g, intr800),
+            truth_by_axis_reductions(points, v_g, intr800),
+        ):
+            assert same_bits(got, want)
+
+    def test_all_negative_zero_dot_keeps_its_sign(self, intr800):
+        # every term of P . v is -0.0: np.sum gives +0.0, so k0 is -0.0
+        k0, *_ = simulate_module._truth(
+            np.array([0.0, 0.0, 5.0]), np.array([-1.0, -1.0, -0.0]), intr800
+        )
+        assert k0 == 0.0 and np.signbit(k0)
+
+
+def per_cell_collision_map(scenario, grid, collision_radius=2.0):
+    """collision_map as one _truth call per grid cell, the reference the
+    blocked map must equal bit for bit."""
+    lat, fwd = grid.lateral_offsets, grid.forward_offsets
+    shape = (len(fwd), len(lat))
+    min_ttc = np.full(shape, np.inf)
+    miss = np.full(shape, np.nan)
+    hit = np.zeros(shape, dtype=bool)
+    objects = scenario.objects
+    points = np.concatenate([np.zeros((0, 3))] + [obj.points for obj in objects])
+    velocities = np.concatenate(
+        [np.zeros((0, 3))] + [np.broadcast_to(obj.velocity, obj.points.shape) for obj in objects]
+    )
+    for fi, dv_f in enumerate(fwd):
+        for li, dv_l in enumerate(lat):
+            cam_v = scenario.camera_velocity + np.array([dv_l, 0.0, dv_f])
+            k0, h, speed, _, _ = simulate_module._truth(points, velocities - cam_v, scenario.intrinsics)
+            pending = k0 > 0.0
+            if not pending.any():
+                continue
+            i = np.argmin(np.where(pending, k0, np.inf))
+            miss_m = h * speed
+            min_ttc[fi, li] = k0[i]
+            miss[fi, li] = miss_m[i]
+            hit[fi, li] = np.any(pending & (k0 <= scenario.frame_count) & (miss_m < collision_radius))
+    return min_ttc, miss, hit
+
+
+def assert_matches_per_cell(scenario, grid, collision_radius=2.0):
+    result = collision_map(scenario, grid, collision_radius)
+    min_ttc, miss, hit = per_cell_collision_map(scenario, grid, collision_radius)
+    assert np.array_equal(result.min_ttc, min_ttc, equal_nan=True)
+    assert np.array_equal(result.miss_distance, miss, equal_nan=True)
+    assert np.array_equal(result.collision, hit)
+    return result
+
+
+def planning_scenario(intr, n_objects=10, per_object=15, seed=3):
+    """Near-field scene shaped like the benchmark's: standing, oncoming and
+    crossing objects within 40 m."""
+    rng = np.random.default_rng(seed)
+    velocities = ([0.0, 0.0, 0.0], [0.0, 0.0, -0.8], [0.6, 0.0, 0.0], [-0.5, 0.0, -0.3])
+    objects = tuple(
+        SceneObject(
+            f"o{j}",
+            np.array([rng.uniform(-8, 8), rng.uniform(-1, 1), rng.uniform(8, 40)])
+            + rng.uniform(-1.0, 1.0, size=(per_object, 3)),
+            np.array(velocities[j % len(velocities)]),
+        )
+        for j in range(n_objects)
+    )
+    return Scenario(
+        intrinsics=intr, objects=objects, camera_velocity=np.array([0.0, 0.0, 1.0]), frame_count=30
+    )
+
+
+INTR = CameraIntrinsics(focal_px=800.0, principal_point=(320.0, 240.0))
+small = st.integers(-3, 3).map(float)
+point = st.tuples(small, small, st.integers(1, 6).map(float))
+velocity = st.tuples(small, st.just(0.0), small).map(lambda v: np.array(v) / 2.0)
+
+
+class TestBlockedCollisionMap:
+    """collision_map evaluates blocks of cells per _truth call; every cell
+    must equal the per-cell loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        objects=st.lists(
+            st.tuples(st.lists(point, min_size=1, max_size=4), velocity), min_size=0, max_size=3
+        ),
+        camera=velocity,
+        cells=st.tuples(st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, 3, 5, 7])),
+        block_rows=st.integers(1, 40),
+        frames=st.integers(2, 12),
+    )
+    @example(objects=[([(0.0, 0.0, 4.0)], np.zeros(3))], camera=np.array([0.0, 0.0, 1.0]),
+             cells=(3, 3), block_rows=1, frames=10)
+    def test_equals_per_cell_loop(self, objects, camera, cells, block_rows, frames):
+        scenario = Scenario(
+            intrinsics=INTR,
+            objects=tuple(SceneObject(f"o{j}", np.array(p), v) for j, (p, v) in enumerate(objects)),
+            camera_velocity=camera,
+            frame_count=frames,
+        )
+        grid = GridSpec(1.0, 1.0, *cells)
+        with mock.patch.object(simulate_module, "_MAP_BLOCK_ROWS", block_rows):
+            assert_matches_per_cell(scenario, grid)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_tie_goes_to_first_object(self, intr800, order):
+        # both points sweep at k0 = 20, 0 m and 3 m off the motion line
+        pair = (
+            SceneObject("hit", np.array([[0.0, 0.0, 20.0]]), np.zeros(3)),
+            SceneObject("miss", np.array([[3.0, 0.0, 20.0]]), np.zeros(3)),
+        )
+        scenario = Scenario(
+            intrinsics=intr800, objects=tuple(pair[i] for i in order),
+            camera_velocity=np.array([0.0, 0.0, 1.0]), frame_count=30,
+        )
+        result = assert_matches_per_cell(scenario, GridSpec(0.0, 0.0, 1, 1))
+        assert result.min_ttc[0, 0] == 20.0
+        assert result.miss_distance[0, 0] == (0.0 if order == (0, 1) else 3.0)
+
+    def test_stopped_camera_cell_has_no_pending_point(self, intr800):
+        # forward change -1.2 stops the camera: the wall has no relative motion
+        result = assert_matches_per_cell(wall_scenario(intr800), GridSpec(1.0, 1.2, 3, 3))
+        assert np.isinf(result.min_ttc[0, 1])
+        assert np.isnan(result.miss_distance[0, 1])
+        assert not result.collision[0, 1]
+        assert np.isfinite(result.min_ttc[1:]).all()
+
+    def test_rows_with_some_pending_cells(self, intr800):
+        # a standing point and a camera moving sideways: only the cells
+        # that also move the camera forward approach it
+        scenario = single_point_scenario(
+            intr800, [0.0, 0.0, 20.0], [0.0, 0.0, 0.0], frames=30, camera_velocity=[0.5, 0.0, 0.0]
+        )
+        grid = GridSpec(1.0, 1.0, 5, 5)
+        with mock.patch.object(simulate_module, "_MAP_BLOCK_ROWS", 7):
+            result = assert_matches_per_cell(scenario, grid)
+        pending = np.isfinite(result.min_ttc)
+        assert pending.any() and not pending.all()
+        assert pending[-1].all() and not pending[0].any()
+
+    @pytest.mark.parametrize("cells", [(1, 1), (1, 9), (9, 1)])
+    def test_single_cell_and_single_row_grids(self, intr800, cells):
+        assert_matches_per_cell(planning_scenario(intr800, n_objects=3, per_object=4),
+                                GridSpec(1.0, 1.0, *cells))
+
+    def test_empty_scene(self, intr800):
+        scenario = Scenario(
+            intrinsics=intr800, objects=(), camera_velocity=np.zeros(3), frame_count=10
+        )
+        result = assert_matches_per_cell(scenario, GridSpec(1.0, 1.0, 5, 3))
+        assert result.min_ttc.shape == (3, 5)
+
+    def test_more_points_than_block_rows(self, intr800):
+        rng = np.random.default_rng(12)
+        n = simulate_module._MAP_BLOCK_ROWS + 1000
+        points = np.column_stack([rng.uniform(-5, 5, size=(n, 2)), rng.uniform(5, 40, size=n)])
+        scenario = Scenario(
+            intrinsics=intr800, objects=(SceneObject("crowd", points, np.array([0.1, 0.0, -0.5])),),
+            camera_velocity=np.array([0.0, 0.0, 0.5]), frame_count=30,
+        )
+        assert_matches_per_cell(scenario, GridSpec(0.5, 0.5, 3, 3))
+
+    def test_cell_count_not_a_multiple_of_the_block(self, intr800):
+        scenario = planning_scenario(intr800)
+        cells_per_block = simulate_module._MAP_BLOCK_ROWS // 150
+        assert (11 * 11) % cells_per_block != 0 and 11 * 11 > cells_per_block
+        result = assert_matches_per_cell(scenario, GridSpec(1.0, 1.0, 11, 11))
+        assert result.collision.any() and not result.collision.all()
+
+    @pytest.mark.parametrize("cells", [(4001, 1), (1, 4001)], ids=["one-row", "one-column"])
+    def test_memory_bounded_by_the_block(self, intr800, cells):
+        # a whole-grid or per-row broadcast of 4001 cells x 150 points
+        # would hold 14 MB per (cell, point, 3) temporary
+        scenario = planning_scenario(intr800)
+        grid = GridSpec(1.0, 1.0, *cells)
+        tracemalloc.start()
+        try:
+            collision_map(scenario, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

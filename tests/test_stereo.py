@@ -217,6 +217,8 @@ class TestOrientationErrorSweep:
             {"track_frames": 1},
             {"trials": 0},
             {"frame_dt": 0.0},
+            {"rng_seed": -1},
+            {"rng_seed": 0.5},
         ],
     )
     def test_invalid_arguments(self, kwargs):
