@@ -3,7 +3,7 @@
 Formats are part of the CLI contract and deliberately boring:
 
 * Tracks: CSV with header ``track_id,frame,u,v``, one row per
-  observation. Frames must be uniform-step per track.
+  observation. Frame indices must be consecutive (step 1) per track.
 * Scenarios and ground truth: JSON, schema-versioned (``"schema": 1``).
 * Collision maps and sensitivity tables: CSV grids.
 
@@ -96,8 +96,9 @@ def write_tracks_csv(path, tracks: list[TrackObservation], ids: list[str] | None
         if track is None:
             continue
         label = ids[i] if ids is not None else str(i)
-        if "," in label or "\n" in label:
-            raise InvalidInput(f"track id {label!r} must not contain commas or newlines")
+        # read_tracks_csv splits rows wherever str.splitlines does
+        if "," in label or len((label + ".").splitlines()) != 1:
+            raise InvalidInput(f"track id {label!r} must not contain commas or line breaks")
         for frame, (u, v) in zip(track.frames, track.positions):
             lines.append(f"{label},{int(frame)},{_fmt(u)},{_fmt(v)}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -110,12 +111,15 @@ def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
         (ids, tracks) in first-appearance order of track_id.
 
     Raises:
-        InvalidInput: malformed header/rows, named by 1-based line
-            number; non-uniform frame steps surface from
-            TrackObservation validation with the track id named.
+        InvalidInput: non-UTF-8 text or malformed header/rows, named by
+            path and 1-based line number; frame steps other than 1 surface
+            from TrackObservation validation with the track id named.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
     if not lines or lines[0].strip() != TRACKS_HEADER:
         raise InvalidInput(f"{path}: line 1: expected header {TRACKS_HEADER!r}")
     order: list[str] = []
@@ -143,8 +147,6 @@ def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
     for tid in order:
         entries = rows[tid]
         frames = np.array([e[0] for e in entries], dtype=np.int64)
-        if np.any(np.diff(frames) <= 0):
-            raise InvalidInput(f"{path}: track {tid!r}: frames must be strictly increasing")
         positions = np.array([[e[1], e[2]] for e in entries])
         try:
             tracks.append(TrackObservation(frames=frames, positions=positions))
@@ -165,12 +167,12 @@ def read_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file.
 
     Raises:
-        InvalidInput: unreadable JSON or failed validation; messages
-            point at the offending field.
+        InvalidInput: unreadable, non-UTF-8 or malformed JSON, or failed
+            validation; messages name the path or the offending field.
     """
     try:
         doc = read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput("scenario: top level must be an object")
@@ -191,8 +193,11 @@ def read_scenario(path) -> Scenario:
         raise
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"scenario: intrinsics: {exc}") from exc
+    objects_doc = _require(doc, "objects", "")
+    if not isinstance(objects_doc, list):
+        raise InvalidInput(f"scenario: objects must be a list, got {objects_doc!r}")
     objects = []
-    for i, obj_doc in enumerate(_require(doc, "objects", "")):
+    for i, obj_doc in enumerate(objects_doc):
         where = f"objects[{i}]."
         try:
             objects.append(

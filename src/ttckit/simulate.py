@@ -14,9 +14,10 @@ collision quantities from 3D geometry:
   center divided by |v|, i.e. the miss distance in per-frame units. The
   point is closest to the camera at its sweep, so H = |P0 + k0 v| / |v|.
 
-One broadcasting function derives all of these (and the motion label)
-for any number of points and relative motions; point_truth, simulate and
-collision_map all call it, so they cannot disagree.
+One camera-free broadcasting function derives k0 and H for any number of
+points and relative motions; point_truth, simulate and collision_map all
+call it, so they cannot disagree. The epipole depends only on the motion,
+so it is computed once per motion, and never for collision_map.
 
 Everything uses the relative-motion formulation: the camera stays at the
 origin and each point advances by v_g = object velocity minus camera
@@ -63,9 +64,6 @@ _SPEED_FLOOR = 1e-12
 # (cell, point) rows per _truth call of collision_map: bounds its work
 # arrays to a few MB whatever the grid size.
 _MAP_BLOCK_ROWS = 16_384
-
-# Labels of _truth, by index.
-_LABELS = (MotionClass.CONSTANT_BEARING, MotionClass.APPROACHING, MotionClass.RECEDING)
 
 
 @dataclass(frozen=True)
@@ -182,16 +180,14 @@ class GroundTruth:
         return len(self.points)
 
 
-def _truth(points, v_g, intrinsics: CameraIntrinsics):
+def _truth(points, v_g):
     """Analytic truth of points under relative motions, broadcast over rows.
 
     points (..., 3) are frame-0 positions and v_g (..., 3) per-frame
-    relative motions. Returns (k0, H, speed, epipole, label):
-    k0 = -(P . v) / |v|^2; H = |P + k0 v| / |v|, the distance at the sweep,
-    which is the closest approach, in per-frame units; speed = |v|; the
-    epipole, shape (..., 2); label an index into _LABELS. k0 and H are NaN
-    below _SPEED_FLOOR, the epipole also for motion parallel to the image
-    plane.
+    relative motions. Returns (k0, H, speed, miss): k0 = -(P . v) / |v|^2;
+    miss = |P + k0 v|, the distance at the sweep, which is the closest
+    approach; H = miss / |v|, in per-frame units; speed = |v|. k0, H and
+    miss are NaN below _SPEED_FLOOR.
     """
     points, v_g = np.broadcast_arrays(points, v_g)
     px, py, pz = points[..., 0], points[..., 1], points[..., 2]
@@ -201,26 +197,38 @@ def _truth(points, v_g, intrinsics: CameraIntrinsics):
     # dot product of all -0.0 terms into +0.0, as np.sum does.
     speed = np.sqrt(vx * vx + vy * vy + vz * vz)
     moving = speed >= _SPEED_FLOOR
-    facing = np.abs(vz) >= _SPEED_FLOOR * np.maximum(1.0, speed)
     with np.errstate(divide="ignore", invalid="ignore"):
         k0 = np.where(moving, -(px * vx + py * vy + pz * vz + 0.0) / speed**2, np.nan)
         mx, my, mz = px + k0 * vx, py + k0 * vy, pz + k0 * vz
         miss = np.sqrt(mx * mx + my * my + mz * mz)
         h = miss / speed
+    return k0, h, speed, miss
+
+
+def _motion_epipole(v_g, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """True epipole of relative motions v_g (..., 3), shape (..., 2); NaN
+    below _SPEED_FLOOR or for motion parallel to the image plane."""
+    vx, vy, vz = v_g[..., 0], v_g[..., 1], v_g[..., 2]
+    speed = np.sqrt(vx * vx + vy * vy + vz * vz)
+    facing = np.abs(vz) >= _SPEED_FLOOR * np.maximum(1.0, speed)
+    with np.errstate(divide="ignore", invalid="ignore"):
         epipole = intrinsics.pp + intrinsics.focal_px * v_g[..., :2] / v_g[..., 2:]
-    epipole = np.where(facing[..., np.newaxis], epipole, np.nan)
-    label = np.where(~(miss >= 1e-12), 0, np.where(k0 > 0.0, 1, 2))
-    return k0, h, speed, epipole, label
+    return np.where(facing[..., np.newaxis], epipole, np.nan)
 
 
-def _point_record(k0, h, speed, epipole, label, **fields) -> PointTruth:
-    """PointTruth from one row of _truth; NaN quantities become None."""
+def _point_record(k0, h, speed, miss, epipole, **fields) -> PointTruth:
+    """PointTruth from one row of _truth and a copy of its motion's
+    epipole; NaN quantities become None."""
+    if not miss >= 1e-12:  # on the motion line, or no motion
+        label = MotionClass.CONSTANT_BEARING
+    else:
+        label = MotionClass.APPROACHING if k0 > 0.0 else MotionClass.RECEDING
     return PointTruth(
         speed=float(speed),
-        epipole=None if np.isnan(epipole[0]) else epipole,
+        epipole=None if np.isnan(epipole[0]) else epipole.copy(),
         k0=None if np.isnan(k0) else float(k0),
         H=None if np.isnan(h) else float(h),
-        label=_LABELS[label],
+        label=label,
         **fields,
     )
 
@@ -242,12 +250,9 @@ def point_truth(
     """
     v_g = np.asarray(v_g, dtype=np.float64)
     return _point_record(
-        *_truth(np.asarray(p0, dtype=np.float64), v_g, intrinsics),
-        track_index=track_index,
-        object_id=object_id,
-        cluster_id=cluster_id,
-        v_g=v_g,
-        valid_frames=valid_frames,
+        *_truth(np.asarray(p0, dtype=np.float64), v_g), _motion_epipole(v_g, intrinsics),
+        track_index=track_index, object_id=object_id, cluster_id=cluster_id,
+        v_g=v_g, valid_frames=valid_frames,
     )
 
 
@@ -263,45 +268,32 @@ def simulate(scenario: Scenario) -> tuple[list[TrackObservation | None], GroundT
 
     Noise is isotropic Gaussian with scale pixel_noise_sigma, drawn from
     one generator seeded with rng_seed in deterministic point order, so
-    identical scenarios reproduce identical tracks byte for byte.
+    identical scenarios reproduce identical tracks byte for byte. Each
+    object takes one projection and one noise draw, in point-major order.
     """
     rng = np.random.default_rng(scenario.rng_seed)
     steps = np.arange(scenario.frame_count, dtype=np.float64)
     tracks: list[TrackObservation | None] = []
     truths: list[PointTruth] = []
-    track_index = 0
     for cluster_id, obj in enumerate(scenario.objects):
         v_g = obj.velocity - scenario.camera_velocity
-        truth = _truth(obj.points, v_g, scenario.intrinsics)
-        for point_index in range(obj.points.shape[0]):
-            p0 = obj.points[point_index]
-            positions = p0[np.newaxis, :] + steps[:, np.newaxis] * v_g[np.newaxis, :]
-            ahead = positions[:, 2] > _Z_FLOOR
-            valid_frames = int(np.argmin(ahead)) if not ahead.all() else scenario.frame_count
-
-            if valid_frames >= 2:
-                pixels = project(positions[:valid_frames], scenario.intrinsics)
-                if scenario.pixel_noise_sigma > 0.0:
-                    pixels = pixels + rng.normal(
-                        0.0, scenario.pixel_noise_sigma, size=pixels.shape
-                    )
-                track = TrackObservation(
-                    frames=np.arange(valid_frames, dtype=np.int64), positions=pixels
-                )
-            else:
-                track = None
-            truths.append(
-                _point_record(
-                    *(column[point_index] for column in truth),
-                    track_index=track_index,
-                    object_id=obj.object_id,
-                    cluster_id=cluster_id,
-                    v_g=v_g,
-                    valid_frames=valid_frames,
-                )
-            )
-            tracks.append(track)
-            track_index += 1
+        epipole = _motion_epipole(v_g, scenario.intrinsics)
+        truth = zip(*(column.tolist() for column in _truth(obj.points, v_g)))
+        # (M, frames, 3); each point is valid until its first Z <= _Z_FLOOR
+        positions = obj.points[:, np.newaxis, :] + steps[:, np.newaxis] * v_g[np.newaxis, :]
+        ahead = positions[..., 2] > _Z_FLOOR
+        valid = np.where(ahead.all(axis=1), scenario.frame_count, np.argmin(ahead, axis=1))
+        kept = np.where(valid >= 2, valid, 0)
+        pixels = project(positions[steps < kept[:, np.newaxis]], scenario.intrinsics)
+        if scenario.pixel_noise_sigma > 0.0:
+            pixels = pixels + rng.normal(0.0, scenario.pixel_noise_sigma, size=pixels.shape)
+        per_point = np.split(pixels, np.cumsum(kept)[:-1])
+        for row, valid_frames, n, uv in zip(truth, valid.tolist(), kept.tolist(), per_point):
+            truths.append(_point_record(
+                *row, epipole, track_index=len(truths), object_id=obj.object_id,
+                cluster_id=cluster_id, v_g=v_g, valid_frames=valid_frames,
+            ))
+            tracks.append(TrackObservation(np.arange(n, dtype=np.int64), uv) if n else None)
     return tracks, GroundTruth(points=tuple(truths), frame_count=scenario.frame_count)
 
 
@@ -425,9 +417,7 @@ def collision_map(
         block = max(1, _MAP_BLOCK_ROWS // len(points))
         for start in range(0, n_cells, block):
             cells = slice(start, start + block)
-            k0, h, speed, _, _ = _truth(
-                points, velocities - cam_v[cells, np.newaxis], scenario.intrinsics
-            )
+            k0, h, speed, _ = _truth(points, velocities - cam_v[cells, np.newaxis])
             pending = k0 > 0.0
             miss_m = h * speed
             # first point of the smallest pending k0 per cell, in object

@@ -805,6 +805,71 @@ class TestSeedValidation:
         )
 
 
+class TestMalformedInputs:
+    """Malformed input files are input errors (exit 2) naming their path,
+    field or id, not internal errors."""
+
+    @staticmethod
+    def assert_input_error(code, capsys, *names):
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "internal error" not in err
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--intrinsics", "800,320,240", "--mode", "planar", "--horizon", "0,240"],
+            ["cluster", "--intrinsics", "800,320,240"],
+        ],
+        ids=["estimate", "cluster"],
+    )
+    def test_tracks_not_utf8(self, command, tmp_path, capsys):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_bytes(b"track_id,frame,u,v\ncar\xff,0,1.0,2.0\ncar\xff,1,1.5,2.0\n")
+        out = tmp_path / "out.json"
+        code = run(command[0], tracks, *command[1:], "--out", out)
+        self.assert_input_error(code, capsys, str(tracks), "utf-8")
+        assert not out.exists()
+
+    @staticmethod
+    def scenario_command(command, scene, tmp_path):
+        if command == "simulate":
+            return ["simulate", scene, "--out-tracks", tmp_path / "t.csv", "--out-truth", tmp_path / "g.json"]
+        return ["collision-map", scene, "--grid", "2,2,5,5", "--out", tmp_path / "map.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "collision-map"])
+    def test_scenario_not_utf8(self, command, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, planar_scenario())
+        scene.write_bytes(scene.read_bytes().replace(b'"obj0"', b'"obj\xe9"'))
+        code = run(*self.scenario_command(command, scene, tmp_path))
+        self.assert_input_error(code, capsys, str(scene), "utf-8")
+
+    @pytest.mark.parametrize("objects", [None, 3])
+    @pytest.mark.parametrize("command", ["simulate", "collision-map"])
+    def test_objects_not_a_list(self, command, objects, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, planar_scenario())
+        doc = read_json(scene)
+        doc["objects"] = objects
+        scene.write_text(json.dumps(doc))
+        code = run(*self.scenario_command(command, scene, tmp_path))
+        self.assert_input_error(code, capsys, f"objects must be a list, got {objects!r}")
+
+    @pytest.mark.parametrize("object_id", ["car\rA", "car\x0bA", "car\u2028A", "car,A"])
+    def test_simulate_rejects_ids_its_reader_would_split(self, object_id, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, planar_scenario())
+        doc = read_json(scene)
+        doc["objects"][0]["id"] = object_id
+        scene.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        code = run("simulate", scene, "--out-tracks", out, "--out-truth", tmp_path / "g.json")
+        self.assert_input_error(code, capsys, f"track id {object_id + '-0'!r}")
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert run("frobnicate") == 2

@@ -1,5 +1,7 @@
 """File format round-trips and parse error reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,25 @@ class TestTracksCsv:
         with pytest.raises(InvalidInput):
             write_tracks_csv(tmp_path / "t.csv", sample_tracks(), ids=["a,b", "c"])
 
+    # every character str.splitlines breaks a line at, which the reader
+    # would split a row on
+    @pytest.mark.parametrize(
+        "brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    @pytest.mark.parametrize("where", ["car{}A", "{}car", "car{}"])
+    def test_line_break_in_id_rejected(self, brk, where, tmp_path):
+        label = where.format(brk)
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidInput, match=f"track id {re.escape(repr(label))}"):
+            write_tracks_csv(path, sample_tracks(), ids=[label, "c"])
+        assert not path.exists()
+
+    def test_other_characters_in_ids_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        labels = ["car\tA", "b\u00e9\u2027"]
+        write_tracks_csv(path, sample_tracks(), ids=labels)
+        assert read_tracks_csv(path)[0] == labels
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header,entirely\n")
@@ -115,6 +136,19 @@ class TestTracksCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"{TRACKS_HEADER}\nx,0,1.0,2.0\n{row}\n")
         with pytest.raises(InvalidInput, match="line 3: coordinates must be finite"):
+            read_tracks_csv(path)
+
+    def test_repeated_frame_message(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{TRACKS_HEADER}\nx,1,1.0,2.0\nx,1,1.5,2.0\n")
+        message = f"{path}: track 'x': frame indices must increase by exactly 1, got steps [0]"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            read_tracks_csv(path)
+
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{TRACKS_HEADER}\nx\xff,0,1.0,2.0\n".encode("latin-1"))
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
             read_tracks_csv(path)
 
     def test_non_increasing_frames_named(self, tmp_path):
@@ -205,6 +239,27 @@ class TestScenarioJson:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(InvalidInput):
+            read_scenario(path)
+
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes('{"schema": 1, "objects": [{"id": "caf\xe9"}]}'.encode("latin-1"))
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+            read_scenario(path)
+
+    @pytest.mark.parametrize("objects", [None, 3, "car", {"id": "a"}])
+    def test_objects_must_be_a_list(self, objects, tmp_path):
+        path = tmp_path / "bad.json"
+        write_json(
+            path,
+            {
+                "schema": 1,
+                "intrinsics": {"focal_px": 700.0, "principal_point": [320.0, 240.0]},
+                "objects": objects,
+                "frame_count": 4,
+            },
+        )
+        with pytest.raises(InvalidInput, match=re.escape(f"scenario: objects must be a list, got {objects!r}")):
             read_scenario(path)
 
     def test_wrong_schema(self, tmp_path):

@@ -6,6 +6,7 @@ plane-sweep time -(P . v)/|v|^2, lateral miss |P - (P.u)u|/|v|, and the
 projected motion direction for the epipole.
 """
 
+import dataclasses
 import importlib
 import tracemalloc
 from unittest import mock
@@ -20,12 +21,15 @@ from ttckit import (
     GridSpec,
     InvalidInput,
     MotionClass,
+    PointTruth,
     Scenario,
     SceneObject,
     collision_map,
     point_truth,
     simulate,
 )
+from ttckit.camera import project
+from ttckit.ttc import TrackObservation
 from conftest import oracle_epipole, oracle_h, oracle_k0, random_approach_scenario
 
 # the module, not the simulate() function the package exports under its name
@@ -438,6 +442,10 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a, b)
 
 
+# labels of truth_by_axis_reductions, by index
+REFERENCE_LABELS = (MotionClass.CONSTANT_BEARING, MotionClass.APPROACHING, MotionClass.RECEDING)
+
+
 class TestTruthKernel:
     def test_component_sums_match_axis_reductions(self, intr800):
         rng = np.random.default_rng(5)
@@ -447,18 +455,33 @@ class TestTruthKernel:
         signs = rng.choice([1.0, -1.0], size=(2, 1000, 3))
         points[:1000] = rng.integers(-2, 3, size=(1000, 3)) * signs[0]
         v_g[:1000] = rng.integers(-2, 3, size=(1000, 3)) * signs[1]
-        for got, want in zip(
-            simulate_module._truth(points, v_g, intr800),
-            truth_by_axis_reductions(points, v_g, intr800),
-        ):
-            assert same_bits(got, want)
+        k0, h, speed, epipole, label = truth_by_axis_reductions(points, v_g, intr800)
+        got_k0, got_h, got_speed, _ = simulate_module._truth(points, v_g)
+        assert same_bits(got_k0, k0) and same_bits(got_h, h) and same_bits(got_speed, speed)
+        assert same_bits(simulate_module._motion_epipole(v_g, intr800), epipole)
+        labels = [point_truth(p, v, intr800).label for p, v in zip(points, v_g)]
+        assert labels == [REFERENCE_LABELS[i] for i in label]
 
-    def test_all_negative_zero_dot_keeps_its_sign(self, intr800):
+    def test_all_negative_zero_dot_keeps_its_sign(self):
         # every term of P . v is -0.0: np.sum gives +0.0, so k0 is -0.0
-        k0, *_ = simulate_module._truth(
-            np.array([0.0, 0.0, 5.0]), np.array([-1.0, -1.0, -0.0]), intr800
-        )
+        k0, *_ = simulate_module._truth(np.array([0.0, 0.0, 5.0]), np.array([-1.0, -1.0, -0.0]))
         assert k0 == 0.0 and np.signbit(k0)
+
+    def test_one_epipole_per_motion(self, intr800):
+        # one per object in simulate, none in collision_map
+        scenario = random_approach_scenario(np.random.default_rng(8), intr800, n_objects=3, n_points=4)
+        with mock.patch.object(
+            simulate_module, "_motion_epipole", wraps=simulate_module._motion_epipole
+        ) as spy:
+            _, truth = simulate(scenario)
+            assert spy.call_count == 3
+            collision_map(scenario, GridSpec(1.0, 1.0, 5, 5))
+            assert spy.call_count == 3
+        # each record owns its epipole array
+        epipoles = [pt.epipole for pt in truth.points]
+        assert all(
+            not np.shares_memory(a, b) for i, a in enumerate(epipoles) for b in epipoles[i + 1:]
+        )
 
 
 def per_cell_collision_map(scenario, grid, collision_radius=2.0):
@@ -477,7 +500,7 @@ def per_cell_collision_map(scenario, grid, collision_radius=2.0):
     for fi, dv_f in enumerate(fwd):
         for li, dv_l in enumerate(lat):
             cam_v = scenario.camera_velocity + np.array([dv_l, 0.0, dv_f])
-            k0, h, speed, _, _ = simulate_module._truth(points, velocities - cam_v, scenario.intrinsics)
+            k0, h, speed, _ = simulate_module._truth(points, velocities - cam_v)
             pending = k0 > 0.0
             if not pending.any():
                 continue
@@ -628,3 +651,127 @@ class TestBlockedCollisionMap:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def per_point_simulate(scenario):
+    """simulate as one projection and one noise draw per point, on the
+    axis-reduction kernel: the reference the per-object render must equal
+    bit for bit."""
+    rng = np.random.default_rng(scenario.rng_seed)
+    steps = np.arange(scenario.frame_count, dtype=np.float64)
+    tracks, truths = [], []
+    for cluster_id, obj in enumerate(scenario.objects):
+        v_g = obj.velocity - scenario.camera_velocity
+        truth = truth_by_axis_reductions(obj.points, v_g, scenario.intrinsics)
+        for point_index in range(obj.points.shape[0]):
+            p0 = obj.points[point_index]
+            positions = p0[np.newaxis, :] + steps[:, np.newaxis] * v_g[np.newaxis, :]
+            ahead = positions[:, 2] > 1e-9
+            valid_frames = int(np.argmin(ahead)) if not ahead.all() else scenario.frame_count
+            if valid_frames >= 2:
+                pixels = project(positions[:valid_frames], scenario.intrinsics)
+                if scenario.pixel_noise_sigma > 0.0:
+                    pixels = pixels + rng.normal(
+                        0.0, scenario.pixel_noise_sigma, size=pixels.shape
+                    )
+                track = TrackObservation(
+                    frames=np.arange(valid_frames, dtype=np.int64), positions=pixels
+                )
+            else:
+                track = None
+            k0, h, speed, epipole, label = (column[point_index] for column in truth)
+            truths.append(
+                PointTruth(
+                    track_index=len(tracks),
+                    object_id=obj.object_id,
+                    cluster_id=cluster_id,
+                    v_g=v_g,
+                    speed=float(speed),
+                    epipole=None if np.isnan(epipole[0]) else epipole,
+                    k0=None if np.isnan(k0) else float(k0),
+                    H=None if np.isnan(h) else float(h),
+                    label=REFERENCE_LABELS[label],
+                    valid_frames=valid_frames,
+                )
+            )
+            tracks.append(track)
+    return tracks, truths
+
+
+def assert_matches_per_point(scenario):
+    tracks, truth = simulate(scenario)
+    want_tracks, want_truths = per_point_simulate(scenario)
+    assert len(tracks) == len(want_tracks) and len(truth.points) == len(want_truths)
+    for got, want in zip(tracks, want_tracks):
+        if want is None:
+            assert got is None
+        else:
+            assert got.frames == want.frames and same_bits(got.positions, want.positions)
+    for got, want in zip(truth.points, want_truths):
+        for field in dataclasses.fields(PointTruth):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, (float, np.ndarray)):
+                assert same_bits(a, b), field.name
+            else:
+                assert a == b and type(a) is type(b), field.name
+    return tracks, truth
+
+
+quarter = st.integers(-4, 4).map(lambda i: i / 4.0)
+near_point = st.tuples(quarter, quarter, st.integers(1, 16).map(lambda z: z / 4.0))
+motion = st.tuples(quarter, quarter, quarter).map(np.array)
+
+
+def render_scenario(objects, camera, frames, sigma, seed):
+    return Scenario(
+        intrinsics=INTR,
+        objects=tuple(SceneObject(f"o{j}", np.array(p), v) for j, (p, v) in enumerate(objects)),
+        camera_velocity=camera,
+        frame_count=frames,
+        pixel_noise_sigma=sigma,
+        rng_seed=seed,
+    )
+
+
+class TestPerObjectRender:
+    """simulate renders each object in one pass; tracks and every
+    PointTruth field must equal the per-point loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        objects=st.lists(
+            st.tuples(st.lists(near_point, min_size=1, max_size=5), motion), min_size=0, max_size=3
+        ),
+        camera=motion,
+        frames=st.integers(2, 12),
+        sigma=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 3),
+    )
+    # crosses the depth floor mid-track, beside a point that keeps all frames
+    @example(objects=[([(0.0, 0.0, 2.0), (1.0, 0.0, 4.0)], np.array([0.0, 0.0, -0.5]))],
+             camera=np.zeros(3), frames=8, sigma=0.0, seed=0)
+    # fewer than 2 valid frames, between two full tracks, with noise
+    @example(objects=[([(0.0, 0.0, 3.0), (0.0, 0.0, 0.25), (1.0, 0.0, 3.5)],
+                       np.array([0.0, 0.0, -0.5]))],
+             camera=np.zeros(3), frames=4, sigma=0.5, seed=1)
+    # zero relative motion, and motion parallel to the image plane
+    @example(objects=[([(1.0, 0.5, 3.0)], np.array([0.25, 0.0, 0.5])),
+                      ([(0.0, 1.0, 2.0)], np.array([0.75, 0.0, 0.5]))],
+             camera=np.array([0.25, 0.0, 0.5]), frames=5, sigma=0.5, seed=2)
+    def test_equals_per_point_loop(self, objects, camera, frames, sigma, seed):
+        assert_matches_per_point(render_scenario(objects, camera, frames, sigma, seed))
+
+    def test_explicit_cases(self):
+        tracks, truth = assert_matches_per_point(
+            render_scenario(
+                [([(0.0, 0.0, 2.0), (0.0, 0.0, 0.25), (1.0, 0.0, 4.0)], np.array([0.0, 0.0, -0.5])),
+                 ([(1.0, 0.5, 3.0)], np.array([0.25, 0.0, 0.5])),
+                 ([(0.0, 1.0, 2.0)], np.array([0.75, 0.0, 0.5]))],
+                camera=np.array([0.25, 0.0, 0.5]), frames=8, sigma=0.5, seed=4,
+            )
+        )
+        # relative motion (-0.25, 0, -1) for the first object
+        assert [pt.valid_frames for pt in truth.points] == [2, 1, 4, 8, 8]
+        assert tracks[1] is None and len(tracks[0]) == 2 and len(tracks[2]) == 4
+        assert truth.points[3].speed == 0.0 and truth.points[3].epipole is None
+        assert truth.points[4].epipole is None and truth.points[4].k0 is not None
