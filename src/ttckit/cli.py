@@ -69,6 +69,10 @@ from .fileio import (
 )
 from .simulate import GridSpec, collision_map, simulate
 from .stereo import (
+    PRESET_BASELINE_M,
+    PRESET_DETECTION_ERROR_PX,
+    PRESET_HEADING_DEG,
+    PRESET_SPEED_KMH,
     StereoErrorModel,
     focal_px_from_metric,
     orientation_error_sweep,
@@ -80,6 +84,8 @@ __all__ = ["main"]
 
 SEED_ENV_VAR = "COLLISION_PLANE_SEED"
 PRESET_NAMES = ("approach-45deg",)
+# sensitivity flags that describe the rig, which a --preset fixes
+_RIG_FLAGS = ("baseline_m", "focal_px", "focal_mm", "detection_error_px", "speed_kmh", "heading_deg")
 
 
 def _seed(args) -> int:
@@ -195,11 +201,6 @@ def _failed_entry(track_id: str, error: TtcError) -> dict:
     }
 
 
-def _pixels(tracks, i: int) -> np.ndarray:
-    """Pixel i of every track, shape (N, 2)."""
-    return np.array([t.positions[i] for t in tracks]).reshape(len(tracks), 2)
-
-
 def _moving_tracks(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Indices of the tracks whose full-span flow, from pixels first to
     last of shape (N, 2), is nonzero: a zero net displacement defines no
@@ -211,7 +212,7 @@ def _moving_tracks(first: np.ndarray, last: np.ndarray) -> np.ndarray:
 def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
     """Cluster the moving tracks, fit the horizon through cluster epipoles."""
     clusters, _ = cluster_flows(
-        None, [tracks[i] for i in flow_index], config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics
+        None, tracks.take(flow_index), config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics
     )
     if len(clusters) < 2:
         raise InsufficientData(
@@ -247,7 +248,7 @@ def _cmd_estimate(args) -> int:
     )
     # Every track at once: pixel i of each track as one (N, 2) array.
     n = len(tracks)
-    first, second, last = (_pixels(tracks, i) for i in (0, 1, -1))
+    first, second, last = (tracks.pixels(i) for i in (0, 1, -1))
     moving = _moving_tracks(first, last)
     horizon = None
     if args.calibrate:
@@ -266,16 +267,14 @@ def _cmd_estimate(args) -> int:
         residual = np.zeros(n)
         method = EpipoleMethod.HORIZON_INTERSECTION
     elif args.mode == "three-frame":
-        lengths = np.array([len(t) for t in tracks], dtype=np.int64)
-        third = np.array([t.positions[min(2, len(t) - 1)] for t in tracks]).reshape(n, 2)
-        x, epipoles, residual, errors = _offset_three_frames(first, second, third, horizon, intrinsics)
+        x, epipoles, residual, errors = _offset_three_frames(first, second, tracks.pixels(2), horizon, intrinsics)
         # A track that does not move between its first two frames is
         # stationary, as in the other modes, not a degenerate offset fit:
         # the collision-plane kernel below reports its zero flow.
         for i in np.flatnonzero((first == second).all(axis=1)):
             errors[i] = None
-        for i in np.flatnonzero(lengths < 3):
-            errors[i] = InsufficientData(f"need at least 3 frames, got {lengths[i]}")
+        for i in np.flatnonzero(tracks.length < 3):
+            errors[i] = InsufficientData(f"need at least 3 frames, got {tracks.length[i]}")
         x = x.tolist()
         method = EpipoleMethod.THREE_FRAME_OFFSET
     else:
@@ -333,7 +332,7 @@ def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
-    flow_index = _moving_tracks(_pixels(tracks, 0), _pixels(tracks, -1))
+    flow_index = _moving_tracks(tracks.pixels(0), tracks.pixels(-1))
     moving = set(flow_index.tolist())
     stationary = [track_id for i, track_id in enumerate(ids) if i not in moving]
     config = ClusteringConfig(
@@ -343,9 +342,7 @@ def _cmd_cluster(args) -> int:
         min_cluster_size=args.min_size,
         rng_seed=seed,
     )
-    clusters, outliers = cluster_flows(
-        None, [tracks[i] for i in flow_index], config=config, intrinsics=intrinsics
-    )
+    clusters, outliers = cluster_flows(None, tracks.take(flow_index), config=config, intrinsics=intrinsics)
     document = _result_skeleton(
         "cluster",
         seed,
@@ -397,6 +394,9 @@ def _cmd_collision_map(args) -> int:
 
 def _build_sweep_model(args) -> StereoErrorModel:
     if args.preset is not None:
+        given = [f"--{name.replace('_', '-')}" for name in _RIG_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise InvalidInput(f"--preset {args.preset} fixes the rig; drop {', '.join(given)}")
         if args.pixel_pitch_um is None:
             raise InvalidInput("--preset uses a metric focal length; --pixel-pitch-um is required")
         return preset_approach_45deg(args.pixel_pitch_um)
@@ -408,12 +408,15 @@ def _build_sweep_model(args) -> StereoErrorModel:
         focal_px = focal_px_from_metric(args.focal_mm, args.pixel_pitch_um)
     else:
         focal_px = args.focal_px
+    # a rig flag left out takes the approach-45deg preset's value
     return StereoErrorModel(
-        baseline_m=args.baseline_m,
+        baseline_m=PRESET_BASELINE_M if args.baseline_m is None else args.baseline_m,
         focal_px=focal_px,
-        detection_error_px=args.detection_error_px,
-        speed_mps=args.speed_kmh / 3.6,
-        heading_deg=args.heading_deg,
+        detection_error_px=(
+            PRESET_DETECTION_ERROR_PX if args.detection_error_px is None else args.detection_error_px
+        ),
+        speed_mps=(PRESET_SPEED_KMH if args.speed_kmh is None else args.speed_kmh) / 3.6,
+        heading_deg=PRESET_HEADING_DEG if args.heading_deg is None else args.heading_deg,
     )
 
 
@@ -515,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sen = sub.add_parser("sensitivity", help="stereo vs collision-plane error table")
     p_sen.add_argument("--preset", choices=PRESET_NAMES, default=None)
-    p_sen.add_argument("--baseline-m", type=float, default=0.15)
+    p_sen.add_argument(
+        "--baseline-m", type=float, default=None, help=f"stereo baseline, meters (default: {PRESET_BASELINE_M})"
+    )
     p_sen.add_argument("--focal-px", type=float, default=None)
     p_sen.add_argument("--focal-mm", type=float, default=None)
     p_sen.add_argument(
@@ -524,9 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sensor pixel pitch; required with a metric focal length",
     )
-    p_sen.add_argument("--detection-error-px", type=float, default=0.2)
-    p_sen.add_argument("--speed-kmh", type=float, default=50.0)
-    p_sen.add_argument("--heading-deg", type=float, default=45.0)
+    p_sen.add_argument(
+        "--detection-error-px",
+        type=float,
+        default=None,
+        help=f"per-detection pixel error (default: {PRESET_DETECTION_ERROR_PX})",
+    )
+    p_sen.add_argument(
+        "--speed-kmh", type=float, default=None, help=f"object speed, km/h (default: {PRESET_SPEED_KMH})"
+    )
+    p_sen.add_argument(
+        "--heading-deg",
+        type=float,
+        default=None,
+        help=f"motion direction from the optical axis, degrees (default: {PRESET_HEADING_DEG})",
+    )
     p_sen.add_argument(
         "--z-values", default="10,20,40,60,80,100", help="comma-separated depths in meters"
     )

@@ -50,7 +50,7 @@ from .epipole import (
     _least_squares_epipole,
 )
 from .errors import InsufficientData, InvalidInput, _valid_seed
-from .ttc import TrackObservation, _decompose, ttc_batch
+from .ttc import TrackObservation, TrackTable, _decompose, ttc_batch
 
 __all__ = [
     "ClusteringConfig",
@@ -289,7 +289,7 @@ def _reassignment_sweep(
 
 def cluster_flows(
     flows: list[FlowVector] | None,
-    tracks: list[TrackObservation] | None = None,
+    tracks: list[TrackObservation] | TrackTable | None = None,
     config: ClusteringConfig | None = None,
     *,
     intrinsics: CameraIntrinsics,
@@ -302,8 +302,9 @@ def cluster_flows(
             which suppresses endpoint noise far better than a single
             frame pair, and its TTC is rescaled by the span so tracks of
             different lengths stay comparable in frame units.
-        tracks: optional tracks matching the flows one-to-one; used only
-            to derive flows when flows is None.
+        tracks: optional tracks matching the flows one-to-one, as a
+            sequence of TrackObservation or a TrackTable; used only to
+            derive flows when flows is None.
         config: thresholds and seed; defaults to ClusteringConfig().
         intrinsics: camera model, required for the TTC consistency gate.
 
@@ -328,10 +329,11 @@ def cluster_flows(
     if flows is None:
         if tracks is None:
             raise InvalidInput("pass flows, or tracks to derive them from")
+        if not isinstance(tracks, TrackTable):
+            tracks = TrackTable.from_tracks(tracks)
         n = len(tracks)
-        p0 = np.array([t.positions[0] for t in tracks]).reshape(n, 2)
-        p1 = np.array([t.positions[-1] for t in tracks]).reshape(n, 2)
-        spans = np.array([float(t.frames[-1] - t.frames[0]) for t in tracks])
+        p0, p1 = tracks.pixels(0), tracks.pixels(-1)
+        spans = (tracks.length - 1).astype(np.float64)  # frames step by 1
     else:
         if tracks is not None and len(tracks) != len(flows):
             raise InvalidInput(f"{len(flows)} flows but {len(tracks)} tracks")

@@ -3,13 +3,19 @@
 Formats are part of the CLI contract and deliberately boring:
 
 * Tracks: CSV with header ``track_id,frame,u,v``, one row per
-  observation. Frame indices must be consecutive (step 1) per track.
+  observation. Frame indices must be consecutive (step 1) per track and
+  fit in 64 bits; ids are kept verbatim. read_tracks_csv parses the
+  whole file as columns into a TrackTable (rows grouped by track, in
+  first-appearance order) and checks it with array operations; only a
+  file that fails a check is parsed again line by line, to name the
+  offending line or track.
 * Scenarios and ground truth: JSON, schema-versioned (``"schema": 1``).
 * Collision maps and sensitivity tables: CSV grids.
 
-All writers emit LF newlines, sorted JSON keys, and repr-shortest float
-formatting, so identical inputs produce byte-identical files. Parse
-failures raise InvalidInput with the offending line or field named.
+All writers emit LF newlines, one-line JSON with sorted keys, and
+repr-shortest float formatting, so identical inputs produce
+byte-identical files. Parse failures raise InvalidInput with the
+offending line or field named.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .camera import CameraIntrinsics
 from .errors import InvalidInput
 from .simulate import CollisionMap, GroundTruth, SceneObject, Scenario
 from .stereo import SensitivityTable
-from .ttc import TrackObservation
+from .ttc import TrackObservation, TrackTable
 
 __all__ = [
     "read_json",
@@ -51,10 +57,11 @@ def _fmt(x: float) -> str:
 
 
 def _json_text(document: dict) -> str:
-    """The text write_json writes; numpy arrays and scalars become lists
-    and numbers."""
+    """The text write_json writes, on one line: json.dumps with indent
+    runs the pure-Python encoder, without it the C one. Numpy arrays and
+    scalars become lists and numbers."""
     return json.dumps(
-        document, indent=2, sort_keys=True, allow_nan=False,
+        document, sort_keys=True, allow_nan=False,
         default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
     ) + "\n"
 
@@ -66,7 +73,8 @@ def _write_text(path, text: str) -> None:
 
 
 def write_json(path, document: dict) -> None:
-    """Write a JSON document with sorted keys and a trailing newline.
+    """Write a JSON document on one line with sorted keys and a trailing
+    newline.
 
     Rejects NaN/Infinity: documents must encode missing values as null.
     """
@@ -91,29 +99,38 @@ def write_tracks_csv(path, tracks: list[TrackObservation], ids: list[str] | None
     """
     if ids is not None and len(ids) != len(tracks):
         raise InvalidInput(f"{len(ids)} ids for {len(tracks)} tracks")
-    lines = [TRACKS_HEADER]
-    for i, track in enumerate(tracks):
-        if track is None:
-            continue
-        label = ids[i] if ids is not None else str(i)
+    labels = [str(i) if ids is None else ids[i] for i, track in enumerate(tracks) if track is not None]
+    for label in labels:
         # read_tracks_csv splits rows wherever str.splitlines does
         if "," in label or len((label + ".").splitlines()) != 1:
             raise InvalidInput(f"track id {label!r} must not contain commas or line breaks")
-        for frame, (u, v) in zip(track.frames, track.positions):
-            lines.append(f"{label},{int(frame)},{_fmt(u)},{_fmt(v)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    table = TrackTable.from_tracks([track for track in tracks if track is not None])
+    row_labels = [label for label, n in zip(labels, table.length.tolist()) for _ in range(n)]
+    # tolist() gives Python ints and floats: repr is _fmt without the float() call
+    rows = [
+        f"{label},{frame},{u!r},{v!r}"
+        for label, frame, (u, v) in zip(row_labels, table.frames.tolist(), table.positions.tolist())
+    ]
+    _write_text(path, "\n".join([TRACKS_HEADER, *rows]) + "\n")
 
 
-def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
+def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     """Parse a track CSV.
 
+    Track ids are kept verbatim, surrounding whitespace included. The
+    whole file is parsed as columns at once; only when a check fails is
+    it parsed again line by line, which names the first offending line
+    or track.
+
     Returns:
-        (ids, tracks) in first-appearance order of track_id.
+        (ids, tracks) in first-appearance order of track_id; tracks is a
+        TrackTable, a sequence of TrackObservation.
 
     Raises:
-        InvalidInput: non-UTF-8 text or malformed header/rows, named by
-            path and 1-based line number; frame steps other than 1 surface
-            from TrackObservation validation with the track id named.
+        InvalidInput: non-UTF-8 text or malformed header/rows, a frame
+            index beyond 64 bits included, named by path and 1-based line
+            number; frame steps other than 1 surface from
+            TrackObservation validation with the track id named.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,6 +139,50 @@ def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
         raise InvalidInput(f"{path}: {exc}") from exc
     if not lines or lines[0].strip() != TRACKS_HEADER:
         raise InvalidInput(f"{path}: line 1: expected header {TRACKS_HEADER!r}")
+    parsed = _table_from_columns(lines[1:])
+    if parsed is None:
+        ids, tracks = _read_track_lines(path, lines)
+        parsed = ids, TrackTable.from_tracks(tracks)
+    return parsed
+
+
+def _table_from_columns(rows: list[str]) -> tuple[list[str], TrackTable] | None:
+    """The rows below the header as (ids, table), or None when any check
+    fails: field count, number syntax, 64-bit frames, finite pixels, at
+    least 2 rows per track and frame steps of 1."""
+    rows = [row for row in rows if row.strip()]
+    if any(row.count(",") != 3 for row in rows):
+        return None
+    fields = ",".join(rows).split(",") if rows else []
+    r = len(rows)
+    try:
+        frames = np.fromiter(map(int, fields[1::4]), dtype=np.int64, count=r)
+        positions = np.empty((r, 2))
+        positions[:, 0] = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=r)
+        positions[:, 1] = np.fromiter(map(float, fields[3::4]), dtype=np.float64, count=r)
+    except (ValueError, OverflowError):
+        return None
+    # each row's track as its index in first-appearance order
+    labels = fields[0::4]
+    index = dict.fromkeys(labels)
+    ids = list(index)
+    index.update(zip(ids, range(len(ids))))
+    track = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=r)
+    if np.any(track[1:] < track[:-1]):  # interleaved tracks: group their rows
+        grouped = np.argsort(track, kind="stable")
+        frames, positions = frames[grouped], positions[grouped]
+    length = np.bincount(track, minlength=len(ids))
+    start = np.cumsum(length) - length
+    steps_ok = np.diff(frames) == 1
+    steps_ok[start[1:] - 1] = True  # a step between two tracks is no step
+    if np.any(length < 2) or not steps_ok.all() or not np.isfinite(positions).all():
+        return None
+    return ids, TrackTable(frames, positions, start, length)
+
+
+def _read_track_lines(path, lines: list[str]) -> tuple[list[str], list[TrackObservation]]:
+    """read_tracks_csv one line at a time after its header check: the
+    reference for the column parse, and the source of its error messages."""
     order: list[str] = []
     rows: dict[str, list[tuple[int, float, float]]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -130,13 +191,15 @@ def read_tracks_csv(path) -> tuple[list[str], list[TrackObservation]]:
         parts = raw.split(",")
         if len(parts) != 4:
             raise InvalidInput(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        tid = parts[0].strip()
+        tid = parts[0]
         try:
             frame = int(parts[1])
             u = float(parts[2])
             v = float(parts[3])
         except ValueError as exc:
             raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
+        if not -(2**63) <= frame < 2**63:
+            raise InvalidInput(f"{path}: line {lineno}: frame index must fit in a signed 64-bit integer")
         if not (math.isfinite(u) and math.isfinite(v)):
             raise InvalidInput(f"{path}: line {lineno}: coordinates must be finite")
         if tid not in rows:

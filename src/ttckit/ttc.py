@@ -37,6 +37,7 @@ at once, and collision_estimate is its one-row wrapper.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,52 @@ class TrackObservation:
 
     def pixel(self, i: int) -> np.ndarray:
         return self.positions[i]
+
+
+class TrackTable(Sequence):
+    """Many tracks stored as columns, the rows of each track contiguous.
+
+    Attributes:
+        frames: (R,) int64 frame indices.
+        positions: (R, 2) float64 pixels.
+        start, length: (N,) int64 first row and row count of each track.
+
+    The columns are taken as valid tracks: at least 2 rows each, frames
+    stepping by exactly 1, finite pixels. Indexing builds a
+    TrackObservation on demand; pixels() reads one pixel of every track
+    without building any.
+    """
+
+    def __init__(self, frames: np.ndarray, positions: np.ndarray, start: np.ndarray, length: np.ndarray):
+        self.frames = frames
+        self.positions = positions
+        self.start = start
+        self.length = length
+
+    @classmethod
+    def from_tracks(cls, tracks) -> "TrackTable":
+        """The tracks of a sequence of TrackObservation, in order."""
+        length = np.array([len(t) for t in tracks], dtype=np.int64)
+        frames = np.array([f for t in tracks for f in t.frames], dtype=np.int64)
+        positions = np.concatenate([t.positions for t in tracks]) if tracks else np.empty((0, 2))
+        return cls(frames, positions, np.cumsum(length) - length, length)
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def __getitem__(self, i: int) -> TrackObservation:
+        rows = slice(self.start[i], self.start[i] + self.length[i])
+        return TrackObservation(frames=self.frames[rows], positions=self.positions[rows])
+
+    def pixels(self, i: int) -> np.ndarray:
+        """Pixel i of every track, shape (N, 2); a negative i counts from
+        each track's end, and an i past a track's end reads its last pixel."""
+        offset = np.clip(i if i >= 0 else self.length + i, 0, self.length - 1)
+        return self.positions[self.start + offset]
+
+    def take(self, index) -> "TrackTable":
+        """The tracks at the given indices, sharing this table's rows."""
+        return TrackTable(self.frames, self.positions, self.start[index], self.length[index])
 
 
 @dataclass(frozen=True)

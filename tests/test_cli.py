@@ -661,6 +661,27 @@ class TestSensitivityCommand:
         assert len(lines) == 3
         assert lines[1].startswith("20.0,")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--baseline-m", 0.3),
+            ("--focal-px", 800),
+            ("--focal-mm", 8),
+            ("--detection-error-px", 0.1),
+            ("--speed-kmh", 0),
+            ("--heading-deg", 45),
+        ],
+    )
+    def test_rig_flags_rejected_beside_preset(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run(
+            "sensitivity", "--preset", "approach-45deg", "--pixel-pitch-um", 10, flag, value,
+            "--z-values", "20", "--trials", 5, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --preset approach-45deg fixes the rig; drop {flag}\n"
+        assert not out.exists()
+
     def test_focal_px_and_mm_exclusive(self, tmp_path, capsys):
         code = run(
             "sensitivity", "--focal-px", 800, "--focal-mm", 8,
@@ -830,6 +851,29 @@ class TestMalformedInputs:
         out = tmp_path / "out.json"
         code = run(command[0], tracks, *command[1:], "--out", out)
         self.assert_input_error(code, capsys, str(tracks), "utf-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--intrinsics", "800,320,240", "--mode", "planar", "--horizon", "0,240"],
+            ["estimate", "--intrinsics", "800,320,240", "--mode", "three-frame", "--horizon", "0,240"],
+            ["estimate", "--intrinsics", "800,320,240", "--mode", "least-squares"],
+            ["estimate", "--intrinsics", "800,320,240", "--calibrate"],
+            ["cluster", "--intrinsics", "800,320,240"],
+        ],
+        ids=["planar", "three-frame", "least-squares", "calibrate", "cluster"],
+    )
+    def test_frame_index_beyond_64_bits(self, command, frame, tmp_path, capsys):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(f"track_id,frame,u,v\ncar,0,1.0,2.0\ncar,1,1.5,2.0\ncar,{frame},2.0,2.0\n")
+        out = tmp_path / "out.json"
+        code = run(command[0], tracks, *command[1:], "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tracks}: line 4: frame index must fit in a signed 64-bit integer\n"
+        )
         assert not out.exists()
 
     @staticmethod

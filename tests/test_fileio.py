@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ttckit import (
     CameraIntrinsics,
@@ -18,6 +20,7 @@ from ttckit import (
     orientation_error_sweep,
     simulate,
 )
+from ttckit import fileio
 from ttckit.fileio import (
     TRACKS_HEADER,
     read_json,
@@ -107,6 +110,13 @@ class TestTracksCsv:
         write_tracks_csv(path, sample_tracks(), ids=labels)
         assert read_tracks_csv(path)[0] == labels
 
+    def test_whitespace_in_ids_kept(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_tracks_csv(path, sample_tracks(), ids=[" a", "a "])
+        ids, back = read_tracks_csv(path)
+        assert ids == [" a", "a "]
+        assert [t.frames for t in back] == [(0, 1, 2), (3, 4)]
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header,entirely\n")
@@ -190,6 +200,86 @@ class TestTracksCsv:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
         assert b"\r" not in p1.read_bytes()
+
+
+# Hostile tokens for the property test of the track reader.
+TRACK_IDS = st.sampled_from(["a", "b", " a", "a ", "car-0", "", " ", "\t", "\u00e9"])
+COORDINATES = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FRAME_TOKENS = st.sampled_from(
+    [str(2**63), str(-(2**63) - 1), str(2**63 - 1), "x", "", " 7 ", "+1", "1_0", "1.0", "9"]
+)
+COORDINATE_TOKENS = st.sampled_from(
+    ["nan", "inf", "-Infinity", "1e400", "-1e400", "5e-324", "1.7976931348623157e308", "abc", "", " 2.5 ", "1_0.5"]
+)
+
+
+@st.composite
+def track_csvs(draw):
+    """Track CSV text: well-formed tracks, their rows interleaved, then a
+    few hostile edits, blank lines and a choice of line ending."""
+    lengths = st.sampled_from([2, 3, 4, 2, 3, 4, 1])
+    tracks = draw(
+        st.lists(st.tuples(TRACK_IDS, st.integers(-5, 100), lengths), min_size=1, max_size=5, unique_by=lambda t: t[0])
+    )
+    queues = [
+        [[tid, str(start + j), draw(COORDINATES), draw(COORDINATES)] for j in range(n)]
+        for tid, start, n in tracks
+    ]
+    rows = []
+    for pick in draw(st.lists(st.integers(0, 4), max_size=20)):
+        live = [queue for queue in queues if queue]
+        if live:
+            rows.append(live[pick % len(live)].pop(0))
+    rows += [row for queue in queues for row in queue]
+    for at, edit in draw(st.lists(st.tuples(st.integers(0, 99), st.sampled_from("ifuvgdx")), max_size=2)):
+        if not rows:
+            break
+        row = rows[at % len(rows)]
+        if edit == "i":
+            row[0] = draw(TRACK_IDS)
+        elif edit == "f":
+            row[1] = draw(FRAME_TOKENS)
+        elif edit in "uv" and len(row) == 4:
+            row["uv".index(edit) + 2] = draw(COORDINATE_TOKENS)
+        elif edit == "g" and row[1].lstrip("-").isdigit():  # a frame gap, or a repeated frame
+            row[1] = str(int(row[1]) + draw(st.sampled_from([1, -1])))
+        elif edit == "d":
+            row.pop()
+        elif edit == "x":
+            row.append("0.0")
+    lines = [TRACKS_HEADER] + [",".join(row) for row in rows]
+    for at, blank in draw(st.lists(st.tuples(st.integers(1, 99), st.sampled_from(["", " ", "\t "])), max_size=2)):
+        lines.insert(1 + at % len(lines), blank)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+class TestColumnParse:
+    """read_tracks_csv parses whole columns and falls back to the line
+    parser only on a failed check; both must read every file alike."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            ids, tracks = read()
+        except InvalidInput as exc:
+            return str(exc)
+        return ids, [t.frames for t in tracks], [t.positions.tolist() for t in tracks]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=track_csvs())
+    @example(text=f"{TRACKS_HEADER}\n a,0,1.0,2.0\na ,0,1.0,2.0\n a,1,1.5,2.0\na ,1,1.0,2.5\n")
+    @example(text=f"{TRACKS_HEADER}\r\nx,{2**63 - 1},1.0,2.0\r\n\r\nx,{2**63},1.5,2.0\r\n")
+    @example(text=f"{TRACKS_HEADER}\n")
+    @example(text=f"{TRACKS_HEADER}\nx,0,1.0,2.0\nx,1,1e400,2.0\n")
+    def test_column_and_line_parses_agree(self, text, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        want = self.outcome(lambda: fileio._read_track_lines(path, lines))
+        got = self.outcome(lambda: read_tracks_csv(path))
+        assert got == want
+        # the column parse declines exactly the files the line parse rejects
+        assert (fileio._table_from_columns(lines[1:]) is None) == isinstance(want, str)
 
 
 class TestScenarioJson:
