@@ -83,6 +83,7 @@ from .ttc import (
     CollisionEstimate,
     MotionClass,
     TrackObservation,
+    TrackTable,
     classify_motion,
     collision_estimate,
     ttc_batch,
@@ -120,6 +121,7 @@ __all__ = [
     "StationaryPoint",
     "StereoErrorModel",
     "TrackObservation",
+    "TrackTable",
     "TtcError",
     "calibrate_horizon",
     "classify_motion",

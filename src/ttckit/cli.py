@@ -176,7 +176,7 @@ def _cmd_simulate(args) -> int:
     if args.noise_sigma is not None:
         scenario = dataclasses.replace(scenario, pixel_noise_sigma=args.noise_sigma)
     tracks, truth = simulate(scenario)
-    ids = [f"{pt.object_id}-{i}" for i, pt in enumerate(truth.points)]
+    ids = [f"{truth.object_ids[obj]}-{i}" for i, obj in enumerate(truth.cluster_id.tolist())]
     write_tracks_csv(args.out_tracks, tracks, ids)
     write_json(args.out_truth, truth_document(truth, ids))
     return 0

@@ -331,6 +331,8 @@ def cluster_flows(
             raise InvalidInput("pass flows, or tracks to derive them from")
         if not isinstance(tracks, TrackTable):
             tracks = TrackTable.from_tracks(tracks)
+        if np.any(tracks.length < 2):
+            raise InvalidInput("every track needs at least 2 frames to derive a flow")
         n = len(tracks)
         p0, p1 = tracks.pixels(0), tracks.pixels(-1)
         spans = (tracks.length - 1).astype(np.float64)  # frames step by 1

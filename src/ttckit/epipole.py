@@ -172,12 +172,13 @@ def _cut_horizon(points: np.ndarray, directions: np.ndarray, horizon: HorizonLin
     """Cut N lines, a pixel and a unit direction each of shape (N, 2),
     with the horizon: (positions, sin), sin being the signed sine of each
     line's angle to the horizon. Error grows like 1 / sin, so callers
-    reject |sin| under their own floor; sin = 0 gives a non-finite position."""
+    reject |sin| under their own floor; sin = 0, or one so small that the
+    quotient overflows, gives a non-finite position."""
     d_hor = horizon.direction
     sin = directions[:, 0] * d_hor[1] - directions[:, 1] * d_hor[0]
     rel = horizon.reference - points
     # cross both sides of points + s * directions = reference + u * d_hor with d_hor
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = (rel[:, 0] * d_hor[1] - rel[:, 1] * d_hor[0]) / sin
         return points + s[:, np.newaxis] * directions, sin
 

@@ -88,30 +88,37 @@ def read_json(path) -> dict:
 
 # ---------------------------------------------------------------- tracks
 
-def write_tracks_csv(path, tracks: list[TrackObservation], ids: list[str] | None = None) -> None:
-    """Write tracks as CSV rows; None entries (too-short tracks) are skipped.
+def write_tracks_csv(path, tracks, ids: list[str] | None = None) -> None:
+    """Write tracks as CSV rows, track after track; tracks of 0 rows
+    (None entries) write no rows.
 
     Args:
         path: output file.
-        tracks: observations; index label is their position unless ids
-            is given.
+        tracks: a TrackTable, written from its columns without building
+            any TrackObservation, or a sequence of TrackObservation or
+            None (too-short tracks); index label is their position unless
+            ids is given.
         ids: optional per-track labels aligned with tracks.
     """
+    if not isinstance(tracks, TrackTable):
+        tracks = TrackTable.from_tracks(tracks)
     if ids is not None and len(ids) != len(tracks):
         raise InvalidInput(f"{len(ids)} ids for {len(tracks)} tracks")
-    labels = [str(i) if ids is None else ids[i] for i, track in enumerate(tracks) if track is not None]
-    for label in labels:
+    labels = [str(i) for i in range(len(tracks))] if ids is None else ids
+    lengths = tracks.length.tolist()
+    for label, n in zip(labels, lengths):
         # read_tracks_csv splits rows wherever str.splitlines does
-        if "," in label or len((label + ".").splitlines()) != 1:
+        if n and ("," in label or len((label + ".").splitlines()) != 1):
             raise InvalidInput(f"track id {label!r} must not contain commas or line breaks")
-    table = TrackTable.from_tracks([track for track in tracks if track is not None])
-    row_labels = [label for label, n in zip(labels, table.length.tolist()) for _ in range(n)]
+    row_labels = np.repeat(np.array(labels, dtype=object), tracks.length).tolist()
+    rows = tracks.rows()
+    u, v = tracks.positions[rows].T.tolist()
     # tolist() gives Python ints and floats: repr is _fmt without the float() call
-    rows = [
-        f"{label},{frame},{u!r},{v!r}"
-        for label, frame, (u, v) in zip(row_labels, table.frames.tolist(), table.positions.tolist())
+    lines = [
+        f"{label},{frame},{x!r},{y!r}"
+        for label, frame, x, y in zip(row_labels, tracks.frames[rows].tolist(), u, v)
     ]
-    _write_text(path, "\n".join([TRACKS_HEADER, *rows]) + "\n")
+    _write_text(path, "\n".join([TRACKS_HEADER, *lines]) + "\n")
 
 
 def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
@@ -173,7 +180,8 @@ def _table_from_columns(rows: list[str]) -> tuple[list[str], TrackTable] | None:
         frames, positions = frames[grouped], positions[grouped]
     length = np.bincount(track, minlength=len(ids))
     start = np.cumsum(length) - length
-    steps_ok = np.diff(frames) == 1
+    # as in TrackObservation: the int64 difference wraps, so a step also rises
+    steps_ok = (np.diff(frames) == 1) & (frames[1:] > frames[:-1])
     steps_ok[start[1:] - 1] = True  # a step between two tracks is no step
     if np.any(length < 2) or not steps_ok.all() or not np.isfinite(positions).all():
         return None
@@ -317,25 +325,36 @@ def write_scenario(path, scenario: Scenario) -> None:
 # ----------------------------------------------------- derived documents
 
 def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
-    """Ground truth as a JSON-ready document (schema 1)."""
-    if len(ids) != len(truth.points):
-        raise InvalidInput(f"{len(ids)} ids for {len(truth.points)} truth points")
-    points = []
-    for tid, pt in zip(ids, truth.points):
-        points.append(
-            {
-                "track_id": tid,
-                "object_id": pt.object_id,
-                "cluster_id": pt.cluster_id,
-                "v_g": pt.v_g,
-                "speed": pt.speed,
-                "epipole": pt.epipole,
-                "k0": pt.k0,
-                "H": pt.H,
-                "label": pt.label.value,
-                "valid_frames": pt.valid_frames,
-            }
+    """Ground truth as a JSON-ready document (schema 1), built from the
+    columns of truth without building any PointTruth; NaN becomes null."""
+    if len(ids) != len(truth):
+        raise InvalidInput(f"{len(ids)} ids for {len(truth)} truth points")
+    v_g = truth.v_g.tolist()
+    epipole = [None if math.isnan(e[0]) else e for e in truth.epipole.tolist()]
+    labels = [label.value for label in truth.LABELS]
+    points = [
+        {
+            "track_id": tid,
+            "object_id": truth.object_ids[obj],
+            "cluster_id": obj,
+            "v_g": v_g[obj],
+            "speed": speed,
+            "epipole": epipole[obj],
+            "k0": None if math.isnan(k0) else k0,
+            "H": None if math.isnan(h) else h,
+            "label": labels[label],
+            "valid_frames": valid,
+        }
+        for tid, obj, speed, k0, h, label, valid in zip(
+            ids,
+            truth.cluster_id.tolist(),
+            truth.speed.tolist(),
+            truth.k0.tolist(),
+            truth.H.tolist(),
+            truth.label.tolist(),
+            truth.valid_frames.tolist(),
         )
+    ]
     return {"schema": 1, "frame_count": truth.frame_count, "points": points}
 
 

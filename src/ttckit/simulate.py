@@ -19,6 +19,15 @@ points and relative motions; point_truth, simulate and collision_map all
 call it, so they cannot disagree. The epipole depends only on the motion,
 so it is computed once per motion, and never for collision_map.
 
+simulate renders each object in one pass and returns columns: a
+TrackTable of every track and a GroundTruth of every point, with no
+per-point object between the renderer and the files. PointTruth and
+TrackObservation records are built only when an item is read.
+
+Finite scenario numbers can still overflow float64 on the way: Scenario
+rejects a relative motion or a truth quantity that overflows, simulate a
+pixel, collision_map a cell, each naming the object, without a warning.
+
 Everything uses the relative-motion formulation: the camera stays at the
 origin and each point advances by v_g = object velocity minus camera
 velocity per frame, so simulating (v_obj, v_cam) and (v_obj - v_cam, 0)
@@ -34,13 +43,16 @@ bounded whatever the grid size.
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .camera import CameraIntrinsics, project
 from .errors import InvalidInput, _valid_seed
-from .ttc import MotionClass, TrackObservation
+from .ttc import MotionClass, TrackTable
 
 __all__ = [
     "CollisionMap",
@@ -106,6 +118,10 @@ class Scenario:
         frame_count: frames to render, >= 2.
         pixel_noise_sigma: isotropic Gaussian pixel noise, >= 0.
         rng_seed: seed for the noise generator, a non-negative integer.
+
+    Construction rejects, with InvalidInput naming the object, a
+    relative motion or a truth quantity (speed, k0, H, epipole) that
+    overflows float64.
     """
 
     intrinsics: CameraIntrinsics
@@ -128,6 +144,7 @@ class Scenario:
         object.__setattr__(self, "rng_seed", _valid_seed(self.rng_seed, "rng_seed"))
         # An empty object tuple is a valid (if quiet) scenario.
         object.__setattr__(self, "objects", tuple(self.objects))
+        _scenario_truth(self)  # rejects relative motion or truth that overflows
 
 
 @dataclass(frozen=True)
@@ -135,7 +152,7 @@ class PointTruth:
     """Analytic ground truth for one tracked point.
 
     Attributes:
-        track_index: index into the simulate() track list.
+        track_index: index into the simulate() track table.
         object_id: owning object's label.
         cluster_id: index of the owning object (clustering ground truth).
         v_g: per-frame relative motion, shape (3,).
@@ -169,15 +186,86 @@ class PointTruth:
         return self.k0 - frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-point analytic truth for a simulated scenario."""
+    """Analytic truth of a simulated scenario, stored as columns.
 
-    points: tuple[PointTruth, ...]
+    Row i is point i, the point of track i of simulate(), in object
+    order. Quantities that are undefined for a point are NaN.
+
+    Attributes:
+        frame_count: frames of the scenario.
+        object_ids: label of each of the O objects.
+        v_g: (O, 3) per-frame relative motion of each object.
+        epipole: (O, 2) true epipole of each object; NaN for zero
+            relative speed or motion parallel to the image plane.
+        cluster_id: (N,) int64 index of each point's object.
+        k0, H: (N,) float64 true k at frame 0 and miss distance; NaN
+            for zero relative speed.
+        speed: (N,) float64 |v_g| of each point's object.
+        label: (N,) int8 index into LABELS of each point's motion class.
+        valid_frames: (N,) int64 frames before each point left the
+            Z > 0 half-space.
+
+    points reads the rows as PointTruth records, built one at a time
+    when read; its len() builds none.
+    """
+
     frame_count: int
+    object_ids: tuple[str, ...]
+    v_g: np.ndarray
+    epipole: np.ndarray
+    cluster_id: np.ndarray
+    k0: np.ndarray
+    H: np.ndarray
+    speed: np.ndarray
+    label: np.ndarray
+    valid_frames: np.ndarray
+
+    LABELS: ClassVar[tuple[MotionClass, ...]] = (
+        MotionClass.CONSTANT_BEARING, MotionClass.APPROACHING, MotionClass.RECEDING,
+    )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.k0)
+
+    @property
+    def points(self) -> "_PointTruths":
+        return _PointTruths(self)
+
+    def _point(self, i: int) -> PointTruth:
+        """Row i as a PointTruth; NaN quantities become None, and the
+        record owns a copy of its object's epipole."""
+        obj = int(self.cluster_id[i])
+        epipole = self.epipole[obj]
+        k0, h = float(self.k0[i]), float(self.H[i])
+        return PointTruth(
+            track_index=i,
+            object_id=self.object_ids[obj],
+            cluster_id=obj,
+            v_g=self.v_g[obj],
+            speed=float(self.speed[i]),
+            epipole=None if np.isnan(epipole[0]) else epipole.copy(),
+            k0=None if np.isnan(k0) else k0,
+            H=None if np.isnan(h) else h,
+            label=self.LABELS[self.label[i]],
+            valid_frames=int(self.valid_frames[i]),
+        )
+
+
+class _PointTruths(Sequence):
+    """The rows of a GroundTruth as PointTruth records, built when read."""
+
+    def __init__(self, truth: GroundTruth):
+        self._truth = truth
+
+    def __len__(self) -> int:
+        return len(self._truth)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._truth._point(range(len(self))[i])
 
 
 def _truth(points, v_g):
@@ -216,20 +304,49 @@ def _motion_epipole(v_g, intrinsics: CameraIntrinsics) -> np.ndarray:
     return np.where(facing[..., np.newaxis], epipole, np.nan)
 
 
-def _point_record(k0, h, speed, miss, epipole, **fields) -> PointTruth:
-    """PointTruth from one row of _truth and a copy of its motion's
-    epipole; NaN quantities become None."""
-    if not miss >= 1e-12:  # on the motion line, or no motion
-        label = MotionClass.CONSTANT_BEARING
-    else:
-        label = MotionClass.APPROACHING if k0 > 0.0 else MotionClass.RECEDING
-    return PointTruth(
-        speed=float(speed),
-        epipole=None if np.isnan(epipole[0]) else epipole.copy(),
-        k0=None if np.isnan(k0) else float(k0),
-        H=None if np.isnan(h) else float(h),
-        label=label,
-        **fields,
+def _overflows(k0, h, speed) -> np.ndarray:
+    """Rows of _truth whose speed, or whose k0 or H where defined,
+    overflowed float64."""
+    return ~(np.isfinite(speed) & ((np.isfinite(k0) & np.isfinite(h)) | (speed < _SPEED_FLOOR)))
+
+
+def _truth_columns(object_ids, points, v_g, intrinsics: CameraIntrinsics) -> dict:
+    """The GroundTruth columns that do not depend on rendering, for
+    objects whose points (a list of (M, 3) arrays) move by the relative
+    motions v_g (O, 3): one _truth call over every point, one
+    _motion_epipole call per object.
+
+    Raises:
+        InvalidInput: a relative motion, or a truth quantity where it is
+            defined, overflows float64; the message names the object.
+    """
+    sizes = [len(p) for p in points]
+    cluster_id = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0, h, speed, miss = _truth(np.concatenate([np.zeros((0, 3)), *points]), v_g[cluster_id])
+        epipole = np.reshape([_motion_epipole(v, intrinsics) for v in v_g], (-1, 2))
+    object_ok = ~np.isinf(epipole).any(axis=1)
+    object_ok[cluster_id[_overflows(k0, h, speed)]] = False
+    if not object_ok.all():
+        j = int(np.argmin(object_ok))
+        what = "collision truth" if np.isfinite(v_g[j]).all() else "relative motion"
+        raise InvalidInput(f"object {object_ids[j]!r}: {what} overflows")
+    # codes into GroundTruth.LABELS; on the motion line, or no motion,
+    # a point keeps a constant bearing
+    label = np.where(~(miss >= 1e-12), 0, np.where(k0 > 0.0, 1, 2)).astype(np.int8)
+    return dict(
+        object_ids=tuple(object_ids), v_g=v_g, epipole=epipole, cluster_id=cluster_id,
+        k0=k0, H=h, speed=speed, label=label,
+    )
+
+
+def _scenario_truth(scenario) -> dict:
+    """_truth_columns of every object of a scenario."""
+    objects = scenario.objects
+    with np.errstate(over="ignore"):
+        v_g = np.reshape([obj.velocity - scenario.camera_velocity for obj in objects], (-1, 3))
+    return _truth_columns(
+        [obj.object_id for obj in objects], [obj.points for obj in objects], v_g, scenario.intrinsics
     )
 
 
@@ -246,55 +363,71 @@ def point_truth(
     """Analytic truth for a single point and relative motion.
 
     Exposed for tests and planners that need truth without building a
-    whole scenario.
+    whole scenario. The record is row 0 of a one-point GroundTruth.
+
+    Raises:
+        InvalidInput: v_g or a truth quantity overflows float64.
     """
     v_g = np.asarray(v_g, dtype=np.float64)
-    return _point_record(
-        *_truth(np.asarray(p0, dtype=np.float64), v_g), _motion_epipole(v_g, intrinsics),
-        track_index=track_index, object_id=object_id, cluster_id=cluster_id,
-        v_g=v_g, valid_frames=valid_frames,
+    truth = GroundTruth(
+        frame_count=0,
+        valid_frames=np.array([valid_frames], dtype=np.int64),
+        **_truth_columns(
+            [object_id], [np.asarray(p0, dtype=np.float64)[np.newaxis]], v_g[np.newaxis], intrinsics
+        ),
     )
+    return dataclasses.replace(truth.points[0], track_index=track_index, cluster_id=cluster_id)
 
 
-def simulate(scenario: Scenario) -> tuple[list[TrackObservation | None], GroundTruth]:
-    """Render tracks and analytic ground truth for a scenario.
+def simulate(scenario: Scenario) -> tuple[TrackTable, GroundTruth]:
+    """Render tracks and analytic ground truth for a scenario, as columns.
 
     Returns:
-        (tracks, truth): tracks[i] corresponds to truth.points[i].
-        Points that leave the Z > 0 half-space are truncated at their
-        last valid frame; a point with fewer than 2 valid frames yields
-        None in the track list (no observation pair exists) while its
-        truth entry is still present with valid_frames recorded.
+        (tracks, truth): tracks is a TrackTable with one row per point,
+        in object order, and truth its GroundTruth: tracks[i] corresponds
+        to truth.points[i]. Points that leave the Z > 0 half-space are
+        truncated at their last valid frame; a point with fewer than 2
+        valid frames gets a track of length 0, which reads as None (no
+        observation pair exists), while its truth row is still present
+        with valid_frames recorded. Neither builds a TrackObservation or
+        a PointTruth until an item is read.
 
     Noise is isotropic Gaussian with scale pixel_noise_sigma, drawn from
     one generator seeded with rng_seed in deterministic point order, so
     identical scenarios reproduce identical tracks byte for byte. Each
     object takes one projection and one noise draw, in point-major order.
+
+    Raises:
+        InvalidInput: a pixel overflows float64; the message names the
+            object.
     """
     rng = np.random.default_rng(scenario.rng_seed)
-    steps = np.arange(scenario.frame_count, dtype=np.float64)
-    tracks: list[TrackObservation | None] = []
-    truths: list[PointTruth] = []
-    for cluster_id, obj in enumerate(scenario.objects):
-        v_g = obj.velocity - scenario.camera_velocity
-        epipole = _motion_epipole(v_g, scenario.intrinsics)
-        truth = zip(*(column.tolist() for column in _truth(obj.points, v_g)))
-        # (M, frames, 3); each point is valid until its first Z <= _Z_FLOOR
-        positions = obj.points[:, np.newaxis, :] + steps[:, np.newaxis] * v_g[np.newaxis, :]
+    frame_count = scenario.frame_count
+    steps = np.arange(frame_count, dtype=np.float64)
+    columns = _scenario_truth(scenario)
+    valid, kept, pixels = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros((0, 2))]
+    for obj, v_g in zip(scenario.objects, columns["v_g"]):
+        # (M, frames, 3); each point is valid until its first Z <= _Z_FLOOR.
+        # These stay finite: a finite speed bounds |v_g| below 1.4e154.
+        positions = obj.points[:, np.newaxis, :] + steps[:, np.newaxis] * v_g
         ahead = positions[..., 2] > _Z_FLOOR
-        valid = np.where(ahead.all(axis=1), scenario.frame_count, np.argmin(ahead, axis=1))
-        kept = np.where(valid >= 2, valid, 0)
-        pixels = project(positions[steps < kept[:, np.newaxis]], scenario.intrinsics)
-        if scenario.pixel_noise_sigma > 0.0:
-            pixels = pixels + rng.normal(0.0, scenario.pixel_noise_sigma, size=pixels.shape)
-        per_point = np.split(pixels, np.cumsum(kept)[:-1])
-        for row, valid_frames, n, uv in zip(truth, valid.tolist(), kept.tolist(), per_point):
-            truths.append(_point_record(
-                *row, epipole, track_index=len(truths), object_id=obj.object_id,
-                cluster_id=cluster_id, v_g=v_g, valid_frames=valid_frames,
-            ))
-            tracks.append(TrackObservation(np.arange(n, dtype=np.int64), uv) if n else None)
-    return tracks, GroundTruth(points=tuple(truths), frame_count=scenario.frame_count)
+        n_valid = np.where(ahead.all(axis=1), frame_count, np.argmin(ahead, axis=1))
+        n_kept = np.where(n_valid >= 2, n_valid, 0)
+        with np.errstate(over="ignore"):
+            uv = project(positions[steps < n_kept[:, np.newaxis]], scenario.intrinsics)
+            if scenario.pixel_noise_sigma > 0.0:
+                uv = uv + rng.normal(0.0, scenario.pixel_noise_sigma, size=uv.shape)
+        if not np.isfinite(uv).all():
+            raise InvalidInput(f"object {obj.object_id!r}: pixels overflow")
+        valid.append(n_valid)
+        kept.append(n_kept)
+        pixels.append(uv)
+    length = np.concatenate(kept)
+    start = np.cumsum(length) - length
+    uv = np.concatenate(pixels)
+    frames = np.arange(len(uv), dtype=np.int64) - np.repeat(start, length)
+    truth = GroundTruth(frame_count=frame_count, valid_frames=np.concatenate(valid), **columns)
+    return TrackTable(frames, uv, start, length), truth
 
 
 @dataclass(frozen=True)
@@ -391,7 +524,8 @@ def collision_map(
 
     Raises:
         InvalidInput: non-positive collision_radius (grid validation
-            happens in GridSpec).
+            happens in GridSpec), or a cell whose relative motion or
+            truth overflows float64, named with its object.
     """
     if not np.isfinite(collision_radius) or collision_radius <= 0.0:
         raise InvalidInput(f"collision_radius must be > 0, got {collision_radius}")
@@ -413,11 +547,20 @@ def collision_map(
         change = np.zeros((n_cells, 3))
         change[:, 0] = np.tile(lat, len(fwd))
         change[:, 2] = np.repeat(fwd, len(lat))
-        cam_v = scenario.camera_velocity + change
         block = max(1, _MAP_BLOCK_ROWS // len(points))
         for start in range(0, n_cells, block):
             cells = slice(start, start + block)
-            k0, h, speed, _ = _truth(points, velocities - cam_v[cells, np.newaxis])
+            with np.errstate(over="ignore", invalid="ignore"):
+                cam_v = scenario.camera_velocity + change[cells, np.newaxis]
+                k0, h, speed, _ = _truth(points, velocities - cam_v)
+            bad = _overflows(k0, h, speed)
+            if bad.any():
+                cell, point = np.argwhere(bad)[0]
+                owner = np.searchsorted(np.cumsum([len(obj.points) for obj in objects]), point, side="right")
+                raise InvalidInput(
+                    f"object {objects[owner].object_id!r}: collision truth overflows at camera "
+                    f"velocity change {change[start + cell].tolist()}"
+                )
             pending = k0 > 0.0
             miss_m = h * speed
             # first point of the smallest pending k0 per cell, in object

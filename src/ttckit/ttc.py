@@ -49,6 +49,7 @@ __all__ = [
     "CollisionEstimate",
     "MotionClass",
     "TrackObservation",
+    "TrackTable",
     "classify_motion",
     "collision_estimate",
     "ttc_batch",
@@ -105,7 +106,11 @@ class TrackObservation:
         if not np.all(np.isfinite(positions)):
             raise InvalidInput("track positions must be finite")
         steps = np.diff(frames)
-        if np.any(steps != 1):
+        rising = frames[1:] > frames[:-1]
+        # an int64 difference wraps past 2**63, so a step of 1 must also rise
+        if np.any((steps != 1) | ~rising):
+            if np.any((steps > 0) != rising):
+                steps = np.diff(frames.astype(object))  # exact where they wrapped
             raise InvalidInput(f"frame indices must increase by exactly 1, got steps {steps}")
         object.__setattr__(self, "frames", tuple(int(f) for f in frames))
         object.__setattr__(self, "positions", positions)
@@ -132,9 +137,11 @@ class TrackTable(Sequence):
         start, length: (N,) int64 first row and row count of each track.
 
     The columns are taken as valid tracks: at least 2 rows each, frames
-    stepping by exactly 1, finite pixels. Indexing builds a
-    TrackObservation on demand; pixels() reads one pixel of every track
-    without building any.
+    stepping by exactly 1, finite pixels; or 0 rows, which stands for no
+    track. Indexing builds a TrackObservation on demand, or gives None
+    for a track of 0 rows; a slice gives a table. pixels() reads one
+    pixel of every track without building any, and needs every track to
+    have rows.
     """
 
     def __init__(self, frames: np.ndarray, positions: np.ndarray, start: np.ndarray, length: np.ndarray):
@@ -145,17 +152,24 @@ class TrackTable(Sequence):
 
     @classmethod
     def from_tracks(cls, tracks) -> "TrackTable":
-        """The tracks of a sequence of TrackObservation, in order."""
-        length = np.array([len(t) for t in tracks], dtype=np.int64)
-        frames = np.array([f for t in tracks for f in t.frames], dtype=np.int64)
-        positions = np.concatenate([t.positions for t in tracks]) if tracks else np.empty((0, 2))
+        """The tracks of a sequence of TrackObservation or None, in order;
+        None becomes a track of 0 rows."""
+        present = [t for t in tracks if t is not None]
+        length = np.array([0 if t is None else len(t) for t in tracks], dtype=np.int64)
+        frames = np.array([f for t in present for f in t.frames], dtype=np.int64)
+        positions = np.concatenate([t.positions for t in present]) if present else np.empty((0, 2))
         return cls(frames, positions, np.cumsum(length) - length, length)
 
     def __len__(self) -> int:
         return len(self.length)
 
-    def __getitem__(self, i: int) -> TrackObservation:
-        rows = slice(self.start[i], self.start[i] + self.length[i])
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        n = self.length[i]
+        if n == 0:
+            return None
+        rows = slice(self.start[i], self.start[i] + n)
         return TrackObservation(frames=self.frames[rows], positions=self.positions[rows])
 
     def pixels(self, i: int) -> np.ndarray:
@@ -163,6 +177,12 @@ class TrackTable(Sequence):
         each track's end, and an i past a track's end reads its last pixel."""
         offset = np.clip(i if i >= 0 else self.length + i, 0, self.length - 1)
         return self.positions[self.start + offset]
+
+    def rows(self) -> np.ndarray:
+        """Index of every row of every track in track order, shape
+        (sum(length),): frames[rows()] lists the tracks one after another."""
+        packed = np.cumsum(self.length) - self.length
+        return np.arange(self.length.sum(), dtype=np.int64) + np.repeat(self.start - packed, self.length)
 
     def take(self, index) -> "TrackTable":
         """The tracks at the given indices, sharing this table's rows."""

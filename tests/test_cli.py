@@ -5,7 +5,9 @@ per-track degeneracy reporting, determinism of rerun outputs, and
 closure of CLI estimates against simulator ground truth.
 """
 
+import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from ttckit import (
     DegenerateFlow,
     FlowVector,
     HorizonLine,
+    PointTruth,
     Scenario,
     SceneObject,
     StationaryPoint,
+    TrackObservation,
     TtcError,
     collision_estimate,
     epipole_least_squares,
@@ -127,6 +131,35 @@ class TestSimulateCommand:
         assert not np.array_equal(pixels(None, None), pixels(31, None))
         clean = pixels(None, 0.0)
         assert np.array_equal(clean, pixels(77, 0.0))  # no noise, seed moot
+
+    def test_builds_no_per_point_objects(self, tmp_path, monkeypatch):
+        # the command writes both files from columns; a departed point
+        # (fewer than 2 valid frames) sits between two tracks
+        scenario = planar_scenario(noise=0.3, seed=2, frame_count=6)
+        obj = scenario.objects[0]
+        points = np.insert(obj.points, 1, [0.0, 0.0, 1.0], axis=0)
+        scenario = dataclasses.replace(scenario, objects=(SceneObject("obj0", points, obj.velocity),))
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, scenario)
+        built = Counter()
+
+        def counting(cls):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        counting(TrackObservation)
+        counting(PointTruth)
+        t, g = tmp_path / "t.csv", tmp_path / "g.json"
+        assert run("simulate", scene, "--out-tracks", t, "--out-truth", g) == 0
+        assert built == Counter()
+        # the counters do count: reading the outputs back builds tracks
+        assert len(read_tracks_csv(t)[1][0]) == 6 and built["TrackObservation"] == 1
+        assert read_json(g)["points"][1]["valid_frames"] == 1
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = run(
@@ -911,6 +944,81 @@ class TestMalformedInputs:
         out = tmp_path / "t.csv"
         code = run("simulate", scene, "--out-tracks", out, "--out-truth", tmp_path / "g.json")
         self.assert_input_error(code, capsys, f"track id {object_id + '-0'!r}")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--intrinsics", "800,320,240", "--mode", "planar", "--horizon", "0,360"],
+            ["estimate", "--intrinsics", "800,320,240", "--mode", "three-frame", "--horizon", "0,360"],
+            ["cluster", "--intrinsics", "800,320,240"],
+        ],
+        ids=["planar", "three-frame", "cluster"],
+    )
+    def test_frame_step_that_wraps_at_64_bits(self, command, tmp_path, capsys):
+        # the int64 difference of the two frames of track a wraps to 1
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(f"track_id,frame,u,v\na,{2**63 - 1},1.0,2.0\na,{-(2**63)},1.5,2.0\n")
+        out = tmp_path / "out.json"
+        code = run(command[0], tracks, *command[1:], "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tracks}: track 'a': frame indices must increase by exactly 1, "
+            "got steps [-18446744073709551615]\n"
+        )
+        assert not out.exists()
+
+    # finite numbers whose relative motion or truth overflows float64
+    OVERFLOWS = {
+        "motion": ([0.0, 0.0, 1e308], [[1.0, 0.5, 10.0]], [0.0, 0.0, -1e308], "relative motion overflows"),
+        "speed": ([0.0, 0.0, 0.0], [[1.0, 0.5, 10.0]], [1e200, 0.0, -1.0], "collision truth overflows"),
+        "miss": ([0.0, 0.0, 0.0], [[1e300, 0.5, 10.0]], [0.0, 0.0, -1.0], "collision truth overflows"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    @pytest.mark.parametrize("command", ["simulate", "collision-map"])
+    def test_scenario_that_overflows(self, command, case, tmp_path, capsys):
+        camera, points, velocity, message = self.OVERFLOWS[case]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "schema": 1,
+            "intrinsics": {"focal_px": 800.0, "principal_point": [320.0, 240.0]},
+            "camera_velocity": camera,
+            "frame_count": 3,
+            "objects": [
+                {"id": "still", "points": [[0.0, 0.0, 5.0]], "velocity": camera},
+                {"id": "car", "points": points, "velocity": velocity},
+            ],
+        }))
+        code = run(*self.scenario_command(command, scene, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: object 'car': {message}\n"
+        assert list(tmp_path.iterdir()) == [scene]
+
+    def test_simulated_pixels_that_overflow(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "schema": 1,
+            "intrinsics": {"focal_px": 1e300, "principal_point": [320.0, 240.0]},
+            "frame_count": 3,
+            "objects": [{"id": "wide", "points": [[1e10, 0.5, 1e-5]], "velocity": [0.0, 0.0, 1.0]}],
+        }))
+        code = run(*self.scenario_command("simulate", scene, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == "error: object 'wide': pixels overflow\n"
+        assert list(tmp_path.iterdir()) == [scene]
+
+    def test_collision_map_cell_that_overflows(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, planar_scenario())
+        out = tmp_path / "map.csv"
+        code = run("collision-map", scene, "--grid", "1e200,1e200,3,3", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: object 'obj0': collision truth overflows at camera velocity change "
+            "[-1e+200, 0.0, -1e+200]\n"
+        )
         assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from ttckit import (
     Scenario,
     SceneObject,
     TrackObservation,
+    TrackTable,
     collision_map,
     preset_approach_45deg,
     orientation_error_sweep,
@@ -62,6 +63,34 @@ def sample_scenario():
         pixel_noise_sigma=0.3,
         rng_seed=17,
     )
+
+
+class TestTrackTable:
+    """Columns of tracks; a track of 0 rows stands for no track."""
+
+    def table(self):
+        return TrackTable.from_tracks([sample_tracks()[0], None, sample_tracks()[1]])
+
+    def test_empty_track_reads_as_none(self):
+        table = self.table()
+        assert table.length.tolist() == [3, 0, 2] and table.start.tolist() == [0, 3, 3]
+        assert table[1] is None and table[2].frames == (3, 4)
+        assert [t is None for t in table] == [False, True, False]
+
+    def test_slice_gives_a_table(self):
+        part = self.table()[1:]
+        assert isinstance(part, TrackTable) and len(part) == 2
+        assert part[0] is None and part[1].frames == (3, 4)
+
+    def test_rows_list_tracks_in_order(self):
+        table = self.table().take([2, 0])
+        assert table.frames[table.rows()].tolist() == [3, 4, 0, 1, 2]
+
+    def test_written_from_columns_in_track_order(self, tmp_path):
+        table = self.table().take([2, 1, 0])
+        write_tracks_csv(tmp_path / "table.csv", table, ["b", "none,skipped", "a"])
+        write_tracks_csv(tmp_path / "list.csv", [sample_tracks()[1], sample_tracks()[0]], ["b", "a"])
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
 
 class TestTracksCsv:
@@ -154,6 +183,16 @@ class TestTracksCsv:
         message = f"{path}: track 'x': frame indices must increase by exactly 1, got steps [0]"
         with pytest.raises(InvalidInput, match=re.escape(message)):
             read_tracks_csv(path)
+
+    def test_step_that_wraps_at_64_bits_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = f"{TRACKS_HEADER}\na,{2**63 - 1},1.0,2.0\na,{-(2**63)},1.5,2.0\n"
+        path.write_text(rows)
+        message = f"{path}: track 'a': frame indices must increase by exactly 1, got steps [-18446744073709551615]"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            read_tracks_csv(path)
+        # the column parse declines the file, so the line parse names it
+        assert fileio._table_from_columns(rows.splitlines()[1:]) is None
 
     def test_not_utf8_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -270,6 +309,7 @@ class TestColumnParse:
     @example(text=f"{TRACKS_HEADER}\n a,0,1.0,2.0\na ,0,1.0,2.0\n a,1,1.5,2.0\na ,1,1.0,2.5\n")
     @example(text=f"{TRACKS_HEADER}\r\nx,{2**63 - 1},1.0,2.0\r\n\r\nx,{2**63},1.5,2.0\r\n")
     @example(text=f"{TRACKS_HEADER}\n")
+    @example(text=f"{TRACKS_HEADER}\nb,0,1.0,2.0\nb,1,1.0,2.0\na,{2**63 - 1},1.0,2.0\na,{-(2**63)},1.5,2.0\n")
     @example(text=f"{TRACKS_HEADER}\nx,0,1.0,2.0\nx,1,1e400,2.0\n")
     def test_column_and_line_parses_agree(self, text, tmp_path):
         path = tmp_path / "t.csv"

@@ -8,7 +8,9 @@ projected motion direction for the epipole.
 
 import dataclasses
 import importlib
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,8 @@ from ttckit import (
     simulate,
 )
 from ttckit.camera import project
+from ttckit.cli import main
+from ttckit.fileio import write_json, write_scenario, write_tracks_csv
 from ttckit.ttc import TrackObservation
 from conftest import oracle_epipole, oracle_h, oracle_k0, random_approach_scenario
 
@@ -103,7 +107,7 @@ class TestScenario:
             intrinsics=intr800, objects=(), camera_velocity=np.zeros(3), frame_count=5
         )
         tracks, truth = simulate(scenario)
-        assert tracks == []
+        assert list(tracks) == []
         assert len(truth) == 0
 
 
@@ -173,7 +177,7 @@ class TestSimulateTracks:
     def test_departed_point_yields_none_track(self, intr800):
         scenario = single_point_scenario(intr800, [0.5, 0.0, 0.5], [0.0, 0.0, -1.0], frames=4)
         tracks, truth = simulate(scenario)
-        assert tracks == [None]
+        assert list(tracks) == [None]
         assert truth.points[0].valid_frames == 1
 
     def test_noise_determinism_and_seed_sensitivity(self, intr800):
@@ -698,7 +702,45 @@ def per_point_simulate(scenario):
     return tracks, truths
 
 
+def per_point_truth_document(truths, ids, frame_count):
+    """The truth document built from PointTruth records, one at a time:
+    the reference for truth_document, which reads GroundTruth columns."""
+    points = [
+        {
+            "track_id": tid,
+            "object_id": pt.object_id,
+            "cluster_id": pt.cluster_id,
+            "v_g": pt.v_g,
+            "speed": pt.speed,
+            "epipole": pt.epipole,
+            "k0": pt.k0,
+            "H": pt.H,
+            "label": pt.label.value,
+            "valid_frames": pt.valid_frames,
+        }
+        for tid, pt in zip(ids, truths)
+    ]
+    return {"schema": 1, "frame_count": frame_count, "points": points}
+
+
+def assert_cli_matches_per_point(scenario):
+    """ttckit simulate writes, byte for byte, the files that
+    write_tracks_csv and the truth document give for the per-point loop."""
+    want_tracks, want_truths = per_point_simulate(scenario)
+    ids = [f"{pt.object_id}-{i}" for i, pt in enumerate(want_truths)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_scenario(tmp / "scene.json", scenario)
+        argv = ["simulate", tmp / "scene.json", "--out-tracks", tmp / "t.csv", "--out-truth", tmp / "g.json"]
+        assert main([str(a) for a in argv]) == 0
+        write_tracks_csv(tmp / "want.csv", want_tracks, ids)
+        write_json(tmp / "want.json", per_point_truth_document(want_truths, ids, scenario.frame_count))
+        assert (tmp / "t.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+        assert (tmp / "g.json").read_bytes() == (tmp / "want.json").read_bytes()
+
+
 def assert_matches_per_point(scenario):
+    assert_cli_matches_per_point(scenario)
     tracks, truth = simulate(scenario)
     want_tracks, want_truths = per_point_simulate(scenario)
     assert len(tracks) == len(want_tracks) and len(truth.points) == len(want_truths)
@@ -735,7 +777,8 @@ def render_scenario(objects, camera, frames, sigma, seed):
 
 class TestPerObjectRender:
     """simulate renders each object in one pass; tracks and every
-    PointTruth field must equal the per-point loop bit for bit."""
+    PointTruth field must equal the per-point loop bit for bit, and the
+    simulate command must write the per-point loop's files."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -775,3 +818,82 @@ class TestPerObjectRender:
         assert tracks[1] is None and len(tracks[0]) == 2 and len(tracks[2]) == 4
         assert truth.points[3].speed == 0.0 and truth.points[3].epipole is None
         assert truth.points[4].epipole is None and truth.points[4].k0 is not None
+
+    def test_receding_and_constant_bearing_through_the_command(self):
+        # receding, on the motion line (constant bearing), parallel to the
+        # image plane (no epipole, k0 defined), and a point that departs
+        tracks, truth = assert_matches_per_point(
+            render_scenario(
+                [([(0.5, 0.5, 3.0), (0.0, 0.0, 2.0)], np.array([0.0, 0.0, 0.5])),
+                 ([(0.0, 1.0, 2.0)], np.array([0.5, 0.0, 0.0])),
+                 ([(0.0, 0.0, 0.5)], np.array([0.0, 0.0, -1.0]))],
+                camera=np.zeros(3), frames=6, sigma=0.5, seed=3,
+            )
+        )
+        labels = [pt.label for pt in truth.points]
+        assert labels[:2] == [MotionClass.RECEDING, MotionClass.CONSTANT_BEARING]
+        assert truth.points[2].epipole is None and truth.points[2].k0 == 0.0
+        assert tracks[3] is None and truth.points[3].valid_frames == 1
+
+
+class TestTruthColumns:
+    """GroundTruth holds columns; PointTruth records exist only when read."""
+
+    def test_len_builds_no_record(self, intr800, monkeypatch):
+        scenario = random_approach_scenario(np.random.default_rng(4), intr800, n_objects=2, n_points=3)
+        _, truth = simulate(scenario)
+        built = []
+        monkeypatch.setattr(PointTruth, "__init__", lambda *a, **kw: built.append(1))
+        assert len(truth.points) == len(truth) == 6
+        assert built == []
+
+    def test_points_index_like_a_sequence(self, intr800):
+        scenario = random_approach_scenario(np.random.default_rng(4), intr800, n_objects=2, n_points=3)
+        _, truth = simulate(scenario)
+        key = [(pt.track_index, pt.object_id, pt.k0) for pt in truth.points]
+        last = truth.points[-1]
+        assert (last.track_index, last.object_id, last.k0) == key[5]
+        assert [(pt.track_index, pt.object_id, pt.k0) for pt in truth.points[1:3]] == key[1:3]
+        with pytest.raises(IndexError):
+            truth.points[6]
+
+    def test_point_truth_is_a_one_row_table(self, intr800):
+        pt = point_truth([1.0, 0.5, 9.0], [0.1, 0.0, -1.0], intr800,
+                         track_index=7, object_id="x", cluster_id=3, valid_frames=4)
+        assert (pt.track_index, pt.object_id, pt.cluster_id, pt.valid_frames) == (7, "x", 3, 4)
+        assert pt.label is MotionClass.APPROACHING and pt.k0 > 0.0
+
+
+class TestOverflow:
+    """Finite scenario numbers whose relative motion or truth overflows
+    float64 are input errors naming the object, raised without a warning."""
+
+    def scenario(self, intr800, points, velocity, camera=(0.0, 0.0, 0.0)):
+        return Scenario(
+            intrinsics=intr800,
+            # "ok" keeps still relative to the camera
+            objects=(SceneObject("ok", np.array([[1.0, 0.5, 10.0]]), np.array(camera)),
+                     SceneObject("bad", np.array(points), np.array(velocity))),
+            camera_velocity=np.array(camera),
+            frame_count=3,
+        )
+
+    @pytest.mark.parametrize("points, velocity, camera, message", [
+        ([[1.0, 0.5, 10.0]], [0.0, 0.0, -1e308], [0.0, 0.0, 1e308], "relative motion overflows"),
+        ([[1.0, 0.5, 10.0]], [1e200, 0.0, -1.0], [0.0, 0.0, 0.0], "collision truth overflows"),
+        ([[1e300, 0.5, 10.0]], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0], "collision truth overflows"),
+    ], ids=["motion", "speed", "miss"])
+    def test_scenario_rejected(self, intr800, points, velocity, camera, message):
+        with pytest.raises(InvalidInput, match=f"^object 'bad': {message}$"):
+            self.scenario(intr800, points, velocity, camera)
+
+    def test_overflowing_pixels_rejected(self):
+        intr = CameraIntrinsics(focal_px=1e300, principal_point=(320.0, 240.0))
+        scenario = single_point_scenario(intr, [1e10, 0.5, 1e-5], [0.0, 0.0, 1.0], frames=3)
+        with pytest.raises(InvalidInput, match="^object 'p': pixels overflow$"):
+            simulate(scenario)
+
+    def test_overflowing_grid_cell_rejected(self, intr800):
+        scenario = self.scenario(intr800, [[1.0, 0.5, 12.0]], [0.0, 0.0, -1.0])
+        with pytest.raises(InvalidInput, match="^object 'ok': collision truth overflows at camera velocity change"):
+            collision_map(scenario, GridSpec(1e200, 1e200, 3, 3))

@@ -37,6 +37,11 @@ class TestTrackObservation:
         with pytest.raises(InvalidInput):
             TrackObservation(frames=(3, 2), positions=np.array([[0.0, 0.0], [1.0, 1.0]]))
 
+    def test_step_that_wraps_at_64_bits_rejected(self):
+        # the int64 difference of these frames wraps to 1
+        with pytest.raises(InvalidInput, match=r"exactly 1, got steps \[-18446744073709551615\]$"):
+            TrackObservation(frames=(2**63 - 1, -(2**63)), positions=np.array([[0.0, 0.0], [1.0, 1.0]]))
+
     def test_from_positions(self):
         t = TrackObservation.from_positions(np.array([[0.0, 0.0], [1.0, 1.0]]), start_frame=5)
         assert t.frames == (5, 6)
