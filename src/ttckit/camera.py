@@ -12,15 +12,15 @@ Conventions used across the package:
 * Angles are plain floats in radians. Any angle derived from a pixel
   coordinate lies strictly inside (-pi/2, pi/2).
 
-The less common piece here is :class:`LineAngleFrame`: a 1D angular
-parameterization of an arbitrary image line as seen from the camera
-center. Every pixel on the line maps to the exact 3D angle between its
-viewing ray and the ray through the line's closest point to the principal
-point. This reduces the collision-plane construction to scalar
-trigonometry on one line without assuming axis-aligned motion, and it is
-exact: the offset along the line is perpendicular to the camera-to-line
-distance vector in 3D, so tan(angle) = offset / distance holds without
-approximation.
+:class:`LineAngleFrame` is a 1D angular parameterization of an
+arbitrary image line as seen from the camera center. Every pixel on the
+line maps to the exact 3D angle between its viewing ray and the ray
+through the line's closest point to the principal point. It is exact:
+the offset along the line is perpendicular to the camera-to-line distance
+vector in 3D, so tan(angle) = offset / distance holds without
+approximation. No estimator calls it (the three-frame offset fit works
+the same line frame as arrays); it is the independent angular reference
+that their results are checked against.
 """
 
 from __future__ import annotations
@@ -64,6 +64,20 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     batch kernels reproduce their one-row calls bit for bit.
     """
     return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
+
+
+def _unit_rows(t: np.ndarray):
+    """Unit directions of the 2-D displacements t, shape (N, 2).
+
+    Returns:
+        (unit, zero): t divided by its norm sqrt(t . t), shape (N, 2),
+        and zero, shape (N,), true where that norm is 0 (an exact zero,
+        or a span so small that t . t underflows). Zero rows are left as
+        they are in unit: they have no direction.
+    """
+    norm = np.sqrt(_dot_rows(t, t))
+    zero = norm == 0.0
+    return t / np.where(zero, 1.0, norm)[:, np.newaxis], zero
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ Subcommands:
   zero-flow message. Least-squares mode fits its one epipole with the
   row kernel over the first-to-last flows of the moving tracks.
 * ``cluster``: track CSV in, motion clusters out (JSON). Tracks whose
-  first and last pixels coincide are listed as stationary; the others
-  are clustered by their first-to-last flows.
+  first-to-last flow has zero norm (camera._unit_rows) are listed as
+  stationary; the others are clustered by those flows.
 * ``collision-map``: scenario JSON in, velocity-perturbation grid out
   (CSV).
 * ``sensitivity``: stereo-vs-monocular error comparison table out (CSV).
@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _dot_rows
+from .camera import CameraIntrinsics, _unit_rows
 from .clustering import ClusteringConfig, cluster_flows
 from .epipole import (
     Epipole,
@@ -201,14 +201,6 @@ def _failed_entry(track_id: str, error: TtcError) -> dict:
     }
 
 
-def _moving_tracks(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Indices of the tracks whose full-span flow, from pixels first to
-    last of shape (N, 2), is nonzero: a zero net displacement defines no
-    motion line to fit or cluster."""
-    span = last - first
-    return np.flatnonzero(np.sqrt(_dot_rows(span, span)) != 0.0)
-
-
 def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
     """Cluster the moving tracks, fit the horizon through cluster epipoles."""
     clusters, _ = cluster_flows(
@@ -249,7 +241,8 @@ def _cmd_estimate(args) -> int:
     # Every track at once: pixel i of each track as one (N, 2) array.
     n = len(tracks)
     first, second, last = (tracks.pixels(i) for i in (0, 1, -1))
-    moving = _moving_tracks(first, last)
+    # a zero net displacement defines no motion line to fit or cluster
+    moving = np.flatnonzero(~_unit_rows(last - first)[1])
     horizon = None
     if args.calibrate:
         horizon, cluster_docs = _calibrate(tracks, ids, moving, intrinsics, seed)
@@ -332,9 +325,9 @@ def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
-    flow_index = _moving_tracks(tracks.pixels(0), tracks.pixels(-1))
-    moving = set(flow_index.tolist())
-    stationary = [track_id for i, track_id in enumerate(ids) if i not in moving]
+    _, zero = _unit_rows(tracks.pixels(-1) - tracks.pixels(0))
+    flow_index = np.flatnonzero(~zero)
+    stationary = [ids[i] for i in np.flatnonzero(zero).tolist()]
     config = ClusteringConfig(
         eps_dist=args.eps_dist,
         eps_ttc=args.eps_ttc,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _dot_rows, as_pixel
+from .camera import CameraIntrinsics, _dot_rows, _unit_rows, as_pixel
 from .errors import (
     DegenerateConfiguration,
     DegenerateFlow,
@@ -106,11 +106,11 @@ class HorizonLine:
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (2,) or not np.all(np.isfinite(d)):
             raise InvalidInput(f"direction must be a finite 2-vector, got {d}")
-        n = np.linalg.norm(d)
-        if n == 0.0:
+        unit, zero = _unit_rows(d[np.newaxis])
+        if zero[0]:
             raise InvalidInput("direction must be nonzero")
         object.__setattr__(self, "reference", ref)
-        object.__setattr__(self, "direction", d / n)
+        object.__setattr__(self, "direction", unit[0])
 
     @classmethod
     def level(cls, v0: float) -> "HorizonLine":
@@ -121,11 +121,6 @@ class HorizonLine:
     def from_slope_intercept(cls, a: float, b: float) -> "HorizonLine":
         """Line v = a * u + b."""
         return cls(reference=np.array([0.0, float(b)]), direction=np.array([1.0, float(a)]))
-
-    def signed_distance(self, p) -> float:
-        """Perpendicular distance of pixel p, signed by side."""
-        rel = as_pixel(p) - self.reference
-        return float(self.direction[0] * rel[1] - self.direction[1] * rel[0])
 
 
 @dataclass(frozen=True)
@@ -150,13 +145,13 @@ class FlowVector:
         p = as_pixel(self.p)
         q = as_pixel(self.p_prime)
         t = q - p
-        norm = float(np.linalg.norm(t))
-        if norm == 0.0:
+        unit, zero = _unit_rows(t[np.newaxis])
+        if zero[0]:
             raise DegenerateFlow(f"zero displacement at pixel {p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_prime", q)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", np.array([-t[1], t[0]]) / norm)
+        object.__setattr__(self, "n", np.array([-unit[0, 1], unit[0, 0]]))
 
     @classmethod
     def from_track(cls, track: TrackObservation, pair_index: int = 0) -> "FlowVector":
@@ -165,7 +160,7 @@ class FlowVector:
     @property
     def direction(self) -> np.ndarray:
         """Unit displacement direction."""
-        return self.t / np.linalg.norm(self.t)
+        return np.array([self.n[1], -self.n[0]])
 
 
 def _cut_horizon(points: np.ndarray, directions: np.ndarray, horizon: HorizonLine):
@@ -201,10 +196,7 @@ def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine):
         exception planar_epipole raises for it (DegenerateFlow for zero
         displacement, else ParallelToHorizon), or None.
     """
-    t = q - p
-    norm = np.sqrt(_dot_rows(t, t))
-    still = norm == 0.0
-    directions = t / np.where(still, 1.0, norm)[:, np.newaxis]
+    directions, still = _unit_rows(q - p)
     positions, sin = _cut_horizon(p, directions, horizon)
     parallel = np.abs(sin) < _MIN_SIN_PARALLEL
     errors = [None] * len(p)
@@ -241,14 +233,13 @@ def _flow_lines(p: np.ndarray, q: np.ndarray):
         shape (N, 2), the offsets n . p of shape (N,), so that a pixel e
         lies at signed distance n . e - offset from a line, and error,
         the DegenerateFlow a FlowVector raises for the first flow of zero
-        displacement, or None. Zero-displacement rows are not finite.
+        displacement, or None. The normal of a zero-displacement row is
+        its displacement turned a quarter, not a unit vector.
     """
-    t = q - p
-    norm = np.sqrt(_dot_rows(t, t))
-    still = np.flatnonzero(norm == 0.0)
+    directions, zero = _unit_rows(q - p)
+    still = np.flatnonzero(zero)
     error = DegenerateFlow(f"zero displacement at pixel {p[still[0]]}") if still.size else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normals = np.column_stack([-t[:, 1], t[:, 0]]) / norm[:, np.newaxis]
+    normals = np.column_stack([-directions[:, 1], directions[:, 0]])
     return normals, np.einsum("ij,ij->i", normals, p), error
 
 

@@ -43,7 +43,6 @@ bounded whatever the grid size.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
@@ -179,12 +178,6 @@ class PointTruth:
     label: MotionClass
     valid_frames: int
 
-    def k_at(self, frame: int) -> float | None:
-        """True k counted from the given frame; decreases by 1 per frame."""
-        if self.k0 is None:
-            return None
-        return self.k0 - frame
-
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
@@ -313,8 +306,8 @@ def _overflows(k0, h, speed) -> np.ndarray:
 def _truth_columns(object_ids, points, v_g, intrinsics: CameraIntrinsics) -> dict:
     """The GroundTruth columns that do not depend on rendering, for
     objects whose points (a list of (M, 3) arrays) move by the relative
-    motions v_g (O, 3): one _truth call over every point, one
-    _motion_epipole call per object.
+    motions v_g (O, 3): one _truth call over every point and one
+    _motion_epipole call over every object.
 
     Raises:
         InvalidInput: a relative motion, or a truth quantity where it is
@@ -324,7 +317,7 @@ def _truth_columns(object_ids, points, v_g, intrinsics: CameraIntrinsics) -> dic
     cluster_id = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         k0, h, speed, miss = _truth(np.concatenate([np.zeros((0, 3)), *points]), v_g[cluster_id])
-        epipole = np.reshape([_motion_epipole(v, intrinsics) for v in v_g], (-1, 2))
+        epipole = _motion_epipole(v_g, intrinsics)
     object_ok = ~np.isinf(epipole).any(axis=1)
     object_ok[cluster_id[_overflows(k0, h, speed)]] = False
     if not object_ok.all():
@@ -350,20 +343,12 @@ def _scenario_truth(scenario) -> dict:
     )
 
 
-def point_truth(
-    p0,
-    v_g,
-    intrinsics: CameraIntrinsics,
-    *,
-    track_index: int = 0,
-    object_id: str = "point",
-    cluster_id: int = 0,
-    valid_frames: int = 0,
-) -> PointTruth:
+def point_truth(p0, v_g, intrinsics: CameraIntrinsics) -> PointTruth:
     """Analytic truth for a single point and relative motion.
 
     Exposed for tests and planners that need truth without building a
-    whole scenario. The record is row 0 of a one-point GroundTruth.
+    whole scenario. The record is row 0 of a one-point GroundTruth of
+    object "point", with valid_frames 0.
 
     Raises:
         InvalidInput: v_g or a truth quantity overflows float64.
@@ -371,12 +356,12 @@ def point_truth(
     v_g = np.asarray(v_g, dtype=np.float64)
     truth = GroundTruth(
         frame_count=0,
-        valid_frames=np.array([valid_frames], dtype=np.int64),
+        valid_frames=np.zeros(1, dtype=np.int64),
         **_truth_columns(
-            [object_id], [np.asarray(p0, dtype=np.float64)[np.newaxis]], v_g[np.newaxis], intrinsics
+            ["point"], [np.asarray(p0, dtype=np.float64)[np.newaxis]], v_g[np.newaxis], intrinsics
         ),
     )
-    return dataclasses.replace(truth.points[0], track_index=track_index, cluster_id=cluster_id)
+    return truth.points[0]
 
 
 def simulate(scenario: Scenario) -> tuple[TrackTable, GroundTruth]:

@@ -116,9 +116,9 @@ class TrackObservation:
         object.__setattr__(self, "positions", positions)
 
     @classmethod
-    def from_positions(cls, positions, start_frame: int = 0) -> "TrackObservation":
+    def from_positions(cls, positions) -> "TrackObservation":
         positions = np.asarray(positions, dtype=np.float64)
-        frames = np.arange(start_frame, start_frame + len(positions), dtype=np.int64)
+        frames = np.arange(len(positions), dtype=np.int64)
         return cls(frames=frames, positions=positions)
 
     def __len__(self) -> int:

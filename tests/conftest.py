@@ -52,6 +52,14 @@ def oracle_h(p, v_g):
     return float(np.linalg.norm(lateral) / np.linalg.norm(v))
 
 
+def oracle_signed_distance(line, p):
+    """Perpendicular distance of pixel p from a line with a reference
+    pixel and a unit direction, positive on the side the direction's
+    quarter turn clockwise (+v for a line along +u) points to."""
+    rel = np.asarray(p, dtype=np.float64) - line.reference
+    return float(line.direction[0] * rel[1] - line.direction[1] * rel[0])
+
+
 def oracle_project(p, intrinsics):
     p = np.asarray(p, dtype=np.float64)
     return np.array(

@@ -333,6 +333,29 @@ class TestEstimateCommand:
         assert doc["residuals"]["ok_tracks"] == 4
         assert "still" not in [e["track_id"] for e in doc["epipoles"]]
 
+    def test_underflowing_span_is_zero_flow(self, planar_files, tmp_path):
+        # the span is not 0, but its squared norm underflows: every command
+        # must treat it as zero flow, as the flow kernels do
+        _, tracks_path, _ = planar_files
+        merged = tmp_path / "with-tiny.csv"
+        merged.write_text(tracks_path.read_text() + "tiny,0,0.0,0.0\ntiny,1,1e-170,0.0\ntiny,2,2e-170,0.0\n")
+        entries = {}
+        for mode in ("planar", "three-frame"):
+            out = tmp_path / f"{mode}.json"
+            code = run(
+                "estimate", merged, "--intrinsics", "800,320,240",
+                "--mode", mode, "--horizon", "0,240", "--out", out,
+            )
+            assert code == 0
+            entries[mode] = next(e for e in read_json(out)["estimates"] if e["track_id"] == "tiny")
+        assert entries["planar"]["status"] == "stationary"
+        assert entries["planar"]["message"] == "zero displacement at pixel [0. 0.]"
+        assert entries["three-frame"]["status"] == "degenerate:DegenerateConfiguration"
+        assert entries["three-frame"]["message"] == "static track: zero displacement at pixel [0. 0.]"
+        out = tmp_path / "clusters.json"
+        assert run("cluster", merged, "--intrinsics", "800,320,240", "--out", out) == 0
+        assert read_json(out)["stationary"] == ["tiny"]
+
     @pytest.mark.parametrize("mode", ["planar", "three-frame"])
     def test_classification_follows_k(self, mode, tmp_path):
         # P0 = (0, 0.5, 10) moving v = (1, 0, -1), seen at frames 6-9: its

@@ -35,8 +35,15 @@ from ttckit import (
     project,
     simulate,
 )
-from ttckit.epipole import _flow_lines, _least_squares_epipole, _lines_spread, _offset_three_frames
-from conftest import oracle_epipole, random_approach_scenario, wrap_half_pi
+from ttckit.camera import _unit_rows
+from ttckit.epipole import (
+    _flow_lines,
+    _least_squares_epipole,
+    _lines_spread,
+    _offset_three_frames,
+    _planar_epipoles,
+)
+from conftest import oracle_epipole, oracle_signed_distance, random_approach_scenario, wrap_half_pi
 
 
 def track_from_point(p0, v_g, intrinsics, n_frames=3):
@@ -83,14 +90,14 @@ class TestHorizonLine:
 
     def test_slope_intercept_points_lie_on_line(self):
         hor = HorizonLine.from_slope_intercept(0.5, 10.0)
-        assert hor.signed_distance((2.0, 11.0)) == pytest.approx(0.0, abs=1e-12)
-        assert hor.signed_distance((-4.0, 8.0)) == pytest.approx(0.0, abs=1e-12)
+        assert oracle_signed_distance(hor, (2.0, 11.0)) == pytest.approx(0.0, abs=1e-12)
+        assert oracle_signed_distance(hor, (-4.0, 8.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_signed_distance_hand_value(self):
         hor = HorizonLine.level(10.0)
         # one pixel below the line (larger v) is +1, above is -1
-        assert hor.signed_distance((123.0, 11.0)) == pytest.approx(1.0)
-        assert hor.signed_distance((-7.0, 9.0)) == pytest.approx(-1.0)
+        assert oracle_signed_distance(hor, (123.0, 11.0)) == pytest.approx(1.0)
+        assert oracle_signed_distance(hor, (-7.0, 9.0)) == pytest.approx(-1.0)
 
     def test_direction_normalized(self):
         hor = HorizonLine(reference=(0.0, 0.0), direction=(3.0, 4.0))
@@ -99,6 +106,64 @@ class TestHorizonLine:
     def test_zero_direction_rejected(self):
         with pytest.raises(InvalidInput):
             HorizonLine(reference=(0.0, 0.0), direction=(0.0, 0.0))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# exact zeros of both signs, spans whose t . t underflows to 0 (1e-170,
+# subnormals), and spans far from overflow
+flow_component = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-3, 3).map(lambda k: k * 1e-170),
+    st.floats(-1e150, 1e150, allow_nan=False),
+)
+flow_rows = st.lists(
+    st.tuples(st.sampled_from([0.0, -0.0, 640.0, -13.25]), st.sampled_from([0.0, 360.0]),
+              flow_component, flow_component),
+    min_size=1, max_size=8,
+)
+
+
+class TestUnitRows:
+    """camera._unit_rows against the per-row t / np.linalg.norm(t), and
+    every flow direction of the epipole module against _unit_rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flow_rows)
+    @example([(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -0.0, 1e-170), (0.0, 0.0, 1e-170, 2e-170),
+              (0.0, 0.0, 5e-324, 0.0), (640.0, 360.0, 3.0, -4.0), (640.0, 360.0, 1e-170, 0.0)])
+    def test_flow_directions_equal_per_row_norm(self, rows):
+        p = np.array([r[:2] for r in rows], dtype=np.float64)
+        q = p + np.array([r[2:] for r in rows], dtype=np.float64)
+        t = q - p
+        unit, zero = _unit_rows(t)
+        for i, row in enumerate(t):
+            norm = np.linalg.norm(row)
+            assert zero[i] == (norm == 0.0)
+            # a zero row keeps its displacement: it has no direction
+            assert np.array_equal(bits(unit[i]), bits(row if zero[i] else row / norm))
+        normals = np.column_stack([-unit[:, 1], unit[:, 0]])
+
+        for i in range(len(t)):
+            if zero[i]:
+                with pytest.raises(DegenerateFlow):
+                    FlowVector(p[i], q[i])
+                with pytest.raises(InvalidInput):
+                    HorizonLine(reference=(0.0, 0.0), direction=t[i])
+                continue
+            flow = FlowVector(p[i], q[i])
+            assert np.array_equal(bits(flow.n), bits(normals[i]))
+            assert np.array_equal(bits(flow.direction), bits(unit[i]))
+            assert np.array_equal(bits(HorizonLine(reference=(0.0, 0.0), direction=t[i]).direction), bits(unit[i]))
+
+        _, directions, errors = _planar_epipoles(p, q, HorizonLine.level(360.0))
+        assert np.array_equal(bits(directions), bits(unit))
+        assert [isinstance(e, DegenerateFlow) for e in errors] == zero.tolist()
+        line_normals, _, error = _flow_lines(p, q)
+        assert np.array_equal(bits(line_normals), bits(normals))
+        assert isinstance(error, DegenerateFlow) == zero.any()
 
 
 class TestEpipoleRecord:
@@ -482,7 +547,7 @@ class TestCalibrateHorizon:
         hor = calibrate_horizon(epipoles)
         assert hor.fit_residual <= 1e-9
         for p in pts:
-            assert abs(hor.signed_distance(p)) <= 1e-9
+            assert abs(oracle_signed_distance(hor, p)) <= 1e-9
         true_dir = np.array([1.0, 0.25]) / np.linalg.norm([1.0, 0.25])
         cross = hor.direction[0] * true_dir[1] - hor.direction[1] * true_dir[0]
         assert abs(cross) <= 1e-12
@@ -495,7 +560,7 @@ class TestCalibrateHorizon:
         noisy = true_pts + rng.normal(0.0, 0.3, size=len(us))[:, None] * normal
         hor = calibrate_horizon([p for p in noisy])
         assert hor.fit_residual <= 0.5
-        rms_true = np.sqrt(np.mean([hor.signed_distance(p) ** 2 for p in true_pts]))
+        rms_true = np.sqrt(np.mean([oracle_signed_distance(hor, p) ** 2 for p in true_pts]))
         assert rms_true <= 0.5
         true_dir = np.array([1.0, 0.3]) / np.linalg.norm([1.0, 0.3])
         cross = hor.direction[0] * true_dir[1] - hor.direction[1] * true_dir[0]

@@ -216,15 +216,6 @@ class TestSimulateTracks:
                 assert pt.H == pytest.approx(oracle_h(p0, v_g), rel=1e-12)
                 assert pt.epipole == pytest.approx(oracle_epipole(v_g, intr800), abs=1e-9)
 
-    def test_k_at_counts_down(self, intr800):
-        scenario = single_point_scenario(intr800, [1.0, 0.0, 10.0], [0.0, 0.0, -1.0])
-        _, truth = simulate(scenario)
-        pt = truth.points[0]
-        assert pt.k_at(0) == pytest.approx(pt.k0)
-        assert pt.k_at(3) == pytest.approx(pt.k0 - 3.0)
-        stationary = point_truth([1.0, 0.0, 10.0], [0.0, 0.0, 0.0], intr800)
-        assert stationary.k_at(5) is None
-
 
 class TestPointTruth:
     def test_receding_label(self, intr800):
@@ -472,15 +463,15 @@ class TestTruthKernel:
         assert k0 == 0.0 and np.signbit(k0)
 
     def test_one_epipole_per_motion(self, intr800):
-        # one per object in simulate, none in collision_map
+        # one call over every object in simulate, none in collision_map
         scenario = random_approach_scenario(np.random.default_rng(8), intr800, n_objects=3, n_points=4)
         with mock.patch.object(
             simulate_module, "_motion_epipole", wraps=simulate_module._motion_epipole
         ) as spy:
             _, truth = simulate(scenario)
-            assert spy.call_count == 3
+            assert spy.call_count == 1 and spy.call_args.args[0].shape == (3, 3)
             collision_map(scenario, GridSpec(1.0, 1.0, 5, 5))
-            assert spy.call_count == 3
+            assert spy.call_count == 1
         # each record owns its epipole array
         epipoles = [pt.epipole for pt in truth.points]
         assert all(
@@ -858,9 +849,8 @@ class TestTruthColumns:
             truth.points[6]
 
     def test_point_truth_is_a_one_row_table(self, intr800):
-        pt = point_truth([1.0, 0.5, 9.0], [0.1, 0.0, -1.0], intr800,
-                         track_index=7, object_id="x", cluster_id=3, valid_frames=4)
-        assert (pt.track_index, pt.object_id, pt.cluster_id, pt.valid_frames) == (7, "x", 3, 4)
+        pt = point_truth([1.0, 0.5, 9.0], [0.1, 0.0, -1.0], intr800)
+        assert (pt.track_index, pt.object_id, pt.cluster_id, pt.valid_frames) == (0, "point", 0, 0)
         assert pt.label is MotionClass.APPROACHING and pt.k0 > 0.0
 
 

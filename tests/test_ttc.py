@@ -43,10 +43,13 @@ class TestTrackObservation:
             TrackObservation(frames=(2**63 - 1, -(2**63)), positions=np.array([[0.0, 0.0], [1.0, 1.0]]))
 
     def test_from_positions(self):
-        t = TrackObservation.from_positions(np.array([[0.0, 0.0], [1.0, 1.0]]), start_frame=5)
-        assert t.frames == (5, 6)
+        positions = np.array([[0.0, 0.0], [1.0, 1.0]])
+        t = TrackObservation.from_positions(positions)
+        assert t.frames == (0, 1)
         assert len(t) == 2
         assert np.array_equal(t.pixel(1), [1.0, 1.0])
+        # a track that starts later is built from its frames
+        assert TrackObservation(frames=(5, 6), positions=positions).frames == (5, 6)
 
     def test_positions_length_must_match(self):
         with pytest.raises(InvalidInput):
