@@ -44,9 +44,7 @@ tracks, truth = simulate(scenario)
 print(f"simulated {len(tracks)} tracks over {scenario.frame_count} frames, "
       f"pixel noise sigma = {scenario.pixel_noise_sigma}")
 
-clusters, outliers = cluster_flows(
-    None, tracks, config=ClusteringConfig(rng_seed=42), intrinsics=intrinsics
-)
+clusters, outliers = cluster_flows(tracks, config=ClusteringConfig(rng_seed=42), intrinsics=intrinsics)
 
 print(f"\nfound {len(clusters)} clusters, {len(outliers)} outliers\n")
 print("cluster  size  members                  epipole (u, v)       mean TTC  residual px")

@@ -10,9 +10,8 @@ Subcommands:
   and one of the collision-plane kernel over arrays of every track's
   pixels, each row equal to the per-track library call. A track that
   does not move between its first two frames is stationary in every
-  mode; in three-frame mode it carries the collision-plane kernel's
-  zero-flow message. Least-squares mode fits its one epipole with the
-  row kernel over the first-to-last flows of the moving tracks.
+  mode. Least-squares mode fits its one epipole with the row kernel over
+  the first-to-last flows of the moving tracks.
 * ``cluster``: track CSV in, motion clusters out (JSON). Tracks whose
   first-to-last flow has zero norm (camera._unit_rows) are listed as
   stationary; the others are clustered by those flows.
@@ -122,12 +121,7 @@ def _integers(values: list[float], what: str) -> list[int]:
 def _parse_intrinsics(text: str) -> CameraIntrinsics:
     vals = _parse_floats(text, (3, 5), "--intrinsics")
     size = tuple(_integers(vals[3:], "--intrinsics: width and height")) if len(vals) == 5 else None
-    return CameraIntrinsics(
-        focal_px=vals[0],
-        principal_point=(vals[1], vals[2]),
-        image_size=size,
-        allow_off_center=size is None,
-    )
+    return CameraIntrinsics(focal_px=vals[0], principal_point=(vals[1], vals[2]), image_size=size)
 
 
 def _epipole_doc(epipole: Epipole) -> dict:
@@ -203,9 +197,8 @@ def _failed_entry(track_id: str, error: TtcError) -> dict:
 
 def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
     """Cluster the moving tracks, fit the horizon through cluster epipoles."""
-    clusters, _ = cluster_flows(
-        None, tracks.take(flow_index), config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics
-    )
+    config = ClusteringConfig(rng_seed=seed)
+    clusters, _ = cluster_flows(tracks.take(flow_index), config=config, intrinsics=intrinsics)
     if len(clusters) < 2:
         raise InsufficientData(
             f"horizon calibration needs >= 2 motion clusters, found {len(clusters)}"
@@ -260,14 +253,7 @@ def _cmd_estimate(args) -> int:
         residual = np.zeros(n)
         method = EpipoleMethod.HORIZON_INTERSECTION
     elif args.mode == "three-frame":
-        x, epipoles, residual, errors = _offset_three_frames(first, second, tracks.pixels(2), horizon, intrinsics)
-        # A track that does not move between its first two frames is
-        # stationary, as in the other modes, not a degenerate offset fit:
-        # the collision-plane kernel below reports its zero flow.
-        for i in np.flatnonzero((first == second).all(axis=1)):
-            errors[i] = None
-        for i in np.flatnonzero(tracks.length < 3):
-            errors[i] = InsufficientData(f"need at least 3 frames, got {tracks.length[i]}")
+        x, epipoles, residual, errors = _offset_three_frames(tracks, horizon, intrinsics)
         x = x.tolist()
         method = EpipoleMethod.THREE_FRAME_OFFSET
     else:
@@ -335,7 +321,7 @@ def _cmd_cluster(args) -> int:
         min_cluster_size=args.min_size,
         rng_seed=seed,
     )
-    clusters, outliers = cluster_flows(None, tracks.take(flow_index), config=config, intrinsics=intrinsics)
+    clusters, outliers = cluster_flows(tracks.take(flow_index), config=config, intrinsics=intrinsics)
     document = _result_skeleton(
         "cluster",
         seed,

@@ -1,4 +1,4 @@
-"""RANSAC grouping of flow vectors into independently moving clusters.
+"""RANSAC grouping of tracks into independently moving clusters, by their flows.
 
 Flows belonging to one rigid translation share an epipole: every flow
 line passes through it. Two sampled flows define a hypothesis epipole,
@@ -15,14 +15,14 @@ tends to steal members that lie near the line joining two epipoles; the
 sweep returns them. Whatever is left over, plus any group too small to
 stand on its own, is reported as outliers.
 
-The flows become arrays once, at entry: endpoints, unit line normals n
-and offsets n . p (epipole._flow_lines), and every line distance is
-|n . e - offset|. A round scores all its hypotheses as arrays: the pair
-epipoles come from one batched 2x2 solve, and _consensus gates and
-ranks them _BLOCK at a time, one matrix product for the line distances
-and one _decompose call for the TTC of the geometric inliers. The refit
-and sweep epipoles are epipole._least_squares_epipole on rows of the
-flow arrays.
+The flows, one per track from its first to its last frame, become arrays
+once, at entry: endpoints, unit line normals n and offsets n . p
+(epipole._flow_lines), and every line distance is |n . e - offset|. A
+round scores all its hypotheses as arrays: the pair epipoles come from
+one batched 2x2 solve, and _consensus gates and ranks them _BLOCK at a
+time, one matrix product for the line distances and one _decompose call
+for the TTC of the geometric inliers. The refit and sweep epipoles are
+epipole._least_squares_epipole on rows of the flow arrays.
 
 Determinism contract: given identical inputs and the same rng_seed the
 clustering is byte-for-byte reproducible. When the number of candidate
@@ -44,12 +44,11 @@ from .epipole import (
     _MIN_SIN_PARALLEL,
     Epipole,
     EpipoleMethod,
-    FlowVector,
     _cross_abs,
     _flow_lines,
     _least_squares_epipole,
 )
-from .errors import InsufficientData, InvalidInput, _valid_seed
+from .errors import InvalidInput, _valid_seed
 from .ttc import TrackObservation, TrackTable, _decompose, ttc_batch
 
 __all__ = [
@@ -114,7 +113,7 @@ class MotionCluster:
     """One group of flows sharing an epipole and a consistent TTC.
 
     Attributes:
-        member_indices: sorted tuple of indices into the input flow list.
+        member_indices: sorted tuple of indices into the input tracks.
         epipole: the cluster's epipole, refit on all members.
         ttc_values: per-member k, aligned with member_indices.
         mean_ttc: arithmetic mean of ttc_values.
@@ -288,23 +287,20 @@ def _reassignment_sweep(
 
 
 def cluster_flows(
-    flows: list[FlowVector] | None,
-    tracks: list[TrackObservation] | TrackTable | None = None,
+    tracks: list[TrackObservation] | TrackTable,
     config: ClusteringConfig | None = None,
     *,
     intrinsics: CameraIntrinsics,
 ) -> tuple[list[MotionCluster], tuple[int, ...]]:
-    """Segment flows into motion clusters by sequential RANSAC.
+    """Segment tracks into motion clusters by sequential RANSAC.
 
     Args:
-        flows: flow vectors to cluster; pass None to derive them from
-            tracks. A derived flow spans each track first to last frame,
-            which suppresses endpoint noise far better than a single
-            frame pair, and its TTC is rescaled by the span so tracks of
-            different lengths stay comparable in frame units.
-        tracks: optional tracks matching the flows one-to-one, as a
-            sequence of TrackObservation or a TrackTable; used only to
-            derive flows when flows is None.
+        tracks: the tracks to cluster, a sequence of TrackObservation or
+            a TrackTable. Each is clustered by its flow from first to
+            last frame, which suppresses endpoint noise far better than
+            a single frame pair, and its TTC is rescaled by the span so
+            tracks of different lengths stay comparable in frame units.
+            A single flow is a two-frame track.
         config: thresholds and seed; defaults to ClusteringConfig().
         intrinsics: camera model, required for the TTC consistency gate.
 
@@ -313,41 +309,30 @@ def cluster_flows(
     pair (in index order, or in draw order when sampling) wins. Clusters
     of equal size whose RMS differs only at rounding level (noise-free
     input, about 1e-13 px) can therefore come out in either order when
-    the arithmetic of the hypothesis epipole changes.
+    the arithmetic of the hypothesis epipole changes. Fewer tracks than
+    min_cluster_size give no cluster: all of them are outliers.
 
     Returns:
         (clusters, outlier_indices): clusters in extraction order
-        (largest consensus first), and the sorted indices of flows not
+        (largest consensus first), and the sorted indices of tracks not
         in any cluster.
 
     Raises:
-        InsufficientData: fewer flows than min_cluster_size.
-        DegenerateFlow: a zero-displacement track when deriving flows.
+        InvalidInput: a track of fewer than 2 frames.
+        DegenerateFlow: a track whose first-to-last flow is zero.
     """
     if config is None:
         config = ClusteringConfig()
-    if flows is None:
-        if tracks is None:
-            raise InvalidInput("pass flows, or tracks to derive them from")
-        if not isinstance(tracks, TrackTable):
-            tracks = TrackTable.from_tracks(tracks)
-        if np.any(tracks.length < 2):
-            raise InvalidInput("every track needs at least 2 frames to derive a flow")
-        n = len(tracks)
-        p0, p1 = tracks.pixels(0), tracks.pixels(-1)
-        spans = (tracks.length - 1).astype(np.float64)  # frames step by 1
-    else:
-        if tracks is not None and len(tracks) != len(flows):
-            raise InvalidInput(f"{len(flows)} flows but {len(tracks)} tracks")
-        n = len(flows)
-        p0 = np.array([fl.p for fl in flows]).reshape(n, 2)
-        p1 = np.array([fl.p_prime for fl in flows]).reshape(n, 2)
-        spans = np.ones(n)
+    if not isinstance(tracks, TrackTable):
+        tracks = TrackTable.from_tracks(tracks)
+    if np.any(tracks.length < 2):
+        raise InvalidInput("every track needs at least 2 frames to derive a flow")
+    n = len(tracks)
+    p0, p1 = tracks.pixels(0), tracks.pixels(-1)
+    spans = (tracks.length - 1).astype(np.float64)  # frames step by 1
     normals, offsets, error = _flow_lines(p0, p1)
     if error is not None:
         raise error
-    if n < config.min_cluster_size:
-        raise InsufficientData(f"need at least {config.min_cluster_size} flows, got {n}")
 
     rng = np.random.default_rng(config.rng_seed)
     remaining = np.arange(n, dtype=np.int64)

@@ -38,7 +38,7 @@ from .errors import (
     ParallelToHorizon,
     SingularGeometry,
 )
-from .ttc import _EPS_TAN, TrackObservation, _decompose
+from .ttc import _EPS_TAN, _VERDICTS, _ZERO_FLOW, TrackObservation, TrackTable, _decompose
 
 __all__ = [
     "Epipole",
@@ -320,13 +320,9 @@ def epipole_least_squares(flows: list[FlowVector]) -> Epipole:
     return Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
 
 
-def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon: HorizonLine,
-                         intrinsics: CameraIntrinsics):
-    """Three-frame offset fit of N tracks at once.
-
-    Args:
-        p0, p1, p2: the pixels of each track's first three frames, shape
-            (N, 2).
+def _offset_three_frames(tracks: TrackTable, horizon: HorizonLine, intrinsics: CameraIntrinsics):
+    """Three-frame offset fit of the N tracks of a table at once, from
+    the pixels p0, p1, p2 of each track's first three frames.
 
     Each row is worked as epipole_offset_three_frames describes: the
     flow line p0 -> p1 is cut with the horizon, and with the angles a,
@@ -342,8 +338,10 @@ def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon
         the corrected epipoles of shape (N, 2), and errors, a list
         holding per row the exception epipole_offset_three_frames
         raises for it, or None. Rows with an error hold meaningless
-        values.
+        values; a track of 2 frames is worked with its last pixel as p2
+        and reported as InsufficientData.
     """
+    p0, p1, p2 = (tracks.pixels(i) for i in range(3))
     anchors, directions, errors = _planar_epipoles(p0, p1, horizon)
     pp = intrinsics.pp
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -379,9 +377,13 @@ def _offset_three_frames(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, horizon
             errors[i] = DegenerateGeometry(f"angle {float(angle[i])} maps to a point at infinity on the line")
         else:
             errors[i] = DegenerateConfiguration("corrected epipole leaves TTC undefined")
+    # no displacement between the first two frames: _decompose's zero flow
+    stationary, message = _VERDICTS[_ZERO_FLOW]
     for i, error in enumerate(errors):
         if isinstance(error, DegenerateFlow):
-            errors[i] = DegenerateConfiguration(f"static track: {error}")
+            errors[i] = stationary(message)
+    for i in np.flatnonzero(tracks.length < 3):
+        errors[i] = InsufficientData(f"need at least 3 frames, got {tracks.length[i]}")
     return x, positions, residual, errors
 
 
@@ -412,16 +414,15 @@ def epipole_offset_three_frames(
 
     Raises:
         InsufficientData: fewer than 3 frames.
-        DegenerateConfiguration: static track, vanishing offset
-            denominator (uniformly spaced angles), or no finite TTC
-            against the corrected epipole.
+        StationaryPoint: no displacement between the first two frames,
+            by the zero-flow rule of collision_estimate.
+        DegenerateConfiguration: vanishing offset denominator (uniformly
+            spaced angles), or no finite TTC against the corrected
+            epipole.
         DegenerateGeometry: corrected epipole at infinity.
         ParallelToHorizon: the track's flow line never meets the horizon.
     """
-    if len(track) < 3:
-        raise InsufficientData(f"need at least 3 frames, got {len(track)}")
-    p0, p1, p2 = track.positions[:3, np.newaxis]
-    x, positions, residual, errors = _offset_three_frames(p0, p1, p2, horizon, intrinsics)
+    x, positions, residual, errors = _offset_three_frames(TrackTable.from_tracks([track]), horizon, intrinsics)
     if errors[0] is not None:
         raise errors[0]
     epipole = Epipole(

@@ -56,7 +56,7 @@ class SingularGeometry(DegenerateGeometry):
 
 class DegenerateConfiguration(DegenerateGeometry):
     """Angle configuration outside the solvable domain of the three-frame
-    offset estimator (vanishing denominator; static or uniform angles)."""
+    offset estimator (vanishing denominator: uniformly spaced angles)."""
 
 
 class DegenerateFlow(DegenerateGeometry):

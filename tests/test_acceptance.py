@@ -19,7 +19,7 @@ from conftest import (
     random_approach_scenario,
     wrap_half_pi,
 )
-from test_clustering import reference_consensus, triple_object_scenario, two_object_flows
+from test_clustering import reference_consensus, triple_object_scenario, two_frame_tracks, two_object_flows
 from test_simulate import reduce_truth, wall_scenario
 
 from ttckit import (
@@ -272,7 +272,7 @@ def test_criterion_5_clustering():
         scenario = triple_object_scenario(seed=seed, noise=0.3)
         tracks, _ = simulate(scenario)
         clusters, outliers = cluster_flows(
-            None, tracks,
+            tracks,
             config=ClusteringConfig(rng_seed=seed),
             intrinsics=scenario.intrinsics,
         )
@@ -283,7 +283,7 @@ def test_criterion_5_clustering():
 
     flows, _, intrinsics = two_object_flows(n_points=5)
     config = ClusteringConfig()
-    clusters, outliers = cluster_flows(flows, config=config, intrinsics=intrinsics)
+    clusters, outliers = cluster_flows(two_frame_tracks(flows), config=config, intrinsics=intrinsics)
     remaining = list(range(len(flows)))
     reference = []
     while len(remaining) >= config.min_cluster_size:

@@ -20,11 +20,11 @@ from ttckit import (
     Epipole,
     EpipoleMethod,
     FlowVector,
-    InsufficientData,
     InvalidInput,
     MotionCluster,
     Scenario,
     SceneObject,
+    TrackObservation,
     cluster_flows,
     simulate,
     ttc_batch,
@@ -37,6 +37,12 @@ from conftest import oracle_epipole, oracle_k0
 
 def intr700():
     return CameraIntrinsics(focal_px=700.0, principal_point=(320.0, 240.0))
+
+
+def two_frame_tracks(flows):
+    """Each flow as the two-frame track from its p to its p_prime, the
+    input cluster_flows takes."""
+    return [TrackObservation.from_positions([fl.p, fl.p_prime]) for fl in flows]
 
 
 def two_object_flows(n_points=5, noise=0.0, seed=0):
@@ -149,7 +155,7 @@ class TestClusterFlows:
     def test_single_object_all_members(self):
         flows, velocities, intrinsics = two_object_flows(n_points=6)
         flows = flows[:6]  # object A only
-        clusters, outliers = cluster_flows(flows, intrinsics=intrinsics)
+        clusters, outliers = cluster_flows(two_frame_tracks(flows), intrinsics=intrinsics)
         assert len(clusters) == 1
         assert clusters[0].member_indices == tuple(range(6))
         assert outliers == ()
@@ -159,7 +165,7 @@ class TestClusterFlows:
 
     def test_two_objects_exact_membership_and_epipoles(self):
         flows, velocities, intrinsics = two_object_flows(n_points=5)
-        clusters, outliers = cluster_flows(flows, intrinsics=intrinsics)
+        clusters, outliers = cluster_flows(two_frame_tracks(flows), intrinsics=intrinsics)
         assert len(clusters) == 2
         sets = [set(c.member_indices) for c in clusters]
         assert {frozenset(s) for s in sets} == {
@@ -190,7 +196,7 @@ class TestClusterFlows:
         )
         tracks, _ = simulate(scenario)
         flows = [FlowVector.from_track(t) for t in tracks]
-        clusters, _ = cluster_flows(flows, intrinsics=intrinsics)
+        clusters, _ = cluster_flows(two_frame_tracks(flows), intrinsics=intrinsics)
         assert len(clusters) == 1
         for idx, k in zip(clusters[0].member_indices, clusters[0].ttc_values):
             assert k == pytest.approx(oracle_k0(points[idx], velocity), rel=1e-9)
@@ -202,7 +208,7 @@ class TestClusterFlows:
             FlowVector(p=(300.0, 300.0), p_prime=(310.0, 300.0)),
             FlowVector(p=(100.0, 100.0), p_prime=(100.0, 110.0)),
         ]
-        clusters, outliers = cluster_flows(flows + strays, intrinsics=intrinsics)
+        clusters, outliers = cluster_flows(two_frame_tracks(flows + strays), intrinsics=intrinsics)
         assert len(clusters) == 2
         assert set(outliers) == {8, 9}
         assert {frozenset(c.member_indices) for c in clusters} == {
@@ -211,25 +217,14 @@ class TestClusterFlows:
         }
 
     def test_too_few_flows(self):
+        # fewer flows than min_cluster_size: no cluster, every flow an outlier
         flows, _, intrinsics = two_object_flows(n_points=5)
-        with pytest.raises(InsufficientData):
-            cluster_flows(flows[:2], intrinsics=intrinsics)
-
-    def test_flows_and_tracks_both_none(self):
-        with pytest.raises(InvalidInput):
-            cluster_flows(None, None, intrinsics=intr700())
-
-    def test_flow_track_length_mismatch(self):
-        flows, _, intrinsics = two_object_flows(n_points=5)
-        scenario = triple_object_scenario(seed=0, noise=0.0)
-        tracks, _ = simulate(scenario)
-        with pytest.raises(InvalidInput):
-            cluster_flows(flows, tracks[:3], intrinsics=intrinsics)
+        assert cluster_flows(two_frame_tracks(flows[:2]), intrinsics=intrinsics) == ([], (0, 1))
 
     def test_tracks_mode_rescales_spans_to_frame_units(self):
         scenario = triple_object_scenario(seed=5, noise=0.0)
         tracks, truth = simulate(scenario)
-        clusters, outliers = cluster_flows(None, tracks, intrinsics=scenario.intrinsics)
+        clusters, outliers = cluster_flows(tracks, intrinsics=scenario.intrinsics)
         assert outliers == ()
         assert len(clusters) == 3
         # span-derived flows cover 8 frames, yet k must come out in frames
@@ -257,9 +252,7 @@ class TestClusterFlows:
             scenario = triple_object_scenario(seed=seed, noise=0.3)
             tracks, _ = simulate(scenario)
             config = ClusteringConfig(rng_seed=seed)
-            clusters, outliers = cluster_flows(
-                None, tracks, config=config, intrinsics=scenario.intrinsics
-            )
+            clusters, outliers = cluster_flows(tracks, config=config, intrinsics=scenario.intrinsics)
             got = {frozenset(c.member_indices) for c in clusters}
             exact += got == expected and outliers == ()
         assert exact >= 18
@@ -269,7 +262,7 @@ class TestClusterFlows:
         tracks, _ = simulate(scenario)
         config = ClusteringConfig(rng_seed=9)
         runs = [
-            cluster_flows(None, tracks, config=config, intrinsics=scenario.intrinsics)
+            cluster_flows(tracks, config=config, intrinsics=scenario.intrinsics)
             for _ in range(2)
         ]
         (c1, o1), (c2, o2) = runs
@@ -286,7 +279,7 @@ class TestClusterFlows:
         tracks, _ = simulate(scenario)
         config = ClusteringConfig(rng_seed=21, max_iterations=40)
         runs = [
-            cluster_flows(None, tracks, config=config, intrinsics=scenario.intrinsics)
+            cluster_flows(tracks, config=config, intrinsics=scenario.intrinsics)
             for _ in range(2)
         ]
         (c1, o1), (c2, o2) = runs
@@ -299,9 +292,7 @@ class TestClusterFlows:
         tracks, _ = simulate(scenario)
         config = ClusteringConfig(rng_seed=13)
         flows = [FlowVector(t.pixel(0), t.pixel(len(t) - 1)) for t in tracks]
-        clusters, outliers = cluster_flows(
-            None, tracks, config=config, intrinsics=scenario.intrinsics
-        )
+        clusters, outliers = cluster_flows(tracks, config=config, intrinsics=scenario.intrinsics)
         claimed = set(outliers)
         for cluster in clusters:
             assert len(cluster.member_indices) >= config.min_cluster_size
@@ -368,7 +359,7 @@ class TestBruteForceEquivalence:
         # result must coincide with the independent brute-force scan
         flows, _, intrinsics = two_object_flows(n_points=5)
         config = ClusteringConfig()
-        clusters, outliers = cluster_flows(flows, config=config, intrinsics=intrinsics)
+        clusters, outliers = cluster_flows(two_frame_tracks(flows), config=config, intrinsics=intrinsics)
 
         remaining = list(range(len(flows)))
         expected = []
@@ -389,7 +380,7 @@ class TestBruteForceEquivalence:
     def test_noisy_small_input_same_partition(self):
         flows, _, intrinsics = two_object_flows(n_points=5, noise=0.15, seed=8)
         config = ClusteringConfig(rng_seed=8)
-        clusters, _ = cluster_flows(flows, config=config, intrinsics=intrinsics)
+        clusters, _ = cluster_flows(two_frame_tracks(flows), config=config, intrinsics=intrinsics)
         remaining = list(range(len(flows)))
         best = reference_consensus(flows, remaining, intrinsics, config)
         assert best is not None
@@ -484,7 +475,7 @@ class TestSampledEquivalence:
     """More than 32 flows: rounds draw max_iterations pairs with the RNG."""
 
     def assert_same(self, flows, intrinsics, config):
-        clusters, outliers = cluster_flows(flows, config=config, intrinsics=intrinsics)
+        clusters, outliers = cluster_flows(two_frame_tracks(flows), config=config, intrinsics=intrinsics)
         expected, parallel = per_hypothesis_clustering(flows, intrinsics, config)
         assert [c.member_indices for c in clusters] == [members for members, _, _ in expected]
         for cluster, (_, e, k) in zip(clusters, expected):
@@ -547,7 +538,8 @@ class TestSampledEquivalence:
         for budget in (50, 500):
             calls.clear()
             clusters, _ = cluster_flows(
-                flows, config=ClusteringConfig(max_iterations=budget, rng_seed=8), intrinsics=intrinsics
+                two_frame_tracks(flows), config=ClusteringConfig(max_iterations=budget, rng_seed=8),
+                intrinsics=intrinsics,
             )
             assert len(clusters) == 3
             counts.append(len(calls))

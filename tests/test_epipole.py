@@ -25,7 +25,9 @@ from ttckit import (
     InvalidInput,
     ParallelToHorizon,
     SingularGeometry,
+    StationaryPoint,
     TrackObservation,
+    TrackTable,
     TtcError,
     calibrate_horizon,
     epipole_least_squares,
@@ -392,11 +394,12 @@ class TestThreeFrameOffset:
         with pytest.raises(InsufficientData):
             epipole_offset_three_frames(track, HorizonLine.level(intr800.v0), intr800)
 
-    def test_static_track_degenerate(self, intr800):
+    def test_static_track_stationary(self, intr800):
+        # no motion between the first two frames: collision_estimate's zero flow
         track = TrackObservation(
             frames=(0, 1, 2), positions=np.tile([50.0, 60.0], (3, 1))
         )
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(StationaryPoint, match="^zero pixel displacement between frames$"):
             epipole_offset_three_frames(track, HorizonLine.level(intr800.v0), intr800)
 
     def test_flow_parallel_to_horizon(self, intr800):
@@ -427,33 +430,35 @@ pixel_coordinate = st.one_of(
     st.integers(630, 650).map(float),
     st.floats(0.0, 1280.0, allow_nan=False, allow_infinity=False),
 )
-three_pixels = st.lists(st.tuples(pixel_coordinate, pixel_coordinate), min_size=3, max_size=3)
+track_pixels = st.lists(st.tuples(pixel_coordinate, pixel_coordinate), min_size=2, max_size=5)
 
 
 class TestThreeFrameBatch:
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(three_pixels, min_size=1, max_size=8),
+        st.lists(track_pixels, min_size=1, max_size=8),
         st.sampled_from([0.0, 0.1, -0.5]),
         st.sampled_from([360.0, 361.0, 200.0]),
     )
-    # static, parallel, vanishing denominator (epipole on a track pixel)
-    # and corrected epipole at infinity (uniform angles)
+    # static, parallel, vanishing denominator (epipole on a track pixel),
+    # corrected epipole at infinity (uniform angles), an underflowing first
+    # step, two frames and five frames
     @example(
         [[(500.0, 300.0)] * 3, [(500.0, 300.0), (510.0, 300.0), (520.0, 300.0)],
-         [(640.0, 360.0), (650.0, 361.0), (660.0, 362.0)], [(600.0, 380.0), (601.0, 381.0), (602.0, 382.0)]],
+         [(640.0, 360.0), (650.0, 361.0), (660.0, 362.0)], [(600.0, 380.0), (601.0, 381.0), (602.0, 382.0)],
+         [(0.0, 0.0), (1e-170, 0.0), (30.0, 20.0)], [(400.0, 200.0), (405.0, 198.0)],
+         [(700.0, 400.0), (710.0, 404.0), (722.0, 408.8), (736.0, 414.0), (752.0, 420.0)]],
         0.0, 360.0,
     )
     def test_one_row_wrapper_equals_batch_rows(self, tracks, slope, intercept):
         intr = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
         horizon = HorizonLine.from_slope_intercept(slope, intercept)
-        pixels = np.array(tracks, dtype=np.float64)
-        x, positions, residual, errors = _offset_three_frames(
-            pixels[:, 0], pixels[:, 1], pixels[:, 2], horizon, intr
-        )
-        for i, row in enumerate(pixels):
+        observations = [TrackObservation.from_positions(pixels) for pixels in tracks]
+        x, positions, residual, errors = _offset_three_frames(TrackTable.from_tracks(observations), horizon, intr)
+        for i, track in enumerate(observations):
+            assert isinstance(errors[i], InsufficientData) == (len(track) < 3)
             try:
-                offset, epipole = epipole_offset_three_frames(TrackObservation.from_positions(row), horizon, intr)
+                offset, epipole = epipole_offset_three_frames(track, horizon, intr)
             except TtcError as exc:
                 assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
             else:

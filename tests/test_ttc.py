@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ttckit import (
@@ -16,6 +16,8 @@ from ttckit import (
     simulate,
     ttc_batch,
 )
+from ttckit.camera import _unit_rows
+from ttckit.ttc import _ZERO_FLOW, _decompose
 
 from conftest import (
     oracle_epipole,
@@ -273,6 +275,38 @@ class TestTtcBatch:
         p0 = np.array([[10.0, 0.0], [20.0, 5.0], [30.0, -5.0]])
         with pytest.raises(InvalidInput):
             ttc_batch(p0, p0 + 1.0, epipole, intr_origin)
+
+
+# A pixel coordinate, often exactly 0 so that tiny steps survive the
+# addition, and a step: exact zeros, spans whose squared norm underflows
+# (1e-170) or does not (1e-150), a subnormal, or an ordinary step.
+zero_or_pixel = st.one_of(st.just(0.0), st.floats(-1000.0, 1000.0, allow_nan=False))
+pixel_step = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 2e-170, 1e-160, 1e-150, 5e-324]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+
+
+class TestZeroFlowRule:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(zero_or_pixel, zero_or_pixel, pixel_step, pixel_step), min_size=1, max_size=12),
+        st.tuples(zero_or_pixel, zero_or_pixel),
+    )
+    @example(
+        [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1e-170, 0.0), (0.0, 0.0, 2e-170, -1e-170),
+         (0.0, 0.0, 1e-150, 0.0), (0.0, 0.0, 1e-170, 20.0), (5.0, 7.0, 3.0, 4.0)],
+        (0.0, 0.0),
+    )
+    def test_zero_flow_rows_are_zero_norm_rows(self, rows, epipole):
+        # _decompose's zero flow is exactly the zero of camera._unit_rows,
+        # and it takes precedence over every other verdict
+        intr = CameraIntrinsics(focal_px=800.0, principal_point=(320.0, 240.0))
+        table = np.array(rows)
+        p0 = table[:, :2]
+        p1 = p0 + table[:, 2:]
+        _, _, _, verdict = _decompose(p0, p1, np.array(epipole), intr)
+        np.testing.assert_array_equal(verdict == _ZERO_FLOW, _unit_rows(p1 - p0)[1])
 
 
 class TestRecedingPoint:
