@@ -66,17 +66,23 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
 
 
+def _zero_rows(t: np.ndarray) -> np.ndarray:
+    """True where the 2-D displacement t has norm 0, shape (N,): an exact
+    zero, or a span so small that t . t underflows. The one zero-flow
+    rule of the package."""
+    return _dot_rows(t, t) == 0.0
+
+
 def _unit_rows(t: np.ndarray):
     """Unit directions of the 2-D displacements t, shape (N, 2).
 
     Returns:
         (unit, zero): t divided by its norm sqrt(t . t), shape (N, 2),
-        and zero, shape (N,), true where that norm is 0 (an exact zero,
-        or a span so small that t . t underflows). Zero rows are left as
+        and zero, shape (N,), the _zero_rows mask. Zero rows are left as
         they are in unit: they have no direction.
     """
+    zero = _zero_rows(t)
     norm = np.sqrt(_dot_rows(t, t))
-    zero = norm == 0.0
     return t / np.where(zero, 1.0, norm)[:, np.newaxis], zero
 
 

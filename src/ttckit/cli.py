@@ -13,7 +13,7 @@ Subcommands:
   mode. Least-squares mode fits its one epipole with the row kernel over
   the first-to-last flows of the moving tracks.
 * ``cluster``: track CSV in, motion clusters out (JSON). Tracks whose
-  first-to-last flow has zero norm (camera._unit_rows) are listed as
+  first-to-last flow has zero norm (camera._zero_rows) are listed as
   stationary; the others are clustered by those flows.
 * ``collision-map``: scenario JSON in, velocity-perturbation grid out
   (CSV).
@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _unit_rows
+from .camera import CameraIntrinsics, _zero_rows
 from .clustering import ClusteringConfig, cluster_flows
 from .epipole import (
     Epipole,
@@ -85,6 +85,10 @@ SEED_ENV_VAR = "COLLISION_PLANE_SEED"
 PRESET_NAMES = ("approach-45deg",)
 # sensitivity flags that describe the rig, which a --preset fixes
 _RIG_FLAGS = ("baseline_m", "focal_px", "focal_mm", "detection_error_px", "speed_kmh", "heading_deg")
+# classification strings of estimate entries, read off the enum once, not per track
+_APPROACHING, _RECEDING, _CONSTANT_BEARING = (
+    MotionClass.APPROACHING.value, MotionClass.RECEDING.value, MotionClass.CONSTANT_BEARING.value
+)
 
 
 def _seed(args) -> int:
@@ -182,7 +186,7 @@ def _failed_entry(track_id: str, error: TtcError) -> dict:
     """Zero flow and constant bearing make a track stationary; every other
     per-track problem makes it degenerate."""
     if isinstance(error, (DegenerateFlow, StationaryPoint)):
-        status, h, classification = "stationary", 0.0, MotionClass.CONSTANT_BEARING.value
+        status, h, classification = "stationary", 0.0, _CONSTANT_BEARING
     else:
         status, h, classification = f"degenerate:{type(error).__name__}", None, None
     return {
@@ -235,7 +239,7 @@ def _cmd_estimate(args) -> int:
     n = len(tracks)
     first, second, last = (tracks.pixels(i) for i in (0, 1, -1))
     # a zero net displacement defines no motion line to fit or cluster
-    moving = np.flatnonzero(~_unit_rows(last - first)[1])
+    moving = np.flatnonzero(~_zero_rows(last - first))
     horizon = None
     if args.calibrate:
         horizon, cluster_docs = _calibrate(tracks, ids, moving, intrinsics, seed)
@@ -276,14 +280,13 @@ def _cmd_estimate(args) -> int:
         if error is not None:
             document["estimates"].append(_failed_entry(track_id, error))
             continue
-        # the truth label's rule: the collision plane has yet to sweep the camera
-        classification = MotionClass.APPROACHING if k[i] > 0.0 else MotionClass.RECEDING
         entry = {
             "track_id": track_id,
             "status": "ok",
             "k": k[i],
             "H": H[i],
-            "classification": classification.value,
+            # the truth label's rule: the collision plane has yet to sweep the camera
+            "classification": _APPROACHING if k[i] > 0.0 else _RECEDING,
             "v_g_dir": v_g_dir[i],
             "point": point[i],
         }
@@ -311,7 +314,7 @@ def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
-    _, zero = _unit_rows(tracks.pixels(-1) - tracks.pixels(0))
+    zero = _zero_rows(tracks.pixels(-1) - tracks.pixels(0))
     flow_index = np.flatnonzero(~zero)
     stationary = [ids[i] for i in np.flatnonzero(zero).tolist()]
     config = ClusteringConfig(

@@ -21,8 +21,11 @@ once, at entry: endpoints, unit line normals n and offsets n . p
 round scores all its hypotheses as arrays: the pair epipoles come from
 one batched 2x2 solve, and _consensus gates and ranks them _BLOCK at a
 time, one matrix product for the line distances and one _decompose call
-for the TTC of the geometric inliers. The refit and sweep epipoles are
-epipole._least_squares_epipole on rows of the flow arrays.
+for the TTC of the geometric inliers. The TTC gate only removes
+members, so that call covers only the hypotheses whose geometric inliers
+can still beat the best set found so far; the others cannot win and are
+never gated, which leaves every result as it was. The refit and sweep
+epipoles are epipole._least_squares_epipole on rows of the flow arrays.
 
 Determinism contract: given identical inputs and the same rng_seed the
 clustering is byte-for-byte reproducible. When the number of candidate
@@ -150,9 +153,13 @@ def _consensus(
     flow's frame span so they compare in frame units. Hypotheses are
     scored _BLOCK at a time and ranked by (members, -RMS line distance
     of the members); the first of exact ties wins, and hypotheses with
-    fewer than min_cluster_size members are not ranked. Every value,
-    including each RMS, is computed with the same arithmetic as a
-    one-hypothesis scan, so the ranking does not depend on the block.
+    fewer than min_cluster_size members are not ranked. Only hypotheses
+    whose geometric inliers can still win against the best set of the
+    earlier blocks go through the TTC gate: those with more inliers than
+    its size, or as many with a sum of squared line distances that allows
+    a lower RMS. Every value, including each RMS, is computed with the
+    same arithmetic as a one-hypothesis scan, so the ranking does not
+    depend on the block.
 
     Returns:
         (h, members, k_values): the winner's row in epipoles, its
@@ -167,11 +174,24 @@ def _consensus(
         # one matrix-vector product per hypothesis, as normals @ e[i] computes it
         dist = np.abs((lines[:b] @ e[:, :, np.newaxis])[..., 0] - line_offsets)
         hyp, col = np.nonzero(dist < config.eps_dist)  # grouped by hypothesis, flows in order
+        sq = dist[hyp, col] ** 2
         counts = np.bincount(hyp, minlength=b)
-        # the TTC gate only removes members
+        # The TTC gate only removes members, so counts bounds each final
+        # size, and a hypothesis that can at best tie the best size must
+        # keep every member: then its geometric sum of squares is its
+        # RMS's, up to the summation order that the 1e-9 margin below
+        # covers. Gate only those that can still win against the best as
+        # it stood before the block; later exact ties lose anyway.
         least = config.min_cluster_size if best_key is None else best_key[0]
-        if counts.max() < least:
+        viable = counts >= least
+        if best_key is not None:  # best_key[1] ** 2 is the best RMS squared
+            squares = np.bincount(hyp, weights=sq, minlength=b)
+            viable &= (counts > least) | (squares <= best_key[1] ** 2 * least * (1.0 + 1e-9))
+        if not viable.any():
             continue
+        gated = viable[hyp]
+        hyp, col, sq = hyp[gated], col[gated], sq[gated]
+        counts[~viable] = 0
         flow = candidate_idx[col]
         k = _decompose(p0[flow], p1[flow], e[hyp], intrinsics)[0] * spans[flow]
         finite = np.isfinite(k)
@@ -193,12 +213,12 @@ def _consensus(
         # Summed in another order, the squares of each hypothesis agree with
         # np.mean's sum to n * 1.1e-16 relative, so only the hypotheses
         # within 1e-9 of the lowest such sum can hold the lowest RMS.
-        squares = np.bincount(hyp[ok], weights=dist[hyp[ok], col[ok]] ** 2, minlength=b)
+        squares = np.bincount(hyp[ok], weights=sq[ok], minlength=b)
         tied = sizes == top
         for h in np.flatnonzero(tied & (squares <= squares[tied].min() * (1.0 + 1e-9))):
             rows = slice(starts[h], starts[h] + counts[h])
             keep = ok[rows]
-            rms = float(np.sqrt(np.mean(dist[h, col[rows][keep]] ** 2)))
+            rms = float(np.sqrt(np.mean(sq[rows][keep])))
             key = (top, -rms)
             if best_key is None or key > best_key:
                 best_key, best = key, (first + int(h), flow[rows][keep], k[rows][keep])

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _dot_rows, _unit_rows, as_pixel
+from .camera import CameraIntrinsics, _dot_rows, _zero_rows, as_pixel
 from .errors import DegenerateGeometry, InvalidInput, StationaryPoint
 
 __all__ = [
@@ -64,7 +64,7 @@ _EPS_TAN = 1e-12
 
 # Verdicts of _decompose for rows without a decomposition, in order of
 # precedence; a valid row has verdict 0. Zero flow is the rule of
-# camera._unit_rows: a displacement of norm 0, which a span of 1e-170 px
+# camera._zero_rows: a displacement of norm 0, which a span of 1e-170 px
 # has too.
 _ZERO_FLOW, _COINCIDENT, _CONSTANT_BEARING = 1, 2, 3
 _VERDICTS = {
@@ -254,7 +254,7 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     verdict = np.zeros(len(k), dtype=np.int8)
     verdict[still] = _CONSTANT_BEARING
     verdict[(gap < _EPS_COINCIDENT).any(axis=0)] = _COINCIDENT
-    verdict[_unit_rows(p1 - p0)[1]] = _ZERO_FLOW
+    verdict[_zero_rows(p1 - p0)] = _ZERO_FLOW
     bad = verdict != 0
     k[bad] = np.nan
     h[bad] = np.nan

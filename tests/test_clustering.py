@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttckit import (
     CameraIntrinsics,
@@ -576,3 +578,121 @@ class TestConsensusRanking:
         h, members, _ = _consensus(hypotheses[:2], *args)
         assert h == 1 and members.size == 6
         assert _consensus(hypotheses[:1], *args) is None
+
+
+def layered_consensus_scene():
+    """_consensus arguments for a noise-free scene of two rigid motions.
+
+    Object A has a near layer of 7 points (k about 8) and a far layer of 5
+    (k about 20) on one epipole, so all 12 flows are geometric inliers of
+    that epipole and the TTC gate keeps the 7 near ones. Object B has 8
+    points on another epipole, all TTC-consistent. Returns (pool, args):
+    pool holds candidate hypothesis epipoles, args the rest of the call.
+    """
+    rng = np.random.default_rng(1)
+    intrinsics = intr700()
+    va, vb = np.array([0.12, 0.0, -1.5]), np.array([-0.45, 0.05, -1.8])
+    objects = (
+        SceneObject("near", np.array([1.2, 0.6, 12.0]) + rng.uniform(-0.7, 0.7, size=(7, 3)), va),
+        SceneObject("far", np.array([1.5, 0.3, 30.0]) + rng.uniform(-0.7, 0.7, size=(5, 3)), va),
+        SceneObject("b", np.array([-2.0, 0.2, 24.0]) + rng.uniform(-0.7, 0.7, size=(8, 3)), vb),
+    )
+    tracks, _ = simulate(Scenario(
+        intrinsics=intrinsics, objects=objects, camera_velocity=np.zeros(3), frame_count=2,
+    ))
+    p0 = np.array([t.pixel(0) for t in tracks])
+    p1 = np.array([t.pixel(1) for t in tracks])
+    normals, offsets, _ = _flow_lines(p0, p1)
+    ea, eb = oracle_epipole(va, intrinsics), oracle_epipole(vb, intrinsics)
+    pool = np.array([
+        ea,  # 12 geometric inliers, 7 members
+        eb,  # 8 members, RMS about 1e-13 px
+        eb + [0.3, -0.2],  # the same 8 members, higher RMS
+        eb + [-0.05, 0.1],  # the same 8 members, RMS in between
+        ea + [0.2, 0.2],
+        [-5000.0, 3000.0],  # no flow line passes near
+    ])
+    n = len(p0)
+    return pool, (np.arange(n), p0, p1, normals, offsets, np.ones(n), intrinsics, ClusteringConfig())
+
+
+def scan_consensus(hypotheses, candidates, p0, p1, normals, offsets, spans, intrinsics, config):
+    """_consensus as a scan that scores every hypothesis on its own, in
+    order, and keeps the first of the best (size, -RMS) keys."""
+    best_key, best = None, None
+    for h, e in enumerate(hypotheses):
+        dist = np.abs(normals[candidates] @ e - offsets[candidates])
+        geo = dist < config.eps_dist
+        flow = candidates[geo]
+        k = ttc_batch(p0[flow], p1[flow], e, intrinsics)[0] * spans[flow]
+        finite = np.isfinite(k)
+        if not finite.any():
+            continue
+        median = float(np.median(k[finite]))
+        ok = finite & (np.abs(k - median) <= config.effective_eps_ttc(median))
+        if ok.sum() < config.min_cluster_size:
+            continue
+        key = (int(ok.sum()), -float(np.sqrt(np.mean(dist[geo][ok] ** 2))))
+        if best_key is None or key > best_key:
+            best_key, best = key, (h, flow[ok], k[ok])
+    return best
+
+
+class TestConsensusPruning:
+    """_consensus gates by TTC only the hypotheses whose geometric inlier
+    count can still beat the best set, and must agree with a scan of
+    every hypothesis."""
+
+    def test_scene_layers(self):
+        # the layered epipole has the most geometric inliers, but the TTC
+        # gate leaves it fewer members than object B's
+        pool, args = layered_consensus_scene()
+        _, _, _, normals, offsets, *_ = args
+        assert (np.abs(normals @ pool[0] - offsets) < 2.0).sum() == 12
+        assert [scan_consensus(pool[[i]], *args)[1].size for i in (0, 1)] == [7, 8]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
+    # exact duplicates, in one block and across blocks: the first wins
+    @example([2, 1, 2, 1, 1])
+    @example([1] + [5] * 20 + [1])
+    # most geometric inliers, then fewer that all pass the TTC gate
+    @example([0, 1])
+    @example([0] + [5] * 16 + [1])
+    @example([0, 4] * 10 + [3])
+    # equal size and lower RMS in a later block
+    @example([2] + [5] * 15 + [1])
+    @example([2] * 16 + [3, 2, 1])
+    def test_matches_scan(self, picks):
+        pool, args = layered_consensus_scene()
+        hypotheses = pool[picks]
+        got, want = _consensus(hypotheses, *args), scan_consensus(hypotheses, *args)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 54, 56])
+    def test_ttc_rows_at_most_half_the_geometric_inliers(self, monkeypatch, seed, noise):
+        # the TTC gate runs on at most half of what scoring every
+        # geometric inlier of every hypothesis, refits included, would cost
+        geometric, rows = [0], [0]
+        consensus, decompose = clustering._consensus, clustering._decompose
+
+        def counted_consensus(epipoles, candidate_idx, p0, p1, normals, offsets, spans, intrinsics, config):
+            dist = np.abs(normals[candidate_idx] @ epipoles.T - offsets[candidate_idx, np.newaxis])
+            geometric[0] += int((dist < config.eps_dist).sum())
+            return consensus(epipoles, candidate_idx, p0, p1, normals, offsets, spans, intrinsics, config)
+
+        def counted_decompose(p0, *a):
+            rows[0] += len(p0)
+            return decompose(p0, *a)
+
+        monkeypatch.setattr(clustering, "_consensus", counted_consensus)
+        monkeypatch.setattr(clustering, "_decompose", counted_decompose)
+        flows, intrinsics = sampled_scene(noise=noise, seed=seed)
+        clusters, _ = cluster_flows(two_frame_tracks(flows), config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics)
+        assert len(clusters) == 3
+        assert rows[0] <= 0.5 * geometric[0]
