@@ -425,8 +425,24 @@ def _cmd_sensitivity(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word such as -0.1,360 as a value, not as an option.
+
+    argparse takes a word that starts with '-' for an option unless it is
+    one negative number, which made --horizon -0.1,360 a usage error. No
+    option name holds a comma, so a word that has one before any '=' is
+    a comma-list value; every other word is read as before. Subparsers
+    are built with this class too.
+    """
+
+    def _parse_optional(self, arg_string):
+        if "," in arg_string.partition("=")[0]:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttckit",
         description=(
             "Monocular time-to-collision toolkit: simulate synthetic point "

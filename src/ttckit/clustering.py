@@ -19,20 +19,22 @@ The flows, one per track from its first to its last frame, become arrays
 once, at entry: endpoints, unit line normals n and offsets n . p
 (epipole._flow_lines), and every line distance is |n . e - offset|. A
 round scores all its hypotheses as arrays: the pair epipoles come from
-one batched 2x2 solve, and _consensus gates and ranks them _BLOCK at a
-time, one matrix product for the line distances and one _decompose call
-for the TTC of the geometric inliers. The TTC gate only removes
-members, so that call covers only the hypotheses whose geometric inliers
-can still beat the best set found so far; the others cannot win and are
-never gated, which leaves every result as it was. The refit and sweep
-epipoles are epipole._least_squares_epipole on rows of the flow arrays.
+one batched 2x2 solve, and _consensus bounds every hypothesis by its
+geometric inliers, _BLOCK at a time with one matrix product for the
+line distances, then TTC-gates them best bound first in chunks of
+_BLOCK, one _decompose call per chunk. The TTC gate only removes
+members, so only the hypotheses whose geometric inliers can still beat
+the best set found so far are gated; the others cannot win, which
+leaves every result as it was. The refit and sweep epipoles are
+epipole._least_squares_epipole on rows of the flow arrays.
 
 Determinism contract: given identical inputs and the same rng_seed the
 clustering is byte-for-byte reproducible. When the number of candidate
 pairs in a round is at most max_iterations, all pairs are enumerated in
 index order and the RNG is not consulted at all, which also makes the
 small-input behavior identical to brute-force enumeration. Otherwise
-each hypothesis draws its pair with one rng.choice call, in order.
+one rng.integers call draws the pairs of the whole round, the same
+stream as one rng.choice(m, size=2, replace=False) call per hypothesis.
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ class MotionCluster:
             raise InvalidInput("ttc_values must align with member_indices")
 
 
+def _draw_pairs(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """n pairs of distinct indices in [0, m), shape (n, 2), in one call.
+
+    The same pairs, and the same generator state after, as n calls of
+    rng.choice(m, size=2, replace=False): each runs Floyd's algorithm,
+    a from [0, m - 1) and b from [0, m) with m - 1 taken for b == a,
+    then a one-swap shuffle that swaps the pair when its draw s is 0.
+    """
+    a, b, s = rng.integers(0, np.tile([m - 1, m, 2], n)).reshape(n, 3).T
+    b[b == a] = m - 1
+    swap = s == 0
+    return np.column_stack((np.where(swap, b, a), np.where(swap, a, b)))
+
+
 def _consensus(
     epipoles: np.ndarray,
     candidate_idx: np.ndarray,
@@ -151,48 +167,70 @@ def _consensus(
     eps_dist of it, then keeps those whose k agrees with the median k of
     that geometric set within eps_ttc; k values are rescaled by each
     flow's frame span so they compare in frame units. Hypotheses are
-    scored _BLOCK at a time and ranked by (members, -RMS line distance
-    of the members); the first of exact ties wins, and hypotheses with
-    fewer than min_cluster_size members are not ranked. Only hypotheses
-    whose geometric inliers can still win against the best set of the
-    earlier blocks go through the TTC gate: those with more inliers than
-    its size, or as many with a sum of squared line distances that allows
-    a lower RMS. Every value, including each RMS, is computed with the
-    same arithmetic as a one-hypothesis scan, so the ranking does not
-    depend on the block.
+    ranked by (members, -RMS line distance of the members, -index), so
+    the first of exact ties wins, and hypotheses with fewer than
+    min_cluster_size members are not ranked.
+
+    The TTC gate only removes members, so a hypothesis's geometric
+    inliers bound it: their count bounds its size and, if it keeps them
+    all, their sum of squared line distances gives its RMS. A first pass
+    takes both bounds of every hypothesis, _BLOCK at a time; the second
+    gates the hypotheses best bound first (most inliers, then the lowest
+    sum of squares), _BLOCK at a time, dropping those that can no longer
+    win against the best set found so far. In that order no later
+    hypothesis can win once one cannot, so the gated chunks are dense and
+    the pass stops at the first chunk that is left empty. Every value,
+    including each RMS, is computed with the same arithmetic as a
+    one-hypothesis scan, so the result does not depend on the order.
 
     Returns:
         (h, members, k_values): the winner's row in epipoles, its
         members in candidate order and their k, or None.
     """
-    best_key, best = None, None
     line_offsets = offsets[candidate_idx]
     lines = np.broadcast_to(normals[candidate_idx], (_BLOCK, len(candidate_idx), 2))
-    for first in range(0, len(epipoles), _BLOCK):
-        e = epipoles[first:first + _BLOCK]
-        b = len(e)
-        # one matrix-vector product per hypothesis, as normals @ e[i] computes it
-        dist = np.abs((lines[:b] @ e[:, :, np.newaxis])[..., 0] - line_offsets)
-        hyp, col = np.nonzero(dist < config.eps_dist)  # grouped by hypothesis, flows in order
-        sq = dist[hyp, col] ** 2
-        counts = np.bincount(hyp, minlength=b)
-        # The TTC gate only removes members, so counts bounds each final
-        # size, and a hypothesis that can at best tie the best size must
-        # keep every member: then its geometric sum of squares is its
-        # RMS's, up to the summation order that the 1e-9 margin below
-        # covers. Gate only those that can still win against the best as
-        # it stood before the block; later exact ties lose anyway.
+
+    def distances(e):
+        # one matrix-vector product per hypothesis, as normals @ e[i] computes
+        # it; the rest in place, so one (block, flows) array is allocated
+        dist = (lines[:len(e)] @ e[:, :, np.newaxis])[..., 0]
+        dist -= line_offsets
+        return np.abs(dist, out=dist)
+
+    n_hyp = len(epipoles)
+    bound_counts = np.empty(n_hyp, dtype=np.int64)
+    bound_squares = np.empty(n_hyp)
+    for first in range(0, n_hyp, _BLOCK):
+        dist = distances(epipoles[first:first + _BLOCK])
+        inlier = dist < config.eps_dist
+        block = slice(first, first + len(dist))
+        bound_counts[block] = np.count_nonzero(inlier, axis=1)
+        bound_squares[block] = np.sum(np.square(dist, out=dist), axis=1, where=inlier)
+    order = np.lexsort((np.arange(n_hyp), bound_squares, -bound_counts))
+
+    best_key, best = None, None
+    for first in range(0, n_hyp, _BLOCK):
+        chunk = order[first:first + _BLOCK]
+        # A hypothesis that can at best tie the best size must keep every
+        # member: then its geometric sum of squares is its RMS's, up to the
+        # summation order that the 1e-9 margin below covers.
         least = config.min_cluster_size if best_key is None else best_key[0]
-        viable = counts >= least
+        viable = bound_counts[chunk] >= least
         if best_key is not None:  # best_key[1] ** 2 is the best RMS squared
-            squares = np.bincount(hyp, weights=sq, minlength=b)
-            viable &= (counts > least) | (squares <= best_key[1] ** 2 * least * (1.0 + 1e-9))
-        if not viable.any():
-            continue
-        gated = viable[hyp]
-        hyp, col, sq = hyp[gated], col[gated], sq[gated]
-        counts[~viable] = 0
-        flow = candidate_idx[col]
+            viable &= (bound_counts[chunk] > least) | (
+                bound_squares[chunk] <= best_key[1] ** 2 * least * (1.0 + 1e-9)
+            )
+        chunk = chunk[viable]
+        if chunk.size == 0:
+            break
+        b = chunk.size
+        e = epipoles[chunk]
+        dist = distances(e)
+        hyp, flow = np.nonzero(dist < config.eps_dist)  # grouped by hypothesis, flows in order
+        sq = dist[hyp, flow] ** 2
+        del dist  # freed before the chunk's TTC rows are built, which lowers the peak RSS
+        counts = np.bincount(hyp, minlength=b)
+        flow = candidate_idx[flow]
         k = _decompose(p0[flow], p1[flow], e[hyp], intrinsics)[0] * spans[flow]
         finite = np.isfinite(k)
         # median of each hypothesis's finite k, from one sort of a NaN-padded table
@@ -219,9 +257,9 @@ def _consensus(
             rows = slice(starts[h], starts[h] + counts[h])
             keep = ok[rows]
             rms = float(np.sqrt(np.mean(sq[rows][keep])))
-            key = (top, -rms)
+            key = (top, -rms, -int(chunk[h]))
             if best_key is None or key > best_key:
-                best_key, best = key, (first + int(h), flow[rows][keep], k[rows][keep])
+                best_key, best = key, (int(chunk[h]), flow[rows][keep], k[rows][keep])
     return best
 
 
@@ -363,9 +401,7 @@ def cluster_flows(
         if m * (m - 1) // 2 <= config.max_iterations:
             pairs = remaining[np.column_stack(np.triu_indices(m, 1))]
         else:
-            pairs = remaining[
-                np.array([rng.choice(m, size=2, replace=False) for _ in range(config.max_iterations)])
-            ]
+            pairs = remaining[_draw_pairs(rng, m, config.max_iterations)]
         # a pair of lines closer than EPS_PARALLEL_DEG defines no epipole
         lhs = normals[pairs]
         pairs_ok = _cross_abs(lhs[:, 0], lhs[:, 1]) >= _MIN_SIN_PARALLEL

@@ -1077,3 +1077,43 @@ class TestExitCodes:
         )
         assert code == 1
         assert "internal error" in capsys.readouterr().err
+
+
+class TestCommaListValues:
+    """A comma-list value that starts with '-' is read as a value, as its
+    --option=value form is, not as an unknown flag."""
+
+    def test_negative_horizon_same_as_equals_form(self, planar_files, tmp_path, capsys):
+        _, tracks, _ = planar_files
+        outs = []
+        for horizon in (["--horizon", "-0.1,272"], ["--horizon=-0.1,272"]):
+            out = tmp_path / f"est{len(outs)}.json"
+            code = run("estimate", tracks, "--intrinsics", "800,320,240", "--mode", "planar", *horizon, "--out", out)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        du, dv = read_json(tmp_path / "est0.json")["horizon"]["direction"]
+        assert dv / du == pytest.approx(-0.1)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "{tracks}", "--intrinsics", "-800,320,240", "--mode", "least-squares"], "focal_px must be positive"),
+        (["cluster", "{tracks}", "--intrinsics", "-800,320,240"], "focal_px must be positive"),
+        (["collision-map", "{scene}", "--grid", "-2,2,5,5", "--out", "{out}"], "lateral_extent must be finite and >= 0"),
+        (["sensitivity", "--focal-px", "800", "--z-values", "-10,20", "--out", "{out}"], "Z = -10.0 m leaves the segment behind"),
+    ])
+    def test_every_comma_list_option_reaches_its_check(self, argv, message, planar_files, tmp_path, capsys):
+        scene, tracks, _ = planar_files
+        paths = {"{tracks}": tracks, "{scene}": scene, "{out}": tmp_path / "out.csv"}
+        assert run(*[paths.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flag, usage", [
+        (["--bogus"], "ttckit: error: unrecognized arguments: --bogus\n"),
+        (["--horizon", "--bogus"], "ttckit estimate: error: argument --horizon: expected one argument\n"),
+    ])
+    def test_unknown_flag_still_a_usage_error(self, flag, usage, planar_files, capsys):
+        _, tracks, _ = planar_files
+        assert run("estimate", tracks, "--intrinsics", "800,320,240", *flag) == 2
+        assert capsys.readouterr().err.endswith(usage)

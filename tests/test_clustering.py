@@ -10,6 +10,7 @@ scored on its own, and the array scorer must match it bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -663,6 +664,14 @@ class TestConsensusPruning:
     # equal size and lower RMS in a later block
     @example([2] + [5] * 15 + [1])
     @example([2] * 16 + [3, 2, 1])
+    # best bound first: an exact-duplicate winner at a lower index is
+    # visited after a higher-bound loser, in its chunk or in a later one
+    @example([1, 0, 1])
+    @example([1] + [0] * 16 + [1])
+    # a later index has the most geometric inliers, and the TTC gate cuts
+    # it below an earlier one
+    @example([1, 0])
+    @example([3, 2] + [0] * 16)
     def test_matches_scan(self, picks):
         pool, args = layered_consensus_scene()
         hypotheses = pool[picks]
@@ -696,3 +705,58 @@ class TestConsensusPruning:
         clusters, _ = cluster_flows(two_frame_tracks(flows), config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics)
         assert len(clusters) == 3
         assert rows[0] <= 0.5 * geometric[0]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 54, 56])
+    def test_gate_chunks_are_dense(self, monkeypatch, seed, noise):
+        # every _decompose call of a _consensus call but its last gates a
+        # full chunk of _BLOCK hypotheses
+        per_call = []  # [_decompose calls, gated hypotheses] per _consensus call
+        consensus, decompose = clustering._consensus, clustering._decompose
+
+        def counted_consensus(*args):
+            per_call.append([0, 0])
+            return consensus(*args)
+
+        def counted_decompose(p0, p1, e, intrinsics):
+            # a hypothesis's rows are contiguous and hold each flow once, so
+            # the next one starts where the epipole changes or a flow repeats
+            tally = per_call[-1]
+            tally[0] += 1
+            seen, last = set(), None
+            for flow, epipole in zip(map(tuple, np.hstack([p0, p1])), map(tuple, e)):
+                if epipole != last or flow in seen:
+                    tally[1] += 1
+                    seen, last = set(), epipole
+                seen.add(flow)
+            return decompose(p0, p1, e, intrinsics)
+
+        monkeypatch.setattr(clustering, "_consensus", counted_consensus)
+        monkeypatch.setattr(clustering, "_decompose", counted_decompose)
+        flows, intrinsics = sampled_scene(noise=noise, seed=seed)
+        clusters, _ = cluster_flows(two_frame_tracks(flows), config=ClusteringConfig(rng_seed=seed), intrinsics=intrinsics)
+        assert len(clusters) == 3
+        assert sum(calls for calls, _ in per_call) > 0
+        for calls, gated in per_call:
+            assert calls <= math.ceil(gated / clustering._BLOCK)
+
+
+class TestPairDraws:
+    """_draw_pairs draws what one rng.choice(m, size=2, replace=False) call
+    per hypothesis draws, and leaves the generator in the same state."""
+
+    # 3 * 2**30 makes Lemire's method reject about a quarter of the draws;
+    # 2**32 - 1 is the largest m whose draws all take its 32-bit path
+    @pytest.mark.parametrize("m", [3, 33, 1500, 3 * 2**30, 2**32 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_matches_rng_choice(self, seed, m, pending):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:  # one 32-bit draw leaves the other half of a 64-bit output buffered
+            want_rng.integers(0, 7)
+            got_rng.integers(0, 7)
+            assert want_rng.bit_generator.state["has_uint32"] == 1
+        want = np.array([want_rng.choice(m, size=2, replace=False) for _ in range(50)])
+        got = clustering._draw_pairs(got_rng, m, 50)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
