@@ -57,7 +57,8 @@ from .errors import (
     _valid_seed,
 )
 from .fileio import (
-    _json_text,
+    _json_pieces,
+    _Rows,
     read_scenario,
     read_tracks_csv,
     truth_document,
@@ -160,7 +161,7 @@ def _result_skeleton(command: str, seed: int, config: dict) -> dict:
 
 def _emit_json(document: dict, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(_json_text(document))
+        sys.stdout.writelines(_json_pieces(document))
     else:
         write_json(out_path, document)
 
@@ -258,7 +259,6 @@ def _cmd_estimate(args) -> int:
         method = EpipoleMethod.HORIZON_INTERSECTION
     elif args.mode == "three-frame":
         x, epipoles, residual, errors = _offset_three_frames(tracks, horizon, intrinsics)
-        x = x.tolist()
         method = EpipoleMethod.THREE_FRAME_OFFSET
     else:
         # One epipole for the whole set: least squares assumes all
@@ -272,36 +272,51 @@ def _cmd_estimate(args) -> int:
         epipoles, errors = shared_epipole.position, [None] * n
 
     k, H, v_g_dir, _, point, pair_errors = _collision_rows(first, second, epipoles, intrinsics)
-    k, H, v_g_dir, point = k.tolist(), H.tolist(), v_g_dir.tolist(), point.tolist()
-    if method is not None:
-        positions, residual = epipoles.tolist(), residual.tolist()
-    for i, track_id in enumerate(ids):
-        error = errors[i] or pair_errors[i]
-        if error is not None:
-            document["estimates"].append(_failed_entry(track_id, error))
-            continue
-        entry = {
-            "track_id": track_id,
-            "status": "ok",
-            "k": k[i],
-            "H": H[i],
-            # the truth label's rule: the collision plane has yet to sweep the camera
-            "classification": _APPROACHING if k[i] > 0.0 else _RECEDING,
-            "v_g_dir": v_g_dir[i],
-            "point": point[i],
-        }
-        if args.mode == "three-frame":
-            entry["offset_angle_rad"] = x[i]
-        if method is not None:
-            document["epipoles"].append(
-                {"track_id": track_id, "position": positions[i], "method": method.value, "residual": residual[i]}
-            )
-        document["estimates"].append(entry)
+    failures = [error or pair_error for error, pair_error in zip(errors, pair_errors)]
+    ok = np.flatnonzero(np.array([error is None for error in failures], dtype=bool))
 
-    residuals = [e["residual"] for e in document["epipoles"]]
+    def estimate_rows(start: int, stop: int) -> list[dict]:
+        rows = slice(start, stop)
+        angles = x[rows].tolist() if args.mode == "three-frame" else None
+        entries = []
+        for j, (track_id, error, k_j, h_j, v_j, point_j) in enumerate(zip(
+            ids[rows], failures[rows], k[rows].tolist(), H[rows].tolist(),
+            v_g_dir[rows].tolist(), point[rows].tolist(),
+        )):
+            if error is not None:
+                entries.append(_failed_entry(track_id, error))
+                continue
+            entry = {
+                "track_id": track_id,
+                "status": "ok",
+                "k": k_j,
+                "H": h_j,
+                # the truth label's rule: the collision plane has yet to sweep the camera
+                "classification": _APPROACHING if k_j > 0.0 else _RECEDING,
+                "v_g_dir": v_j,
+                "point": point_j,
+            }
+            if angles is not None:
+                entry["offset_angle_rad"] = angles[j]
+            entries.append(entry)
+        return entries
+
+    def epipole_rows(start: int, stop: int) -> list[dict]:
+        index = ok[start:stop]
+        return [
+            {"track_id": ids[i], "position": position, "method": method.value, "residual": r}
+            for i, position, r in zip(index.tolist(), epipoles[index].tolist(), residual[index].tolist())
+        ]
+
+    document["estimates"] = _Rows(n, estimate_rows)
+    if method is None:
+        residuals = [residual]  # the shared epipole's
+    else:  # one epipole per ok track
+        document["epipoles"] = _Rows(len(ok), epipole_rows)
+        residuals = residual[ok]
     document["residuals"] = {
-        "epipole_residual_mean": float(np.mean(residuals)) if residuals else None,
-        "ok_tracks": sum(1 for e in document["estimates"] if e["status"] == "ok"),
+        "epipole_residual_mean": float(np.mean(residuals)) if len(residuals) else None,
+        "ok_tracks": len(ok),
         "total_tracks": len(tracks),
     }
     _emit_json(document, args.out)

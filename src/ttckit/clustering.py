@@ -263,6 +263,15 @@ def _consensus(
     return best
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, bit for bit, as _consensus takes it:
+    the middle of the sorted values, or the mean of the middle two.
+    np.median's NaN check imports numpy.ma."""
+    ordered = np.sort(values)
+    half = len(ordered) // 2
+    return float(ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2)
+
+
 def _trim_to_invariants(
     members: np.ndarray, k_values: np.ndarray, config: ClusteringConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +279,7 @@ def _trim_to_invariants(
     the member mean. Deletion order is deterministic (first worst)."""
     while members.size >= config.min_cluster_size:
         mean_k = float(np.mean(k_values))
-        eps_ttc = config.effective_eps_ttc(float(np.median(k_values)))
+        eps_ttc = config.effective_eps_ttc(_median(k_values))
         deviations = np.abs(k_values - mean_k)
         worst = int(np.argmax(deviations))
         if deviations[worst] <= eps_ttc:
@@ -311,7 +320,7 @@ def _reassignment_sweep(
         eligible = dist < config.eps_dist
         eligible &= np.isfinite(k_all)
         for c, (_, k_values, _e) in enumerate(state):
-            eps_ttc = config.effective_eps_ttc(float(np.median(k_values)))
+            eps_ttc = config.effective_eps_ttc(_median(k_values))
             mean_k = float(np.mean(k_values))
             eligible[:, c] &= np.abs(k_all[:, c] - mean_k) <= eps_ttc
         any_ok = eligible.any(axis=1)

@@ -5,7 +5,7 @@ Formats are part of the CLI contract and deliberately boring:
 * Tracks: CSV with header ``track_id,frame,u,v``, one row per
   observation. Frame indices must be consecutive (step 1) per track and
   fit in 64 bits; ids are kept verbatim. read_tracks_csv parses the
-  whole file as columns into a TrackTable (rows grouped by track, in
+  file as columns into a TrackTable (rows grouped by track, in
   first-appearance order) and checks it with array operations; only a
   file that fails a check is parsed again line by line, to name the
   offending line or track.
@@ -16,12 +16,21 @@ All writers emit LF newlines, one-line JSON with sorted keys, and
 repr-shortest float formatting, so identical inputs produce
 byte-identical files. Parse failures raise InvalidInput with the
 offending line or field named.
+
+Track files and the per-track lists of result documents pass through
+memory _CHUNK rows at a time: the CSV is parsed in line-aligned pieces
+and written in row chunks, and a document's row sequence (_Rows) builds
+and encodes its entries chunk by chunk. Beyond the file's own text and
+the arrays, memory is bounded by the chunk size, not by the file size;
+the bytes are those of a whole-file parse and json.dumps.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -51,34 +60,87 @@ _SENSITIVITY_HEADER = (
 )
 
 
+# CSV rows, and result-document entries, held in memory at once
+_CHUNK = 512
+# characters of a piece of track CSV parsed at once: _CHUNK rows of 64
+_PIECE = 64 * _CHUNK
+
+
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form; inf and nan spelled out."""
     return repr(float(x))
 
 
-def _json_text(document: dict) -> str:
-    """The text write_json writes, on one line: json.dumps with indent
-    runs the pure-Python encoder, without it the C one. Numpy arrays and
-    scalars become lists and numbers."""
+def _json(value) -> str:
+    """value as JSON on one line: json.dumps with indent runs the
+    pure-Python encoder, without it the C one. Numpy arrays and scalars
+    become lists and numbers."""
     return json.dumps(
-        document, sort_keys=True, allow_nan=False,
+        value, sort_keys=True, allow_nan=False,
         default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
-    ) + "\n"
+    )
 
 
-def _write_text(path, text: str) -> None:
-    """Write text as UTF-8 with LF newlines on every platform."""
+class _Rows(Sequence):
+    """The entries of a result-document list, built from columns when
+    read, in the style of GroundTruth.points: len() builds none, an
+    index or a slice builds those entries. build(start, stop) returns
+    entries start to stop as a list of dicts."""
+
+    def __init__(self, n: int, build):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            rows = range(self._n)[i]
+            return self._build(rows.start, rows.stop) if rows.step == 1 else [self[j] for j in rows]
+        i = range(self._n)[i]
+        return self._build(i, i + 1)[0]
+
+
+def _json_pieces(document: dict) -> list[str]:
+    """The text write_json writes, in pieces: json.dumps(document,
+    sort_keys=True) and a newline. Top-level keys, strings, come in
+    sorted order and each value is encoded on its own; a _Rows value is
+    encoded _CHUNK entries at a time, so its entries never all exist."""
+    pieces = ["{"]
+    for n, key in enumerate(sorted(document)):
+        value = document[key]
+        pieces.append(f"{', ' if n else ''}{_json(key)}: ")
+        if not isinstance(value, _Rows):
+            pieces.append(_json(value))
+            continue
+        pieces.append("[")
+        for first in range(0, len(value), _CHUNK):
+            if first:
+                pieces.append(", ")
+            pieces.append(_json(value[first:first + _CHUNK])[1:-1])  # the slice's list, unbracketed
+        pieces.append("]")
+    pieces.append("}\n")
+    return pieces
+
+
+def _write_text(path, pieces) -> None:
+    """Write an iterable of text pieces as UTF-8 with LF newlines on
+    every platform; a generator is drawn from as the file is written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def write_json(path, document: dict) -> None:
     """Write a JSON document on one line with sorted keys and a trailing
-    newline.
+    newline. Its top-level keys are strings; a list may be given as a
+    _Rows, which is written chunk by chunk.
 
     Rejects NaN/Infinity: documents must encode missing values as null.
+    The whole text is encoded before the file is opened, so a document
+    that fails to encode leaves no file.
     """
-    _write_text(path, _json_text(document))
+    _write_text(path, _json_pieces(document))
 
 
 def read_json(path) -> dict:
@@ -89,8 +151,8 @@ def read_json(path) -> dict:
 # ---------------------------------------------------------------- tracks
 
 def write_tracks_csv(path, tracks, ids: list[str] | None = None) -> None:
-    """Write tracks as CSV rows, track after track; tracks of 0 rows
-    (None entries) write no rows.
+    """Write tracks as CSV rows, track after track, _CHUNK rows at a
+    time; tracks of 0 rows (None entries) write no rows.
 
     Args:
         path: output file.
@@ -102,32 +164,38 @@ def write_tracks_csv(path, tracks, ids: list[str] | None = None) -> None:
     """
     if not isinstance(tracks, TrackTable):
         tracks = TrackTable.from_tracks(tracks)
-    if ids is not None and len(ids) != len(tracks):
-        raise InvalidInput(f"{len(ids)} ids for {len(tracks)} tracks")
-    labels = [str(i) for i in range(len(tracks))] if ids is None else ids
-    lengths = tracks.length.tolist()
-    for label, n in zip(labels, lengths):
-        # read_tracks_csv splits rows wherever str.splitlines does
-        if n and ("," in label or len((label + ".").splitlines()) != 1):
-            raise InvalidInput(f"track id {label!r} must not contain commas or line breaks")
-    row_labels = np.repeat(np.array(labels, dtype=object), tracks.length).tolist()
+    if ids is not None:
+        if len(ids) != len(tracks):
+            raise InvalidInput(f"{len(ids)} ids for {len(tracks)} tracks")
+        for label, n in zip(ids, tracks.length.tolist()):
+            # read_tracks_csv splits rows wherever str.splitlines does
+            if n and ("," in label or len((label + ".").splitlines()) != 1):
+                raise InvalidInput(f"track id {label!r} must not contain commas or line breaks")
+    _write_text(path, _track_rows(tracks, range(len(tracks)) if ids is None else ids))
+
+
+def _track_rows(tracks: TrackTable, labels):
+    """The text of a track CSV: its header, then _CHUNK rows at a time."""
+    yield TRACKS_HEADER + "\n"
     rows = tracks.rows()
-    u, v = tracks.positions[rows].T.tolist()
-    # tolist() gives Python ints and floats: repr is _fmt without the float() call
-    lines = [
-        f"{label},{frame},{x!r},{y!r}"
-        for label, frame, x, y in zip(row_labels, tracks.frames[rows].tolist(), u, v)
-    ]
-    _write_text(path, "\n".join([TRACKS_HEADER, *lines]) + "\n")
+    owner = np.repeat(np.arange(len(tracks)), tracks.length)  # each row's track
+    for first in range(0, len(rows), _CHUNK):
+        chunk = rows[first:first + _CHUNK]
+        u, v = tracks.positions[chunk].T.tolist()
+        # tolist() gives Python ints and floats: repr is _fmt without the float() call
+        yield "".join([
+            f"{labels[t]},{frame},{x!r},{y!r}\n"
+            for t, frame, x, y in zip(owner[first:first + _CHUNK].tolist(), tracks.frames[chunk].tolist(), u, v)
+        ])
 
 
 def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     """Parse a track CSV.
 
     Track ids are kept verbatim, surrounding whitespace included. The
-    whole file is parsed as columns at once; only when a check fails is
-    it parsed again line by line, which names the first offending line
-    or track.
+    text is read once and parsed as columns, one line-aligned piece at a
+    time; only when a check fails is it parsed again line by line,
+    which names the first offending line or track.
 
     Returns:
         (ids, tracks) in first-appearance order of track_id; tracks is a
@@ -141,51 +209,72 @@ def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
+    pieces = _line_pieces(text)
+    lines = next(pieces, [])
     if not lines or lines[0].strip() != TRACKS_HEADER:
         raise InvalidInput(f"{path}: line 1: expected header {TRACKS_HEADER!r}")
-    parsed = _table_from_columns(lines[1:])
+    parsed = _table_from_columns(lines[1:], pieces)
     if parsed is None:
-        ids, tracks = _read_track_lines(path, lines)
+        ids, tracks = _read_track_lines(path, text.splitlines())
         parsed = ids, TrackTable.from_tracks(tracks)
     return parsed
 
 
-def _table_from_columns(rows: list[str]) -> tuple[list[str], TrackTable] | None:
-    """The rows below the header as (ids, table), or None when any check
-    fails: field count, number syntax, 64-bit frames, finite pixels, at
-    least 2 rows per track and frame steps of 1."""
-    rows = [row for row in rows if row.strip()]
-    if any(row.count(",") != 3 for row in rows):
-        return None
-    fields = ",".join(rows).split(",") if rows else []
-    r = len(rows)
-    try:
-        frames = np.fromiter(map(int, fields[1::4]), dtype=np.int64, count=r)
-        positions = np.empty((r, 2))
-        positions[:, 0] = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=r)
-        positions[:, 1] = np.fromiter(map(float, fields[3::4]), dtype=np.float64, count=r)
-    except (ValueError, OverflowError):
-        return None
-    # each row's track as its index in first-appearance order
-    labels = fields[0::4]
-    index = dict.fromkeys(labels)
-    ids = list(index)
-    index.update(zip(ids, range(len(ids))))
-    track = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=r)
+def _line_pieces(text: str):
+    """text.splitlines() in pieces of at least _PIECE characters.
+    Each piece but the last ends just after a "\\n". A "\\n" always ends
+    a line ("\\r\\n" included), so the pieces' lines, one after another,
+    are the text's."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _table_from_columns(lines: list[str], pieces=()) -> tuple[list[str], TrackTable] | None:
+    """The lines below the header, lines and then each list of lines in
+    pieces, parsed one list at a time, as (ids, table), or None when any
+    check fails: field count, number syntax, 64-bit frames, finite
+    pixels, at least 2 rows per track and frame steps of 1."""
+    index: dict[str, int] = {}  # track id -> its place in first-appearance order
+    frames, positions, track = [np.zeros(0, np.int64)], [np.zeros((0, 2))], [np.zeros(0, np.int64)]
+    for piece in chain([lines], pieces):
+        rows = [row for row in piece if row.strip()]
+        if any(row.count(",") != 3 for row in rows):
+            return None
+        fields = ",".join(rows).split(",") if rows else []
+        r = len(rows)
+        try:
+            frames.append(np.fromiter(map(int, fields[1::4]), dtype=np.int64, count=r))
+            uv = np.empty((r, 2))
+            uv[:, 0] = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=r)
+            uv[:, 1] = np.fromiter(map(float, fields[3::4]), dtype=np.float64, count=r)
+            positions.append(uv)
+        except (ValueError, OverflowError):
+            return None
+        labels = fields[0::4]
+        new = [label for label in dict.fromkeys(labels) if label not in index]
+        index.update(zip(new, range(len(index), len(index) + len(new))))
+        track.append(np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=r))
+    # one column at a time, each list of pieces freed as it is joined
+    frames = np.concatenate(frames)
+    positions = np.concatenate(positions)
+    track = np.concatenate(track)
     if np.any(track[1:] < track[:-1]):  # interleaved tracks: group their rows
         grouped = np.argsort(track, kind="stable")
         frames, positions = frames[grouped], positions[grouped]
-    length = np.bincount(track, minlength=len(ids))
+    length = np.bincount(track, minlength=len(index))
     start = np.cumsum(length) - length
     # as in TrackObservation: the int64 difference wraps, so a step also rises
     steps_ok = (np.diff(frames) == 1) & (frames[1:] > frames[:-1])
     steps_ok[start[1:] - 1] = True  # a step between two tracks is no step
     if np.any(length < 2) or not steps_ok.all() or not np.isfinite(positions).all():
         return None
-    return ids, TrackTable(frames, positions, start, length)
+    return list(index), TrackTable(frames, positions, start, length)
 
 
 def _read_track_lines(path, lines: list[str]) -> tuple[list[str], list[TrackObservation]]:
@@ -326,36 +415,41 @@ def write_scenario(path, scenario: Scenario) -> None:
 
 def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
     """Ground truth as a JSON-ready document (schema 1), built from the
-    columns of truth without building any PointTruth; NaN becomes null."""
+    columns of truth without building any PointTruth; NaN becomes null.
+    Its "points" are a _Rows, built when read."""
     if len(ids) != len(truth):
         raise InvalidInput(f"{len(ids)} ids for {len(truth)} truth points")
     v_g = truth.v_g.tolist()
     epipole = [None if math.isnan(e[0]) else e for e in truth.epipole.tolist()]
     labels = [label.value for label in truth.LABELS]
-    points = [
-        {
-            "track_id": tid,
-            "object_id": truth.object_ids[obj],
-            "cluster_id": obj,
-            "v_g": v_g[obj],
-            "speed": speed,
-            "epipole": epipole[obj],
-            "k0": None if math.isnan(k0) else k0,
-            "H": None if math.isnan(h) else h,
-            "label": labels[label],
-            "valid_frames": valid,
-        }
-        for tid, obj, speed, k0, h, label, valid in zip(
-            ids,
-            truth.cluster_id.tolist(),
-            truth.speed.tolist(),
-            truth.k0.tolist(),
-            truth.H.tolist(),
-            truth.label.tolist(),
-            truth.valid_frames.tolist(),
-        )
-    ]
-    return {"schema": 1, "frame_count": truth.frame_count, "points": points}
+
+    def points(start: int, stop: int) -> list[dict]:
+        rows = slice(start, stop)
+        return [
+            {
+                "track_id": tid,
+                "object_id": truth.object_ids[obj],
+                "cluster_id": obj,
+                "v_g": v_g[obj],
+                "speed": speed,
+                "epipole": epipole[obj],
+                "k0": None if math.isnan(k0) else k0,
+                "H": None if math.isnan(h) else h,
+                "label": labels[label],
+                "valid_frames": valid,
+            }
+            for tid, obj, speed, k0, h, label, valid in zip(
+                ids[rows],
+                truth.cluster_id[rows].tolist(),
+                truth.speed[rows].tolist(),
+                truth.k0[rows].tolist(),
+                truth.H[rows].tolist(),
+                truth.label[rows].tolist(),
+                truth.valid_frames[rows].tolist(),
+            )
+        ]
+
+    return {"schema": 1, "frame_count": truth.frame_count, "points": _Rows(len(truth), points)}
 
 
 def write_collision_map_csv(path, cmap: CollisionMap) -> None:
@@ -372,7 +466,7 @@ def write_collision_map_csv(path, cmap: CollisionMap) -> None:
         for dv_l, ttc, miss, hit in zip(lateral, ttc_row, miss_row, hit_row):
             # tolist() gives Python floats: repr is _fmt without the float() call
             lines.append(f"{dv_l},{forward},{ttc!r},{miss!r},{'1' if hit else '0'}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines), "\n"])
 
 
 def write_sensitivity_csv(path, table: SensitivityTable) -> None:
@@ -390,4 +484,4 @@ def write_sensitivity_csv(path, table: SensitivityTable) -> None:
                 ]
             )
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines), "\n"])

@@ -386,7 +386,8 @@ def simulate(scenario: Scenario) -> tuple[TrackTable, GroundTruth]:
         InvalidInput: a pixel overflows float64; the message names the
             object.
     """
-    rng = np.random.default_rng(scenario.rng_seed)
+    # only noise draws from it, and importing numpy.random costs about 5 MB
+    rng = np.random.default_rng(scenario.rng_seed) if scenario.pixel_noise_sigma > 0.0 else None
     frame_count = scenario.frame_count
     steps = np.arange(frame_count, dtype=np.float64)
     columns = _scenario_truth(scenario)

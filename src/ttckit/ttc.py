@@ -237,23 +237,40 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     pp = intrinsics.pp
     f = intrinsics.focal_px
     ex, ey = (e - pp).T
-    pair = np.stack([p0, p1])
-    x = pair[..., 0] - pp[0]
-    y = pair[..., 1] - pp[1]
-    gap = np.hypot(pair[..., 0] - e[..., 0], pair[..., 1] - e[..., 1])
-    # tan = |r_e x r| / (r_e . r) with r = (x, y, f), r_e = (ex, ey, f)
-    (ya, yb), (xa, xb) = np.hypot(f * gap, ex * y - ey * x), ex * x + ey * y + f * f
+    coincident = np.zeros(len(p0), dtype=bool)
+    tangents = []
+    for p in (p0, p1):
+        # tan = |r_e x r| / (r_e . r) with r = (x, y, f), r_e = (ex, ey, f),
+        # one frame at a time and in place, with the same products and sums
+        x = p[:, 0] - pp[0]
+        y = p[:, 1] - pp[1]
+        gap = np.hypot(p[:, 0] - e[..., 0], p[:, 1] - e[..., 1])
+        coincident |= gap < _EPS_COINCIDENT
+        gap *= f
+        cross = ex * y
+        cross -= ey * x
+        rise = np.hypot(gap, cross, out=gap)
+        x *= ex
+        y *= ey
+        x += y
+        x += f * f
+        tangents.append((rise, x))
+    (ya, xa), (yb, xb) = tangents
     # k = tan(beta) / (tan(beta) - tan(alpha)) and h = k * tan(alpha), the
     # tangents kept as fractions so that a right angle (x = 0, the point
     # at its sweep) needs no special case. Angular motion |tan(beta) -
     # tan(alpha)| below _EPS_TAN is constant bearing.
-    den = yb * xa - ya * xb
-    still = ~(np.abs(den) >= _EPS_TAN * np.abs(xa * xb)) | (den == 0.0)
-    den = np.where(still, 1.0, den)
-    k, h = yb * xa / den, ya * yb / den
+    k = yb * xa
+    den = k - ya * xb
+    xa *= xb
+    still = ~(np.abs(den) >= _EPS_TAN * np.abs(xa, out=xa)) | (den == 0.0)
+    den[still] = 1.0
+    k /= den
+    h = ya * yb
+    h /= den
     verdict = np.zeros(len(k), dtype=np.int8)
     verdict[still] = _CONSTANT_BEARING
-    verdict[(gap < _EPS_COINCIDENT).any(axis=0)] = _COINCIDENT
+    verdict[coincident] = _COINCIDENT
     verdict[_zero_rows(p1 - p0)] = _ZERO_FLOW
     bad = verdict != 0
     k[bad] = np.nan

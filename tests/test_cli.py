@@ -7,7 +7,12 @@ closure of CLI estimates against simulator ground truth.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from ttckit import (
     epipole_offset_three_frames,
     planar_epipole,
 )
+from ttckit import fileio
 from ttckit.cli import main
 from ttckit.fileio import read_json, read_tracks_csv, write_scenario
 
@@ -212,6 +218,23 @@ class TestEstimateCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "estimate"
+
+    @pytest.mark.parametrize("mode", ["planar", "three-frame", "least-squares"])
+    def test_stdout_equals_out_file_in_any_chunk_size(self, mode, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, triple_scenario(seed=5, noise=0.3))
+        tracks = tmp_path / "t.csv"
+        assert run("simulate", scene, "--out-tracks", tracks, "--out-truth", tmp_path / "g.json") == 0
+        argv = ["estimate", tracks, "--intrinsics", "700,320,240", "--mode", mode]
+        if mode != "least-squares":
+            argv += ["--horizon", "0,240"]
+        assert run(*argv, "--out", tmp_path / "est.json") == 0
+        want = (tmp_path / "est.json").read_bytes()
+        capsys.readouterr()
+        for size in (1, 2, 5):
+            with mock.patch.object(fileio, "_CHUNK", size):
+                assert run(*argv) == 0
+            assert capsys.readouterr().out.encode("utf-8") == want, size
 
     def test_planar_requires_horizon(self, planar_files, capsys):
         _, tracks_path, _ = planar_files
@@ -1077,6 +1100,39 @@ class TestExitCodes:
         )
         assert code == 1
         assert "internal error" in capsys.readouterr().err
+
+
+class TestLazyNumpyModules:
+    def test_loaded_only_when_used(self, tmp_path):
+        """A noise-free simulate never imports numpy.random (about 5 MB)
+        and cluster never imports numpy.ma (about 0.6 MB); the probe does
+        see both once a noisy simulate and np.median have run."""
+        write_scenario(tmp_path / "scene.json", triple_scenario(seed=5, noise=0.0))
+        probe = """
+import sys
+import numpy as np
+from ttckit.cli import main
+scene, tracks, truth, out = sys.argv[1:]
+loaded = []
+assert main(["simulate", scene, "--out-tracks", tracks, "--out-truth", truth]) == 0
+loaded.append("numpy.random" in sys.modules)
+assert main(["cluster", tracks, "--intrinsics", "700,320,240", "--out", out]) == 0
+loaded.append("numpy.ma" in sys.modules)
+assert main(["simulate", scene, "--out-tracks", tracks, "--out-truth", truth, "--noise-sigma", "0.1"]) == 0
+loaded.append("numpy.random" in sys.modules)
+np.median(np.ones(3))
+loaded.append("numpy.ma" in sys.modules)
+print(loaded)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        names = ("scene.json", "t.csv", "g.json", "c.json")
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *(str(tmp_path / name) for name in names)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[False, False, True, True]"
 
 
 class TestCommaListValues:

@@ -1,6 +1,9 @@
 """File format round-trips and parse error reporting."""
 
+import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -577,3 +580,209 @@ class TestGridCsvWriters:
         assert len(lines) == 3
         assert lines[1].startswith("20.0,")
         assert lines[1].endswith(",0")  # degenerate count is an int
+
+
+# Every line break of str.splitlines; reading the file turns "\r" and
+# "\r\n" into "\n".
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def parse_outcome(path):
+    """read_tracks_csv as comparable values, or its error message."""
+    try:
+        ids, table = read_tracks_csv(path)
+    except InvalidInput as exc:
+        return str(exc)
+    return ids, table.frames.tolist(), table.positions.tolist(), table.start.tolist(), table.length.tolist()
+
+
+def outcomes_by_piece_size(path, sizes):
+    """parse_outcome with read_tracks_csv cutting the text into pieces of
+    at least each of the given sizes."""
+    found = {}
+    for size in sizes:
+        with mock.patch.object(fileio, "_PIECE", size):
+            found[size] = parse_outcome(path)
+    return found
+
+
+class TestReadPieces:
+    """read_tracks_csv parses its text in line-aligned pieces: any piece
+    size reads a file exactly as one piece does."""
+
+    @staticmethod
+    def text_with_every_separator():
+        rows = [TRACKS_HEADER]
+        # tracks a and b interleaved, each spread over the whole file
+        for j in range(len(SEPARATORS)):
+            rows += [f"a,{j},{j}.5,1.25", f" b ,{10 + j},-{j}.0,2.5"]
+        rows.insert(3, "")
+        rows.insert(6, " \t ")
+        text = ""
+        for j, row in enumerate(rows[:-1]):
+            # each separator alone, then before and after a "\n", where pieces end
+            sep = SEPARATORS[j % len(SEPARATORS)]
+            text += row + [sep, sep + "\n", "\n" + sep][(j // len(SEPARATORS)) % 3]
+        return text + rows[-1] + "\n"
+
+    def test_every_piece_size_reads_alike(self, tmp_path):
+        path = tmp_path / "t.csv"
+        text = self.text_with_every_separator()
+        path.write_bytes(text.encode("utf-8"))
+        whole = parse_outcome(path)
+        assert whole[0] == ["a", " b "]
+        assert whole[-1] == [len(SEPARATORS), len(SEPARATORS)]
+        for size, got in outcomes_by_piece_size(path, range(1, len(text) + 2)).items():
+            assert got == whole, size
+
+    def test_separator_as_a_piece_ends(self, tmp_path):
+        # a 2-row track whose separator falls just before and just after a cut
+        path = tmp_path / "t.csv"
+        for sep in SEPARATORS:
+            for at in (sep + "\n", "\n" + sep):
+                path.write_bytes(f"{TRACKS_HEADER}\nx,0,1.0,2.0{at}x,1,1.5,2.0\n".encode("utf-8"))
+                want = (["x"], [0, 1], [[1.0, 2.0], [1.5, 2.0]], [0], [2])
+                assert set(map(repr, outcomes_by_piece_size(path, range(1, 40)).values())) == {repr(want)}, repr(at)
+
+    def test_bad_row_in_a_later_piece_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [f"t{i},{f},1.{i},2.{f}" for i in range(30) for f in range(2)]
+        bad_at = len(rows) + 2  # 1-based, after the header
+        for bad, message in (
+            ("z,0,1.0", "expected 4 fields, got 3"),
+            ("z,0,1.0,inf", "coordinates must be finite"),
+            ("z,0,one,2.0", "could not convert string to float: 'one'"),
+        ):
+            path.write_text("\n".join([TRACKS_HEADER, *rows, bad, "z,1,1.0,2.0"]) + "\n")
+            want = f"{path}: line {bad_at}: {message}"
+            assert parse_outcome(path) == want
+            for size, got in outcomes_by_piece_size(path, (1, 7, 64, 200, 10_000)).items():
+                assert got == want, size
+
+    def test_track_broken_in_a_later_piece_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [f"t{i},{f},1.{i},2.{f}" for i in range(30) for f in range(2)]
+        path.write_text("\n".join([TRACKS_HEADER, *rows, "t3,3,1.0,2.0"]) + "\n")
+        want = f"{path}: track 't3': frame indices must increase by exactly 1, got steps [1 2]"
+        assert set(outcomes_by_piece_size(path, (1, 7, 64, 10_000)).values()) == {want}
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=track_csvs(), separators=st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=4),
+           size=st.integers(1, 120))
+    def test_any_csv_any_piece_size(self, text, separators, size, tmp_path):
+        lines = text.splitlines()
+        text = "".join(line + separators[j % len(separators)] for j, line in enumerate(lines))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcomes_by_piece_size(path, [size])[size] == parse_outcome(path)
+
+
+JSON_STRINGS = st.text(max_size=6) | st.sampled_from(["\u00e9t\u00e9", '"q"', "back\\slash", "\u2028", '\\"', "\U0001f697"])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_STRINGS
+    | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
+    | st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False))
+    | st.builds(np.bool_, st.booleans())
+)
+JSON_ENTRIES = st.dictionaries(JSON_STRINGS, JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3), max_size=4)
+
+
+def rows_of(entries):
+    """entries as a _Rows that builds fresh copies when read."""
+    return fileio._Rows(len(entries), lambda start, stop: [dict(e) for e in entries[start:stop]])
+
+
+class TestChunkedJson:
+    """write_json encodes a _Rows value a chunk of entries at a time; the
+    text equals json.dumps of the document with every _Rows a list."""
+
+    @staticmethod
+    def reference(document):
+        listed = {key: list(value) if isinstance(value, fileio._Rows) else value for key, value in document.items()}
+        return json.dumps(listed, sort_keys=True, default=lambda o: o.item()) + "\n"
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=st.dictionaries(
+        JSON_STRINGS, JSON_SCALARS | st.lists(JSON_ENTRIES, max_size=7).map(rows_of), max_size=4,
+    ))
+    def test_every_chunk_size_writes_json_dumps(self, document, tmp_path):
+        want = self.reference(document)
+        longest = max([len(v) for v in document.values() if isinstance(v, fileio._Rows)], default=0)
+        path = tmp_path / "doc.json"
+        for size in range(1, longest + 2):
+            with mock.patch.object(fileio, "_CHUNK", size):
+                write_json(path, document)
+            assert path.read_bytes().decode("utf-8") == want, size
+
+    def test_empty_rows_and_empty_document(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for document in ({}, {"rows": rows_of([])}, {"b": rows_of([]), "a": rows_of([{}])}):
+            write_json(path, document)
+            assert path.read_text(encoding="utf-8") == self.reference(document)
+
+    @pytest.mark.parametrize("size", [1, 2, 512])
+    def test_nan_in_a_later_chunk_leaves_no_file(self, size, tmp_path):
+        entries = [{"k": float(i)} for i in range(5)] + [{"k": float("nan")}]
+        path = tmp_path / "doc.json"
+        with mock.patch.object(fileio, "_CHUNK", size), pytest.raises(ValueError):
+            write_json(path, {"a": 1, "estimates": rows_of(entries)})
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            write_json(path, {"a": float("nan"), "b": rows_of(entries[:5])})
+        assert not path.exists()
+
+    def test_rows_index_and_slice(self):
+        entries = [{"i": i} for i in range(7)]
+        rows = rows_of(entries)
+        assert len(rows) == 7 and rows[3] == {"i": 3} and rows[-1] == {"i": 6}
+        assert rows[2:5] == entries[2:5] and rows[5:2] == [] and rows[::3] == entries[::3]
+        assert rows[-3:] == entries[-3:] and list(rows) == entries
+        with pytest.raises(IndexError):
+            rows[7]
+
+
+def traced_peak(call):
+    """(tracemalloc peak of call() in bytes above what was allocated
+    before, its result)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """On 20k tracks of 6 frames the text I/O holds the file's text and
+    its arrays, not a Python object per line, field or entry: each call
+    peaks within the size of the text it reads or writes plus 12 MB."""
+
+    SLACK = 12 * 2**20
+
+    def test_20k_tracks(self, tmp_path):
+        n, frames = 20_000, 6
+        rng = np.random.default_rng(0)
+        obj = SceneObject(
+            "car", np.column_stack([rng.uniform(-20, 20, (n, 2)), rng.uniform(20, 60, n)]), np.array([0.2, 0.0, -1.0])
+        )
+        scenario = Scenario(
+            intrinsics=CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0)),
+            objects=(obj,), camera_velocity=np.zeros(3), frame_count=frames,
+        )
+        tracks, truth = simulate(scenario)
+        ids = [f"car-{i}" for i in range(n)]
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "g.json"
+
+        peak, _ = traced_peak(lambda: write_tracks_csv(csv_path, tracks, ids))
+        assert peak <= csv_path.stat().st_size + self.SLACK
+        peak, (_, table) = traced_peak(lambda: read_tracks_csv(csv_path))
+        assert peak <= csv_path.stat().st_size + self.SLACK
+        assert len(table.frames) == n * frames
+        peak, _ = traced_peak(lambda: write_json(json_path, truth_document(truth, ids)))
+        assert peak <= json_path.stat().st_size + self.SLACK
+        assert json_path.read_bytes().count(b'"track_id"') == n
