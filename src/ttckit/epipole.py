@@ -180,11 +180,42 @@ def _cut_horizon(points: np.ndarray, directions: np.ndarray, horizon: HorizonLin
 
 def _tls_lines(points: np.ndarray):
     """Total least squares lines through point sets of shape (..., n, 2):
-    (centroid, unit direction, spread), the spread being the largest
-    singular value of the centered points, 0 where all of a set coincide."""
-    centroid = points.mean(axis=-2)
-    _, singular, vt = np.linalg.svd(points - centroid[..., np.newaxis, :], full_matrices=False)
-    return centroid, vt[..., 0, :], singular[..., 0]
+    (centroid, unit direction, spread), each of shape (..., 2), (..., 2)
+    and (...).
+
+    The line is the principal axis of the set's scatter sxx, syy, sxy
+    about its centroid (Pearson 1901), in closed form: direction
+    (cos t, sin t) with t = atan2(2 sxy, sxx - syy) / 2, so u >= 0, taken
+    from the eigenvector of the largest eigenvalue without trigonometry.
+    spread = sqrt(largest eigenvalue), the largest singular value of the
+    centered points. Each centered set is divided by its largest
+    |coordinate| before squaring and the spread multiplied back, so no
+    square overflows or underflows. Where all points of a set coincide
+    the spread is 0, and where the scatter has no principal axis the
+    direction is (1, 0).
+    """
+    # centered on the first point, then on the mean offset from it, so
+    # coincident points center to exact zeros
+    centered = points - points[..., :1, :]
+    offset = centered.mean(axis=-2, keepdims=True)
+    centroid = (points[..., :1, :] + offset)[..., 0, :]
+    centered -= offset
+    scale = np.abs(centered).max(axis=(-2, -1))
+    centered /= np.where(scale > 0.0, scale, 1.0)[..., np.newaxis, np.newaxis]
+    x, y = centered[..., 0], centered[..., 1]
+    sxx, syy, sxy = (x * x).sum(axis=-1), (y * y).sum(axis=-1), (x * y).sum(axis=-1)
+    half = (sxx - syy) / 2.0
+    r = np.hypot(half, sxy)
+    # (lambda - syy, sxy) or (sxy, lambda - sxx), whichever adds two
+    # non-negative terms; the second turned so that u >= 0
+    wide = half >= 0.0
+    u = np.where(wide, half + r, np.abs(sxy))
+    v = np.where(wide, sxy, np.copysign(r - half, sxy))
+    norm = np.hypot(u, v)
+    axis = norm > 0.0
+    norm = np.where(axis, norm, 1.0)
+    direction = np.stack([np.where(axis, u / norm, 1.0), v / norm], axis=-1)
+    return centroid, direction, scale * np.sqrt((sxx + syy) / 2.0 + r)
 
 
 def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine):
@@ -434,10 +465,12 @@ def epipole_offset_three_frames(
 def calibrate_horizon(epipoles: list[Epipole]) -> HorizonLine:
     """Total least squares horizon through epipoles of planar motions.
 
-    Uses the perpendicular-residual line fit (SVD of the centered
-    positions), since epipole errors have no preferred axis. The fit
-    residual (RMS perpendicular distance) is stored on the returned
-    line.
+    Uses the perpendicular-residual line fit (_tls_lines: the principal
+    axis of the positions' scatter, in closed form), since epipole
+    errors have no preferred axis. The line passes through the
+    epipoles' centroid, and its direction points to +u (u >= 0; (0, +-1)
+    for a vertical fit). The fit residual (RMS perpendicular distance)
+    is stored on the returned line.
 
     Raises:
         InsufficientData: fewer than 2 epipoles.

@@ -262,20 +262,24 @@ class _PointTruths(Sequence):
 
 
 def _truth(points, v_g):
-    """Analytic truth of points under relative motions, broadcast over rows.
+    """Analytic truth of points under relative motions, component-major.
 
-    points (..., 3) are frame-0 positions and v_g (..., 3) per-frame
-    relative motions. Returns (k0, H, speed, miss): k0 = -(P . v) / |v|^2;
-    miss = |P + k0 v|, the distance at the sweep, which is the closest
-    approach; H = miss / |v|, in per-frame units; speed = |v|. k0, H and
-    miss are NaN below _SPEED_FLOOR.
+    points (px, py, pz) are frame-0 positions and v_g (vx, vy, vz)
+    per-frame relative motions: each a sequence of three arrays, such as
+    the rows of a (3, ...) array, that broadcast against each other.
+    Contiguous components keep every operation on contiguous memory,
+    which collision_map relies on.
+    Returns (k0, H, speed, miss): k0 = -(P . v) / |v|^2; miss =
+    |P + k0 v|, the distance at the sweep, which is the closest approach;
+    H = miss / |v|, in per-frame units; speed = |v|, of v_g's shape.
+    k0, H and miss are NaN below _SPEED_FLOOR.
     """
-    points, v_g = np.broadcast_arrays(points, v_g)
-    px, py, pz = points[..., 0], points[..., 1], points[..., 2]
-    vx, vy, vz = v_g[..., 0], v_g[..., 1], v_g[..., 2]
-    # Component sums add in the order of np.sum over the last axis, so the
-    # bits match it. np.sum starts from +0.0, hence the + 0.0: it turns a
-    # dot product of all -0.0 terms into +0.0, as np.sum does.
+    px, py, pz = points
+    vx, vy, vz = v_g
+    # Component sums add in the order of np.sum over the last axis of a
+    # (..., 3) row, so the bits match it. np.sum starts from +0.0, hence
+    # the + 0.0: it turns a dot product of all -0.0 terms into +0.0, as
+    # np.sum does.
     speed = np.sqrt(vx * vx + vy * vy + vz * vz)
     moving = speed >= _SPEED_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -316,7 +320,7 @@ def _truth_columns(object_ids, points, v_g, intrinsics: CameraIntrinsics) -> dic
     sizes = [len(p) for p in points]
     cluster_id = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     with np.errstate(over="ignore", invalid="ignore"):
-        k0, h, speed, miss = _truth(np.concatenate([np.zeros((0, 3)), *points]), v_g[cluster_id])
+        k0, h, speed, miss = _truth(np.concatenate([np.zeros((0, 3)), *points]).T, v_g[cluster_id].T)
         epipole = _motion_epipole(v_g, intrinsics)
     object_ok = ~np.isinf(epipole).any(axis=1)
     object_ok[cluster_id[_overflows(k0, h, speed)]] = False
@@ -499,8 +503,11 @@ def collision_map(
     reproduces the unmodified scenario's collision state. Cells go
     through _truth in forward-major blocks of about _MAP_BLOCK_ROWS
     (cell, point) rows, one call per block, so the work arrays take a
-    few MB whatever the grid size. Each cell's values equal those of a
-    _truth call on that cell alone.
+    few MB whatever the grid size. A block's relative velocity is three
+    contiguous (cells, points) arrays, one per component, and the point
+    positions three contiguous rows that broadcast against them. Each
+    cell's values equal those of a _truth call on that cell alone, bit
+    for bit.
 
     Args:
         scenario: base scene.
@@ -521,24 +528,28 @@ def collision_map(
     min_ttc = np.full(n_cells, np.inf)
     miss = np.full(n_cells, np.nan)
     hit = np.zeros(n_cells, dtype=bool)
-    # every point of every object, in object order, beside its velocity
+    # every point of every object, in object order, beside its velocity,
+    # component-major: points[i] and velocities[i] are contiguous rows
     objects = scenario.objects
-    points = np.concatenate([np.zeros((0, 3))] + [obj.points for obj in objects])
-    velocities = np.concatenate(
-        [np.zeros((0, 3))] + [np.broadcast_to(obj.velocity, obj.points.shape) for obj in objects]
+    points = np.concatenate([np.zeros((0, 3))] + [obj.points for obj in objects]).T.copy()
+    velocities = np.repeat(
+        np.reshape([obj.velocity for obj in objects], (-1, 3)).T,
+        [len(obj.points) for obj in objects], axis=1,
     )
-    if len(points):
+    n_points = points.shape[1]
+    if n_points:
         # each cell's camera velocity, forward-major, as camera_velocity
         # + [dv_l, 0.0, dv_f]
         change = np.zeros((n_cells, 3))
         change[:, 0] = np.tile(lat, len(fwd))
         change[:, 2] = np.repeat(fwd, len(lat))
-        block = max(1, _MAP_BLOCK_ROWS // len(points))
+        block = max(1, _MAP_BLOCK_ROWS // n_points)
         for start in range(0, n_cells, block):
             cells = slice(start, start + block)
             with np.errstate(over="ignore", invalid="ignore"):
-                cam_v = scenario.camera_velocity + change[cells, np.newaxis]
-                k0, h, speed, _ = _truth(points, velocities - cam_v)
+                cam_v = scenario.camera_velocity + change[cells]
+                rel_v = [velocities[i] - cam_v[:, i, np.newaxis] for i in range(3)]
+                k0, h, speed, _ = _truth(points, rel_v)
             bad = _overflows(k0, h, speed)
             if bad.any():
                 cell, point = np.argwhere(bad)[0]

@@ -202,7 +202,9 @@ def orientation_error_sweep(
     horizon, non-positive disparity, undefined TTC) from all three means.
 
     The object must stay in front of the camera for the whole segment;
-    too-small Z raises InvalidInput.
+    too-small Z raises InvalidInput, and so does a Z whose row (its
+    depth error or a trial mean) overflows float64, such as Z = 1e160,
+    whose Z^2 does.
 
     Args:
         model: rig and motion parameters.
@@ -278,16 +280,20 @@ def orientation_error_sweep(
             x_est = (ul - intr.u0) * z_est / f
         heading_st = _atan2_deg(-(x_est[:, 1] - x_est[:, 0]), -(z_est[:, 1] - z_est[:, 0]))
         err = np.abs(heading_st - model.heading_deg) % 360.0
-        errors = (
-            np.minimum(err, 360.0 - err),
-            np.abs(_atan2_deg(e_px[:, 0] - intr.u0, np.full(trials, f)) - model.heading_deg),
-            np.abs(k * span - k_true),
-        )
-        means = [float(np.mean(e[valid])) if valid.any() else float("nan") for e in errors]
+        with np.errstate(over="ignore"):
+            errors = (
+                np.minimum(err, 360.0 - err),
+                np.abs(_atan2_deg(e_px[:, 0] - intr.u0, np.full(trials, f)) - model.heading_deg),
+                np.abs(k * span - k_true),
+            )
+            means = [float(np.mean(e[valid])) if valid.any() else float("nan") for e in errors]
+            depth_error = float(stereo_depth_error(model, z))
+        if not math.isfinite(depth_error) or (valid.any() and not np.isfinite(means).all()):
+            raise InvalidInput(f"Z = {z} m: sensitivity row overflows float64")
         rows.append(
             SensitivityRow(
                 z_m=z,
-                stereo_depth_error_m=float(stereo_depth_error(model, z)),
+                stereo_depth_error_m=depth_error,
                 stereo_heading_error_deg=means[0],
                 plane_heading_error_deg=means[1],
                 ttc_error_frames=means[2],

@@ -812,6 +812,18 @@ class TestSensitivityCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("z", ["1e160", "1e308"])
+    def test_depth_whose_row_overflows(self, tmp_path, capsys, z):
+        # 1e160: Z^2 of the depth error overflows; 1e308: the trial means too
+        out = tmp_path / "s.csv"
+        code = run(
+            "sensitivity", "--preset", "approach-45deg", "--pixel-pitch-um", 10,
+            "--z-values", f"20,{z}", "--trials", 20, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: Z = {float(z)} m: sensitivity row overflows float64\n"
+        assert not out.exists()
+
     def test_zero_detection_error_zero_rows(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(

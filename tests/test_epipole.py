@@ -7,6 +7,8 @@ and the true epipole in the flow-line angle frame.
 """
 
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,9 @@ from ttckit import (
     epipole_least_squares,
     epipole_offset_three_frames,
     line_angle_frame,
+    orientation_error_sweep,
     planar_epipole,
+    preset_approach_45deg,
     project,
     simulate,
 )
@@ -44,6 +48,7 @@ from ttckit.epipole import (
     _lines_spread,
     _offset_three_frames,
     _planar_epipoles,
+    _tls_lines,
 )
 from conftest import oracle_epipole, oracle_signed_distance, random_approach_scenario, wrap_half_pi
 
@@ -540,6 +545,65 @@ class TestSpreadCheck:
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         _, _, error = _least_squares_epipole(normals, np.zeros(len(normals)))
         assert isinstance(error, SingularGeometry)
+
+
+coordinate = st.integers(-1000, 1000).map(float)
+
+
+class TestTlsLines:
+    """_tls_lines in closed form against LAPACK's SVD of the centered set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12),
+        exponent=st.integers(-150, 150),
+    )
+    @example(grid=[(3.0, -7.0)] * 5, exponent=-150)  # coincident
+    @example(grid=[(0.0, 1.0), (0.0, -4.0), (0.0, 9.0)], exponent=0)  # vertical
+    @example(grid=[(-2.0, 3.0), (5.0, 3.0)], exponent=150)  # horizontal
+    @example(grid=[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], exponent=0)  # no axis
+    @example(grid=[(1000.0, 999.0), (-1000.0, -999.0), (1.0, -1.0)], exponent=-150)
+    # squares that would overflow or underflow without the scaling
+    @example(grid=[(1000.0, -300.0), (-1000.0, 400.0), (7.0, 2.0)], exponent=300)
+    @example(grid=[(1000.0, -300.0), (-1000.0, 400.0), (7.0, 2.0)], exponent=-300)
+    def test_matches_svd(self, grid, exponent):
+        points = np.array(grid) * 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centroid, direction, spread = _tls_lines(points)
+        assert np.isfinite(centroid).all() and np.isfinite(direction).all()
+        assert direction[0] >= 0.0
+        assert abs(np.hypot(*direction) - 1.0) <= 1e-15
+        if len(set(grid)) == 1:
+            assert spread == 0.0
+            return
+        singular, vt = np.linalg.svd(points - points.mean(axis=0), full_matrices=False)[1:]
+        assert abs(spread - singular[0]) <= 1e-12 * singular[0]
+        ratio = singular[1] / singular[0]
+        if 1.0 - ratio >= 1e-6:
+            # the angle error of a principal axis grows like the inverse
+            # of the relative eigenvalue gap
+            cross = direction[0] * vt[0, 1] - direction[1] * vt[0, 0]
+            assert abs(cross) <= 1e-13 / (1.0 - ratio**2)
+
+    def test_batch_equals_each_set(self):
+        rng = np.random.default_rng(7)
+        sets = rng.normal(size=(6, 5, 2)) * np.exp(rng.normal(size=(6, 1, 1)) * 20)
+        centroid, direction, spread = _tls_lines(sets)
+        for i, points in enumerate(sets):
+            one = _tls_lines(points)
+            assert np.array_equal(one[0], centroid[i]) and np.array_equal(one[1], direction[i])
+            assert one[2] == spread[i]
+
+    def test_no_lapack_call(self):
+        # the sweep and the horizon fit share the closed form; neither
+        # reaches LAPACK's SVD
+        us = np.array([-100.0, 0.0, 50.0, 200.0])
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD called")):
+            table = orientation_error_sweep(preset_approach_45deg(10.0), [20.0, 40.0], trials=50)
+            hor = calibrate_horizon(list(np.column_stack([us, 0.25 * us + 5.0])))
+        assert all(row.degenerate_trials < 50 for row in table.rows)
+        assert hor.fit_residual <= 1e-9 and hor.direction[0] > 0.0
 
 
 class TestCalibrateHorizon:

@@ -451,7 +451,7 @@ class TestTruthKernel:
         points[:1000] = rng.integers(-2, 3, size=(1000, 3)) * signs[0]
         v_g[:1000] = rng.integers(-2, 3, size=(1000, 3)) * signs[1]
         k0, h, speed, epipole, label = truth_by_axis_reductions(points, v_g, intr800)
-        got_k0, got_h, got_speed, _ = simulate_module._truth(points, v_g)
+        got_k0, got_h, got_speed, _ = simulate_module._truth(points.T, v_g.T)
         assert same_bits(got_k0, k0) and same_bits(got_h, h) and same_bits(got_speed, speed)
         assert same_bits(simulate_module._motion_epipole(v_g, intr800), epipole)
         labels = [point_truth(p, v, intr800).label for p, v in zip(points, v_g)]
@@ -495,7 +495,7 @@ def per_cell_collision_map(scenario, grid, collision_radius=2.0):
     for fi, dv_f in enumerate(fwd):
         for li, dv_l in enumerate(lat):
             cam_v = scenario.camera_velocity + np.array([dv_l, 0.0, dv_f])
-            k0, h, speed, _ = simulate_module._truth(points, velocities - cam_v)
+            k0, h, speed, _ = simulate_module._truth(points.T, (velocities - cam_v).T)
             pending = k0 > 0.0
             if not pending.any():
                 continue
