@@ -309,26 +309,26 @@ def _reassignment_sweep(
     sweep can only rearrange, never destroy, the extracted structure.
     """
     for _ in range(_SWEEP_ROUNDS):
-        dist = np.column_stack(
-            [np.abs(normals @ e - offsets) for _, _, e in state]
-        )
-        k_cols = []
-        for _, _, e in state:
+        # one cluster's column at a time: each flow keeps the nearest
+        # cluster whose gates it passes, the first of equally near ones
+        # (strict <), and -1 when it passes none
+        nearest = np.full(len(offsets), np.inf)
+        choice = np.full(len(offsets), -1, dtype=np.int64)
+        for c, (_, k_values, e) in enumerate(state):
+            dist = np.abs(normals @ e - offsets)
             k, _h = ttc_batch(p0, p1, e, intrinsics)
-            k_cols.append(k * spans)
-        k_all = np.column_stack(k_cols)
-        eligible = dist < config.eps_dist
-        eligible &= np.isfinite(k_all)
-        for c, (_, k_values, _e) in enumerate(state):
+            k = k * spans
+            eligible = dist < config.eps_dist
+            eligible &= np.isfinite(k)
             eps_ttc = config.effective_eps_ttc(_median(k_values))
-            mean_k = float(np.mean(k_values))
-            eligible[:, c] &= np.abs(k_all[:, c] - mean_k) <= eps_ttc
-        any_ok = eligible.any(axis=1)
-        choice = np.argmin(np.where(eligible, dist, np.inf), axis=1)
+            eligible &= np.abs(k - float(np.mean(k_values))) <= eps_ttc
+            eligible &= dist < nearest
+            nearest[eligible] = dist[eligible]
+            choice[eligible] = c
 
         new_state = []
         for c in range(len(state)):
-            members = np.flatnonzero(any_ok & (choice == c))
+            members = np.flatnonzero(choice == c)
             if members.size < config.min_cluster_size:
                 return state
             e_pos, _, error = _least_squares_epipole(normals[members], offsets[members])

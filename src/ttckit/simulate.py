@@ -14,10 +14,13 @@ collision quantities from 3D geometry:
   center divided by |v|, i.e. the miss distance in per-frame units. The
   point is closest to the camera at its sweep, so H = |P0 + k0 v| / |v|.
 
-One camera-free broadcasting function derives k0 and H for any number of
-points and relative motions; point_truth, simulate and collision_map all
-call it, so they cannot disagree. The epipole depends only on the motion,
-so it is computed once per motion, and never for collision_map.
+One camera-free broadcasting kernel derives k0 and H for any number of
+points and relative motions: _truth builds the sums P . v and |v|^2 and
+_truth_from_sums finishes from them. point_truth and simulate call
+_truth, collision_map builds the same sums in the same order and calls
+_truth_from_sums, so they cannot disagree. The epipole depends only on
+the motion, so it is computed once per motion, and never for
+collision_map.
 
 simulate renders each object in one pass and returns columns: a
 TrackTable of every track and a GroundTruth of every point, with no
@@ -35,10 +38,11 @@ is the same computation by construction.
 
 collision_map() re-evaluates the analytic truth over a grid of camera
 velocity changes, which is the planning view: which speed adjustments
-clear every collision within the lookahead. It evaluates blocks of grid
-cells, all points of all objects in each, with one truth call per block;
-a block holds about _MAP_BLOCK_ROWS (cell, point) rows, so memory stays
-bounded whatever the grid size.
+clear every collision within the lookahead. It evaluates blocks of about
+_MAP_BLOCK_ROWS (cell, point) rows, all points of all objects in each, so
+memory stays bounded whatever the grid size; the parts of the truth sums
+that vary along one grid axis only are computed once per row of cells or
+forward block, not once per (cell, point).
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ _Z_FLOOR = 1e-9
 # Relative speeds below this count as zero (constant bearing, no TTC).
 _SPEED_FLOOR = 1e-12
 
-# (cell, point) rows per _truth call of collision_map: bounds its work
-# arrays to a few MB whatever the grid size.
+# (cell, point) rows per block of collision_map: bounds its work arrays
+# to a few MB whatever the grid size.
 _MAP_BLOCK_ROWS = 16_384
 
 
@@ -267,26 +271,56 @@ def _truth(points, v_g):
     points (px, py, pz) are frame-0 positions and v_g (vx, vy, vz)
     per-frame relative motions: each a sequence of three arrays, such as
     the rows of a (3, ...) array, that broadcast against each other.
-    Contiguous components keep every operation on contiguous memory,
-    which collision_map relies on.
     Returns (k0, H, speed, miss): k0 = -(P . v) / |v|^2; miss =
     |P + k0 v|, the distance at the sweep, which is the closest approach;
     H = miss / |v|, in per-frame units; speed = |v|, of v_g's shape.
     k0, H and miss are NaN below _SPEED_FLOOR.
+
+    It builds the two sums P . v and |v|^2 and hands them to
+    _truth_from_sums, which derives everything else.
     """
     px, py, pz = points
     vx, vy, vz = v_g
-    # Component sums add in the order of np.sum over the last axis of a
-    # (..., 3) row, so the bits match it. np.sum starts from +0.0, hence
-    # the + 0.0: it turns a dot product of all -0.0 terms into +0.0, as
-    # np.sum does.
-    speed = np.sqrt(vx * vx + vy * vy + vz * vz)
+    dot = np.asarray(px * vx + py * vy + pz * vz)
+    sq = np.asarray(vx * vx + vy * vy + vz * vz)
+    return _truth_from_sums(points, v_g, dot, sq)
+
+
+def _truth_from_sums(points, v_g, dot, sq):
+    """_truth of points and v_g from its two sums, dot = P . v and sq =
+    |v|^2, each added x, y, z as (x + y) + z.
+
+    Component sums add in the order of np.sum over the last axis of a
+    (..., 3) row, so the bits match it; collision_map builds the sums
+    from per-axis parts in the same order. The +0.0 added to dot here is
+    np.sum's starting value: it turns a dot product of all -0.0 terms
+    into +0.0, as np.sum does.
+
+    Works in place: dot and sq are float64 arrays that it overwrites,
+    dot of the full broadcast shape of points and v_g, sq of v_g's.
+    """
+    px, py, pz = points
+    vx, vy, vz = v_g
+    speed = np.sqrt(sq, out=sq)
     moving = speed >= _SPEED_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = np.where(moving, -(px * vx + py * vy + pz * vz + 0.0) / speed**2, np.nan)
-        mx, my, mz = px + k0 * vx, py + k0 * vy, pz + k0 * vz
-        miss = np.sqrt(mx * mx + my * my + mz * mz)
-        h = miss / speed
+        k0 = np.add(dot, 0.0, out=dot)
+        np.negative(k0, out=k0)
+        k0 /= np.square(speed)
+        if not moving.all():
+            np.copyto(k0, np.nan, where=~moving)
+        # |P + k0 v|, its squares added x, y, z in two buffers of k0's shape
+        miss = np.multiply(k0, vx, out=np.empty_like(k0))
+        miss += px
+        miss *= miss
+        term = np.empty_like(k0)
+        for p, v in ((py, vy), (pz, vz)):
+            np.multiply(k0, v, out=term)
+            term += p
+            term *= term
+            miss += term
+        np.sqrt(miss, out=miss)
+        h = np.divide(miss, speed, out=term)
     return k0, h, speed, miss
 
 
@@ -500,14 +534,11 @@ def collision_map(
 
     Each cell adds (lateral, 0, forward) to the camera velocity and
     recomputes the analytic truth for every point; the center cell
-    reproduces the unmodified scenario's collision state. Cells go
-    through _truth in forward-major blocks of about _MAP_BLOCK_ROWS
-    (cell, point) rows, one call per block, so the work arrays take a
-    few MB whatever the grid size. A block's relative velocity is three
-    contiguous (cells, points) arrays, one per component, and the point
-    positions three contiguous rows that broadcast against them. Each
-    cell's values equal those of a _truth call on that cell alone, bit
-    for bit.
+    reproduces the unmodified scenario's collision state. _map_blocks
+    derives the truth in forward-major blocks of about _MAP_BLOCK_ROWS
+    (cell, point) rows, so the work arrays take a few MB whatever the
+    grid size. Each cell's values equal those of a _truth call on that
+    cell alone, bit for bit.
 
     Args:
         scenario: base scene.
@@ -524,10 +555,10 @@ def collision_map(
         raise InvalidInput(f"collision_radius must be > 0, got {collision_radius}")
     lat = grid.lateral_offsets
     fwd = grid.forward_offsets
-    n_cells = len(fwd) * len(lat)
-    min_ttc = np.full(n_cells, np.inf)
-    miss = np.full(n_cells, np.nan)
-    hit = np.zeros(n_cells, dtype=bool)
+    shape = (len(fwd), len(lat))
+    min_ttc = np.full(shape, np.inf)
+    miss = np.full(shape, np.nan)
+    hit = np.zeros(shape, dtype=bool)
     # every point of every object, in object order, beside its velocity,
     # component-major: points[i] and velocities[i] are contiguous rows
     objects = scenario.objects
@@ -537,45 +568,85 @@ def collision_map(
         [len(obj.points) for obj in objects], axis=1,
     )
     n_points = points.shape[1]
-    if n_points:
-        # each cell's camera velocity, forward-major, as camera_velocity
-        # + [dv_l, 0.0, dv_f]
-        change = np.zeros((n_cells, 3))
-        change[:, 0] = np.tile(lat, len(fwd))
-        change[:, 2] = np.repeat(fwd, len(lat))
-        block = max(1, _MAP_BLOCK_ROWS // n_points)
-        for start in range(0, n_cells, block):
-            cells = slice(start, start + block)
-            with np.errstate(over="ignore", invalid="ignore"):
-                cam_v = scenario.camera_velocity + change[cells]
-                rel_v = [velocities[i] - cam_v[:, i, np.newaxis] for i in range(3)]
-                k0, h, speed, _ = _truth(points, rel_v)
+    blocks = _map_blocks(points, velocities, scenario.camera_velocity, lat, fwd) if n_points else ()
+    for rows, chunk, k0, h, speed in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            miss_m = h * speed
+        # a finite miss_m needs a finite h and speed, which rules out
+        # every overflow
+        if not np.isfinite(miss_m).all():
             bad = _overflows(k0, h, speed)
             if bad.any():
-                cell, point = np.argwhere(bad)[0]
+                f, l, point = np.argwhere(bad)[0]
                 owner = np.searchsorted(np.cumsum([len(obj.points) for obj in objects]), point, side="right")
+                change = [float(lat[chunk][l]), 0.0, float(fwd[rows][f])]
                 raise InvalidInput(
                     f"object {objects[owner].object_id!r}: collision truth overflows at camera "
-                    f"velocity change {change[start + cell].tolist()}"
+                    f"velocity change {change}"
                 )
-            pending = k0 > 0.0
-            miss_m = h * speed
-            # first point of the smallest pending k0 per cell, in object
-            # order; point 0 of a cell without one, which is not pending
-            ttc = np.where(pending, k0, np.inf)
-            rows, nearest = np.arange(len(ttc)), np.argmin(ttc, axis=1)
-            min_ttc[cells] = ttc[rows, nearest]
-            miss[cells] = np.where(pending[rows, nearest], miss_m[rows, nearest], np.nan)
-            hit[cells] = np.any(
-                pending & (k0 <= scenario.frame_count) & (miss_m < collision_radius), axis=1
-            )
-    shape = (len(fwd), len(lat))
+        # first point of the smallest pending k0 per cell, in object
+        # order; point 0 of a cell without one, which is not pending
+        block = k0.shape[:2]
+        ttc = np.where(k0 > 0.0, k0, np.inf).reshape(-1, n_points)
+        miss_m = miss_m.reshape(-1, n_points)
+        cells, nearest = np.arange(len(ttc)), np.argmin(ttc, axis=1)
+        cell_ttc = ttc[cells, nearest]
+        min_ttc[rows, chunk] = cell_ttc.reshape(block)
+        miss[rows, chunk] = np.where(cell_ttc < np.inf, miss_m[cells, nearest], np.nan).reshape(block)
+        hit[rows, chunk] = np.any(
+            (ttc <= scenario.frame_count) & (miss_m < collision_radius), axis=1
+        ).reshape(block)
     return CollisionMap(
         lateral_offsets=lat,
         forward_offsets=fwd,
-        min_ttc=min_ttc.reshape(shape),
-        miss_distance=miss.reshape(shape),
-        collision=hit.reshape(shape),
+        min_ttc=min_ttc,
+        miss_distance=miss,
+        collision=hit,
         collision_radius=float(collision_radius),
         frame_count=scenario.frame_count,
     )
+
+
+def _map_blocks(points, velocities, camera_velocity, lat, fwd):
+    """_truth of every (cell, point) row of a collision map, in blocks.
+
+    points and velocities are (3, points) component rows; cell (f, l)
+    moves the camera by camera_velocity + [lat[l], 0.0, fwd[f]]. Yields
+    (rows, chunk, k0, H, speed) per block, in forward-major order: the
+    block covers forward cells fwd[rows] and lateral cells lat[chunk],
+    and its arrays are (forward cells, lateral cells, points).
+
+    A block holds about _MAP_BLOCK_ROWS rows: whole rows of the grid, or,
+    when one row of cells holds more, one lateral chunk of one row. The
+    relative velocity's x varies only with the lateral cell, its z only
+    with the forward cell and its y with neither, and so do the x + y and
+    z parts of the sums P . v and |v|^2. Each part is computed once per
+    lateral chunk or forward block, and a block pays only the two
+    additions that join them before _truth_from_sums.
+    """
+    px, py, pz = points
+    n_points = len(px)
+    lat_cells = min(len(lat), max(1, _MAP_BLOCK_ROWS // n_points))
+    # 1 when a row splits into chunks
+    fwd_cells = max(1, _MAP_BLOCK_ROWS // (lat_cells * n_points))
+    chunks = [slice(l, l + lat_cells) for l in range(0, len(lat), lat_cells)]
+
+    def lateral(chunk):
+        """vx and the x + y parts of P . v and |v|^2, (cells, points)."""
+        vx = velocities[0] - (camera_velocity[0] + lat[chunk, np.newaxis])
+        return vx, px * vx + py * vy, vx * vx + vy * vy
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        vy = velocities[1] - (camera_velocity[1] + 0.0)
+        # when a whole row fits a block, its one chunk serves every block
+        whole_row = lateral(chunks[0]) if len(chunks) == 1 else None
+    for f in range(0, len(fwd), fwd_cells):
+        rows = slice(f, f + fwd_cells)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vz = velocities[2] - (camera_velocity[2] + fwd[rows, np.newaxis, np.newaxis])
+            dot_z, sq_z = pz * vz, vz * vz
+        for chunk in chunks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vx, dot_xy, sq_xy = whole_row or lateral(chunk)
+                k0, h, speed, _ = _truth_from_sums(points, (vx, vy, vz), dot_xy + dot_z, sq_xy + sq_z)
+            yield rows, chunk, k0, h, speed

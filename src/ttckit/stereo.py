@@ -127,11 +127,17 @@ def disparity_px(model: StereoErrorModel, z_m) -> np.ndarray | float:
 
 
 def stereo_depth_error(model: StereoErrorModel, z_m) -> np.ndarray | float:
-    """First-order depth error dZ = Z^2 dp / (B f). Accepts scalars or arrays."""
+    """First-order depth error dZ = Z^2 dp / (B f). Accepts scalars or arrays.
+
+    Evaluated as Z (Z (dp / (B f))), so no Z^2 intermediate overflows: a
+    depth whose error fits in float64 gets it, and one whose error does
+    not gets inf, without a warning.
+    """
     z = np.asarray(z_m, dtype=np.float64)
     if np.any(z <= 0.0):
         raise InvalidInput("depth must be > 0")
-    dz = z**2 * model.detection_error_px / (model.baseline_m * model.focal_px)
+    with np.errstate(over="ignore"):
+        dz = z * (z * (model.detection_error_px / (model.baseline_m * model.focal_px)))
     return float(dz) if np.isscalar(z_m) else dz
 
 
@@ -204,7 +210,7 @@ def orientation_error_sweep(
     The object must stay in front of the camera for the whole segment;
     too-small Z raises InvalidInput, and so does a Z whose row (its
     depth error or a trial mean) overflows float64, such as Z = 1e160,
-    whose Z^2 does.
+    whose depth error does.
 
     Args:
         model: rig and motion parameters.

@@ -812,9 +812,23 @@ class TestSensitivityCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_depth_whose_error_fits_but_whose_square_does_not(self, tmp_path, capsys):
+        # Z^2 = 1e310 overflows, the depth error Z^2 dp / (B f) does not
+        out = tmp_path / "s.csv"
+        code = run(
+            "sensitivity", "--preset", "approach-45deg", "--pixel-pitch-um", 10,
+            "--z-values", "1e155,10", "--trials", 20, "--out", out,
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = out.read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["1e+155", "1.6666666666666669e+307"], ["10.0", "0.16666666666666666"],
+        ]
+
     @pytest.mark.parametrize("z", ["1e160", "1e308"])
     def test_depth_whose_row_overflows(self, tmp_path, capsys, z):
-        # 1e160: Z^2 of the depth error overflows; 1e308: the trial means too
+        # 1e160: the depth error overflows; 1e308: the trial means too
         out = tmp_path / "s.csv"
         code = run(
             "sensitivity", "--preset", "approach-45deg", "--pixel-pitch-um", 10,

@@ -11,6 +11,7 @@ scored on its own, and the array scorer must match it bit for bit.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from ttckit import (
 from ttckit import clustering
 from ttckit.clustering import _consensus, _reassignment_sweep, _trim_to_invariants
 from ttckit.epipole import _flow_lines, _least_squares_epipole
-from conftest import oracle_epipole, oracle_k0
+from conftest import oracle_epipole, oracle_k0, random_approach_scenario
 
 
 def intr700():
@@ -760,3 +761,31 @@ class TestPairDraws:
         got = clustering._draw_pairs(got_rng, m, 50)
         np.testing.assert_array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestReassignmentSweep:
+    def test_memory_does_not_grow_with_flows_times_clusters(self):
+        # 150 clusters of 12 flows: one (flows, clusters) float64 matrix
+        # takes 2.2 MB, while scoring one cluster at a time holds a few
+        # (flows,) columns of 14 KB
+        intrinsics = intr700()
+        scenario = random_approach_scenario(
+            np.random.default_rng(4), intrinsics, n_objects=150, n_points=12, frame_count=6
+        )
+        tracks, truth = simulate(scenario)
+        p0, p1 = tracks.pixels(0), tracks.pixels(-1)
+        spans = (tracks.length - 1).astype(np.float64)
+        normals, offsets, _ = _flow_lines(p0, p1)
+        state = []
+        for j, epipole in enumerate(truth.epipole):
+            members = np.flatnonzero(truth.cluster_id == j)
+            k, _ = ttc_batch(p0[members], p1[members], epipole, intrinsics)
+            state.append((members, k * spans[members], epipole))
+        tracemalloc.start()
+        try:
+            swept = _reassignment_sweep(state, p0, p1, normals, offsets, spans, intrinsics, ClusteringConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(swept) == 150
+        assert peak < 2**20

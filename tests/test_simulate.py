@@ -633,6 +633,33 @@ class TestBlockedCollisionMap:
         result = assert_matches_per_cell(scenario, GridSpec(1.0, 1.0, 11, 11))
         assert result.collision.any() and not result.collision.all()
 
+    @pytest.mark.parametrize("block_rows", [4, simulate_module._MAP_BLOCK_ROWS])
+    def test_overflow_names_the_forward_major_first_cell(self, intr800, block_rows):
+        # |v|^2 = vx^2 + vz^2 overflows where vx^2 + vz^2 > 1.80e308. In
+        # units of 1e154, vx is -0.55 ... -1.35 along the lateral cells
+        # and vz -0.55, -0.9, -1.25 along the forward ones: forward row 0
+        # overflows only at lateral cell 4, row 2 already at cell 0, and
+        # the center cell (the scenario itself) not at all. Two points
+        # and 4 rows per block split each row into lateral chunks
+        # [0, 1], [2, 3], [4], so row 0's overflow lies in a later chunk
+        # than row 2's.
+        u = 1e154
+        scenario = Scenario(
+            intrinsics=intr800,
+            objects=(SceneObject("still", np.array([[1.0, 0.5, 10.0]]), np.zeros(3)),
+                     SceneObject("fast", np.array([[1.0, 0.5, 10.0]]), np.array([-0.95 * u, 0.0, -0.9 * u]))),
+            camera_velocity=np.zeros(3),
+            frame_count=10,
+        )
+        grid = GridSpec(0.4 * u, 0.35 * u, 5, 3)
+        change = [grid.lateral_offsets[4], 0.0, grid.forward_offsets[0]]
+        with mock.patch.object(simulate_module, "_MAP_BLOCK_ROWS", block_rows):
+            with pytest.raises(InvalidInput) as raised:
+                collision_map(scenario, grid)
+        assert str(raised.value) == (
+            f"object 'fast': collision truth overflows at camera velocity change {np.array(change).tolist()}"
+        )
+
     @pytest.mark.parametrize("cells", [(4001, 1), (1, 4001)], ids=["one-row", "one-column"])
     def test_memory_bounded_by_the_block(self, intr800, cells):
         # a whole-grid or per-row broadcast of 4001 cells x 150 points

@@ -6,6 +6,8 @@ divergent stereo heading error, accuracy improving with segment length)
 are pinned with seeded Monte-Carlo runs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,15 @@ class TestStereoDepthError:
         assert stereo_depth_error(rig(baseline_m=0.30), 60.0) == pytest.approx(
             stereo_depth_error(rig(), 60.0) / 2.0, rel=1e-12
         )
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the error itself overflows
+            assert stereo_depth_error(rig(), 1e160) == np.inf
+            # Z^2 = 1e310 overflows, the error 1e310 * 0.2 / (0.15 * 800)
+            # does not
+            assert stereo_depth_error(rig(), 1e155) == pytest.approx(1.6666666666666667e307, rel=1e-12)
 
     def test_array_and_scalar_forms(self):
         m = rig()
