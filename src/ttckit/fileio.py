@@ -6,9 +6,9 @@ Formats are part of the CLI contract and deliberately boring:
   observation. Frame indices must be consecutive (step 1) per track and
   fit in 64 bits; ids are kept verbatim. read_tracks_csv parses the
   file as columns into a TrackTable (rows grouped by track, in
-  first-appearance order) and checks it with array operations; only a
-  file that fails a check is parsed again line by line, to name the
-  offending line or track.
+  first-appearance order) and checks it with array operations; a piece
+  of lines that fails a check is walked line by line to name the
+  offending line, and the first bad track is built alone to name it.
 * Scenarios and ground truth: JSON, schema-versioned (``"schema": 1``).
 * Collision maps and sensitivity tables: CSV grids.
 
@@ -21,8 +21,9 @@ Track files and the per-track lists of result documents pass through
 memory _CHUNK rows at a time: the CSV is parsed in line-aligned pieces
 and written in row chunks, and a document's row sequence (_Rows) builds
 and encodes its entries chunk by chunk. Beyond the file's own text and
-the arrays, memory is bounded by the chunk size, not by the file size;
-the bytes are those of a whole-file parse and json.dumps.
+the arrays, memory is bounded by the chunk size, not by the file size,
+for a rejected file too; the bytes are those of a whole-file parse and
+json.dumps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .camera import CameraIntrinsics
 from .errors import InvalidInput
 from .simulate import CollisionMap, GroundTruth, SceneObject, Scenario
 from .stereo import SensitivityTable
-from .ttc import TrackObservation, TrackTable
+from .ttc import TrackTable
 
 __all__ = [
     "read_json",
@@ -160,17 +161,23 @@ def write_tracks_csv(path, tracks, ids: list[str] | None = None) -> None:
             any TrackObservation, or a sequence of TrackObservation or
             None (too-short tracks); index label is their position unless
             ids is given.
-        ids: optional per-track labels aligned with tracks.
+        ids: optional per-track labels aligned with tracks; those of
+            tracks with rows must differ and hold no comma or line break.
     """
     if not isinstance(tracks, TrackTable):
         tracks = TrackTable.from_tracks(tracks)
     if ids is not None:
         if len(ids) != len(tracks):
             raise InvalidInput(f"{len(ids)} ids for {len(tracks)} tracks")
-        for label, n in zip(ids, tracks.length.tolist()):
+        written = set()
+        for label in compress(ids, tracks.length.tolist()):  # the ids of tracks with rows
             # read_tracks_csv splits rows wherever str.splitlines does
-            if n and ("," in label or len((label + ".").splitlines()) != 1):
+            if "," in label or len((label + ".").splitlines()) != 1:
                 raise InvalidInput(f"track id {label!r} must not contain commas or line breaks")
+            # and joins the rows of one id into one track
+            if label in written:
+                raise InvalidInput(f"track id {label!r} is given to more than one track")
+            written.add(label)
     _write_text(path, _track_rows(tracks, range(len(tracks)) if ids is None else ids))
 
 
@@ -194,8 +201,7 @@ def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
 
     Track ids are kept verbatim, surrounding whitespace included. The
     text is read once and parsed as columns, one line-aligned piece at a
-    time; only when a check fails is it parsed again line by line,
-    which names the first offending line or track.
+    time.
 
     Returns:
         (ids, tracks) in first-appearance order of track_id; tracks is a
@@ -204,8 +210,8 @@ def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     Raises:
         InvalidInput: non-UTF-8 text or malformed header/rows, a frame
             index beyond 64 bits included, named by path and 1-based line
-            number; frame steps other than 1 surface from
-            TrackObservation validation with the track id named.
+            number; else a track of under 2 rows or with frame steps other
+            than 1, named by path and track id.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -216,11 +222,7 @@ def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     lines = next(pieces, [])
     if not lines or lines[0].strip() != TRACKS_HEADER:
         raise InvalidInput(f"{path}: line 1: expected header {TRACKS_HEADER!r}")
-    parsed = _table_from_columns(lines[1:], pieces)
-    if parsed is None:
-        ids, tracks = _read_track_lines(path, text.splitlines())
-        parsed = ids, TrackTable.from_tracks(tracks)
-    return parsed
+    return _table_from_columns(path, lines[1:], pieces)
 
 
 def _line_pieces(text: str):
@@ -235,27 +237,34 @@ def _line_pieces(text: str):
         start = end
 
 
-def _table_from_columns(lines: list[str], pieces=()) -> tuple[list[str], TrackTable] | None:
-    """The lines below the header, lines and then each list of lines in
-    pieces, parsed one list at a time, as (ids, table), or None when any
-    check fails: field count, number syntax, 64-bit frames, finite
-    pixels, at least 2 rows per track and frame steps of 1."""
+def _table_from_columns(path, lines: list[str], pieces=()) -> tuple[list[str], TrackTable]:
+    """The lines below the header of the track CSV at path, lines and
+    then each list of lines in pieces, parsed one list at a time, as
+    (ids, table). A list that fails a line check (field count, number
+    syntax, 64-bit frames, finite pixels) names its first bad line; after
+    the last list, so does the first track of under 2 rows or with a
+    frame step other than 1."""
     index: dict[str, int] = {}  # track id -> its place in first-appearance order
     frames, positions, track = [np.zeros(0, np.int64)], [np.zeros((0, 2))], [np.zeros(0, np.int64)]
+    lineno = 2  # of the list's first line: the header is line 1
     for piece in chain([lines], pieces):
         rows = [row for row in piece if row.strip()]
-        if any(row.count(",") != 3 for row in rows):
-            return None
         fields = ",".join(rows).split(",") if rows else []
         r = len(rows)
         try:
+            if any(row.count(",") != 3 for row in rows):
+                raise ValueError("a row without 4 fields")
             frames.append(np.fromiter(map(int, fields[1::4]), dtype=np.int64, count=r))
             uv = np.empty((r, 2))
             uv[:, 0] = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=r)
             uv[:, 1] = np.fromiter(map(float, fields[3::4]), dtype=np.float64, count=r)
-            positions.append(uv)
+            if not np.isfinite(uv).all():
+                raise ValueError("a pixel that is not finite")
         except (ValueError, OverflowError):
-            return None
+            _raise_bad_line(path, piece, lineno)
+            raise  # a failure no line check explains
+        positions.append(uv)
+        lineno += len(piece)
         labels = fields[0::4]
         new = [label for label in dict.fromkeys(labels) if label not in index]
         index.update(zip(new, range(len(index), len(index) + len(new))))
@@ -267,52 +276,41 @@ def _table_from_columns(lines: list[str], pieces=()) -> tuple[list[str], TrackTa
     if np.any(track[1:] < track[:-1]):  # interleaved tracks: group their rows
         grouped = np.argsort(track, kind="stable")
         frames, positions = frames[grouped], positions[grouped]
-    length = np.bincount(track, minlength=len(index))
+    ids = list(index)
+    length = np.bincount(track, minlength=len(ids))
     start = np.cumsum(length) - length
+    table = TrackTable(frames, positions, start, length)
     # as in TrackObservation: the int64 difference wraps, so a step also rises
     steps_ok = (np.diff(frames) == 1) & (frames[1:] > frames[:-1])
     steps_ok[start[1:] - 1] = True  # a step between two tracks is no step
-    if np.any(length < 2) or not steps_ok.all() or not np.isfinite(positions).all():
-        return None
-    return list(index), TrackTable(frames, positions, start, length)
+    bad = length < 2
+    bad[np.searchsorted(start, np.flatnonzero(~steps_ok), side="right") - 1] = True
+    if bad.any():
+        t = int(np.argmax(bad))
+        try:
+            table[t]
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: track {ids[t]!r}: {exc}") from exc
+    return ids, table
 
 
-def _read_track_lines(path, lines: list[str]) -> tuple[list[str], list[TrackObservation]]:
-    """read_tracks_csv one line at a time after its header check: the
-    reference for the column parse, and the source of its error messages."""
-    order: list[str] = []
-    rows: dict[str, list[tuple[int, float, float]]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
+def _raise_bad_line(path, lines: list[str], lineno: int) -> None:
+    """Raise InvalidInput naming the first of lines, numbered from
+    lineno, that fails a line check of _table_from_columns."""
+    for lineno, raw in enumerate(lines, start=lineno):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != 4:
             raise InvalidInput(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        tid = parts[0]
         try:
-            frame = int(parts[1])
-            u = float(parts[2])
-            v = float(parts[3])
+            frame, u, v = int(parts[1]), float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
         if not -(2**63) <= frame < 2**63:
             raise InvalidInput(f"{path}: line {lineno}: frame index must fit in a signed 64-bit integer")
         if not (math.isfinite(u) and math.isfinite(v)):
             raise InvalidInput(f"{path}: line {lineno}: coordinates must be finite")
-        if tid not in rows:
-            rows[tid] = []
-            order.append(tid)
-        rows[tid].append((frame, u, v))
-    tracks = []
-    for tid in order:
-        entries = rows[tid]
-        frames = np.array([e[0] for e in entries], dtype=np.int64)
-        positions = np.array([[e[1], e[2]] for e in entries])
-        try:
-            tracks.append(TrackObservation(frames=frames, positions=positions))
-        except InvalidInput as exc:
-            raise InvalidInput(f"{path}: track {tid!r}: {exc}") from exc
-    return order, tracks
 
 
 # -------------------------------------------------------------- scenario

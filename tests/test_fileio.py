@@ -1,6 +1,7 @@
 """File format round-trips and parse error reporting."""
 
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -136,6 +137,16 @@ class TestTracksCsv:
             write_tracks_csv(path, sample_tracks(), ids=[label, "c"])
         assert not path.exists()
 
+    def test_repeated_id_rejected(self, tmp_path):
+        # frames (0, 1, 2) then (3, 4): one "car" track would read back
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidInput, match=re.escape("track id 'car' is given to more than one track")):
+            write_tracks_csv(path, sample_tracks(), ids=["car", "car"])
+        assert not path.exists()
+        # a track of 0 rows writes no row, so its id may repeat
+        write_tracks_csv(path, [sample_tracks()[0], None], ids=["car", "car"])
+        assert read_tracks_csv(path)[0] == ["car"]
+
     def test_other_characters_in_ids_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         labels = ["car\tA", "b\u00e9\u2027"]
@@ -194,8 +205,9 @@ class TestTracksCsv:
         message = f"{path}: track 'a': frame indices must increase by exactly 1, got steps [-18446744073709551615]"
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             read_tracks_csv(path)
-        # the column parse declines the file, so the line parse names it
-        assert fileio._table_from_columns(rows.splitlines()[1:]) is None
+        # the column parse names the track itself
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            fileio._table_from_columns(path, rows.splitlines()[1:])
 
     def test_not_utf8_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -295,9 +307,48 @@ def track_csvs(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
+def read_track_lines(path, lines: list[str]) -> tuple[list[str], list[TrackObservation]]:
+    """read_tracks_csv one line at a time after its header check: the
+    reference for the column parse and its error messages."""
+    order: list[str] = []
+    rows: dict[str, list[tuple[int, float, float]]] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != 4:
+            raise InvalidInput(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+        tid = parts[0]
+        try:
+            frame = int(parts[1])
+            u = float(parts[2])
+            v = float(parts[3])
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
+        if not -(2**63) <= frame < 2**63:
+            raise InvalidInput(f"{path}: line {lineno}: frame index must fit in a signed 64-bit integer")
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise InvalidInput(f"{path}: line {lineno}: coordinates must be finite")
+        if tid not in rows:
+            rows[tid] = []
+            order.append(tid)
+        rows[tid].append((frame, u, v))
+    tracks = []
+    for tid in order:
+        entries = rows[tid]
+        frames = np.array([e[0] for e in entries], dtype=np.int64)
+        positions = np.array([[e[1], e[2]] for e in entries])
+        try:
+            tracks.append(TrackObservation(frames=frames, positions=positions))
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: track {tid!r}: {exc}") from exc
+    return order, tracks
+
+
 class TestColumnParse:
-    """read_tracks_csv parses whole columns and falls back to the line
-    parser only on a failed check; both must read every file alike."""
+    """read_tracks_csv parses columns a piece at a time; at any piece
+    size it reads every file as the line reader read_track_lines does:
+    the same tracks, or the same error."""
 
     @staticmethod
     def outcome(read):
@@ -318,11 +369,12 @@ class TestColumnParse:
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         lines = path.read_text(encoding="utf-8").splitlines()
-        want = self.outcome(lambda: fileio._read_track_lines(path, lines))
-        got = self.outcome(lambda: read_tracks_csv(path))
-        assert got == want
-        # the column parse declines exactly the files the line parse rejects
-        assert (fileio._table_from_columns(lines[1:]) is None) == isinstance(want, str)
+        want = self.outcome(lambda: read_track_lines(path, lines))
+        for size in (1, 7, fileio._PIECE):
+            with mock.patch.object(fileio, "_PIECE", size):
+                assert self.outcome(lambda: read_tracks_csv(path)) == want, size
+        # the column parse of the lines as one list
+        assert self.outcome(lambda: fileio._table_from_columns(path, lines[1:])) == want
 
 
 class TestScenarioJson:
@@ -783,6 +835,17 @@ class TestMemoryBudget:
         peak, (_, table) = traced_peak(lambda: read_tracks_csv(csv_path))
         assert peak <= csv_path.stat().st_size + self.SLACK
         assert len(table.frames) == n * frames
+        # a rejected file: a short last line, or a last row that breaks the last track's steps
+        bad_path = tmp_path / "bad.csv"
+        for row, message in (
+            ("car-0,0,1.0", f"line {n * frames + 2}: expected 4 fields, got 3"),
+            (f"{ids[-1]},{table.frames[-1] + 2},1.0,2.0",
+             f"track {ids[-1]!r}: frame indices must increase by exactly 1, got steps [1 1 1 1 1 2]"),
+        ):
+            bad_path.write_text(csv_path.read_text() + row + "\n")
+            peak, got = traced_peak(lambda: parse_outcome(bad_path))
+            assert got == f"{bad_path}: {message}"
+            assert peak <= bad_path.stat().st_size + self.SLACK
         peak, _ = traced_peak(lambda: write_json(json_path, truth_document(truth, ids)))
         assert peak <= json_path.stat().st_size + self.SLACK
         assert json_path.read_bytes().count(b'"track_id"') == n
