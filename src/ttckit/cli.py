@@ -22,9 +22,11 @@ Subcommands:
 Exit codes: 0 success, 2 usage or input validation failure, 1 internal
 error. Per-track geometric degeneracies never abort a batch; they are
 reported inside the result document. Every command is deterministic
-under a fixed --seed, a non-negative integer (default: the
-COLLISION_PLANE_SEED environment variable, else 0); rerunning writes
-byte-identical files.
+under a fixed seed, and rerunning writes byte-identical files. --seed
+takes a non-negative integer; estimate, cluster and sensitivity default
+it to the COLLISION_PLANE_SEED environment variable, else 0, while
+simulate defaults it to the scenario's rng_seed and collision-map draws
+no random numbers.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .errors import (
 )
 from .fileio import (
     _json_pieces,
-    _Rows,
     read_scenario,
     read_tracks_csv,
     truth_document,
@@ -78,7 +79,7 @@ from .stereo import (
     orientation_error_sweep,
     preset_approach_45deg,
 )
-from .ttc import MotionClass, _collision_rows
+from .ttc import MotionClass, _collision_rows, _Rows
 
 __all__ = ["main"]
 
@@ -170,10 +171,13 @@ def _emit_json(document: dict, out_path: str | None) -> None:
 
 def _cmd_simulate(args) -> int:
     scenario = read_scenario(args.scenario)
+    overrides = {}
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, rng_seed=_valid_seed(args.seed, "--seed"))
+        overrides["rng_seed"] = _valid_seed(args.seed, "--seed")
     if args.noise_sigma is not None:
-        scenario = dataclasses.replace(scenario, pixel_noise_sigma=args.noise_sigma)
+        overrides["pixel_noise_sigma"] = args.noise_sigma
+    if overrides:  # one replace: each derives the scenario's truth again
+        scenario = dataclasses.replace(scenario, **overrides)
     tracks, truth = simulate(scenario)
     ids = [f"{truth.object_ids[obj]}-{i}" for i, obj in enumerate(truth.cluster_id.tolist())]
     write_tracks_csv(args.out_tracks, tracks, ids)
@@ -200,24 +204,27 @@ def _failed_entry(track_id: str, error: TtcError) -> dict:
     }
 
 
-def _calibrate(tracks, ids, flow_index, intrinsics, seed: int):
-    """Cluster the moving tracks, fit the horizon through cluster epipoles."""
-    config = ClusteringConfig(rng_seed=seed)
-    clusters, _ = cluster_flows(tracks.take(flow_index), config=config, intrinsics=intrinsics)
-    if len(clusters) < 2:
-        raise InsufficientData(
-            f"horizon calibration needs >= 2 motion clusters, found {len(clusters)}"
-        )
-    horizon = calibrate_horizon([c.epipole for c in clusters])
-    cluster_docs = [
+def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
+    """Cluster the tracks whose first-to-last flow is not zero
+    (camera._zero_rows), since a zero flow defines no motion line.
+
+    Returns (clusters, documents, outliers, stationary): the
+    MotionClusters, a document of each with its member_ids, epipole and
+    mean_ttc, and the ids of the outlier and of the stationary tracks.
+    """
+    zero = _zero_rows(tracks.pixels(-1) - tracks.pixels(0))
+    moving = np.flatnonzero(~zero)
+    clusters, outliers = cluster_flows(tracks.take(moving), config=config, intrinsics=intrinsics)
+    documents = [
         {
-            "member_ids": [ids[flow_index[m]] for m in c.member_indices],
+            "member_ids": [ids[moving[m]] for m in c.member_indices],
             "epipole": _epipole_doc(c.epipole),
             "mean_ttc": c.mean_ttc,
         }
         for c in clusters
     ]
-    return horizon, cluster_docs
+    stationary = [ids[i] for i in np.flatnonzero(zero).tolist()]
+    return clusters, documents, [ids[moving[i]] for i in outliers], stationary
 
 
 def _cmd_estimate(args) -> int:
@@ -239,30 +246,32 @@ def _cmd_estimate(args) -> int:
     # Every track at once: pixel i of each track as one (N, 2) array.
     n = len(tracks)
     first, second, last = (tracks.pixels(i) for i in (0, 1, -1))
-    # a zero net displacement defines no motion line to fit or cluster
-    moving = np.flatnonzero(~_zero_rows(last - first))
     horizon = None
     if args.calibrate:
-        horizon, cluster_docs = _calibrate(tracks, ids, moving, intrinsics, seed)
-        document["clusters"] = cluster_docs
+        config = ClusteringConfig(rng_seed=seed)
+        clusters, document["clusters"], _, _ = _cluster_moving(tracks, ids, intrinsics, config)
+        if len(clusters) < 2:
+            raise InsufficientData(f"horizon calibration needs >= 2 motion clusters, found {len(clusters)}")
+        horizon = calibrate_horizon([c.epipole for c in clusters])
     elif args.horizon:
         a, b = _parse_floats(args.horizon, 2, "--horizon")
         horizon = HorizonLine.from_slope_intercept(a, b)
     if horizon is not None:
         document["horizon"] = _horizon_doc(horizon)
 
-    method = None
+    method = None  # the "method" string of per-track epipoles
     if args.mode == "planar":
         # the full-span flow: less noise than the first pair, same epipolar line
         epipoles, _, errors = _planar_epipoles(first, last, horizon)
         residual = np.zeros(n)
-        method = EpipoleMethod.HORIZON_INTERSECTION
+        method = EpipoleMethod.HORIZON_INTERSECTION.value
     elif args.mode == "three-frame":
         x, epipoles, residual, errors = _offset_three_frames(tracks, horizon, intrinsics)
-        method = EpipoleMethod.THREE_FRAME_OFFSET
+        method = EpipoleMethod.THREE_FRAME_OFFSET.value
     else:
         # One epipole for the whole set: least squares assumes all
         # tracks share a single rigid relative motion.
+        moving = ~_zero_rows(last - first)  # a zero flow defines no line to fit
         normals, offsets, _ = _flow_lines(first[moving], last[moving])
         position, residual, error = _least_squares_epipole(normals, offsets)
         if error is not None:
@@ -304,7 +313,7 @@ def _cmd_estimate(args) -> int:
     def epipole_rows(start: int, stop: int) -> list[dict]:
         index = ok[start:stop]
         return [
-            {"track_id": ids[i], "position": position, "method": method.value, "residual": r}
+            {"track_id": ids[i], "position": position, "method": method, "residual": r}
             for i, position, r in zip(index.tolist(), epipoles[index].tolist(), residual[index].tolist())
         ]
 
@@ -329,9 +338,6 @@ def _cmd_cluster(args) -> int:
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
-    zero = _zero_rows(tracks.pixels(-1) - tracks.pixels(0))
-    flow_index = np.flatnonzero(~zero)
-    stationary = [ids[i] for i in np.flatnonzero(zero).tolist()]
     config = ClusteringConfig(
         eps_dist=args.eps_dist,
         eps_ttc=args.eps_ttc,
@@ -339,7 +345,7 @@ def _cmd_cluster(args) -> int:
         min_cluster_size=args.min_size,
         rng_seed=seed,
     )
-    clusters, outliers = cluster_flows(tracks.take(flow_index), config=config, intrinsics=intrinsics)
+    clusters, documents, outliers, stationary = _cluster_moving(tracks, ids, intrinsics, config)
     document = _result_skeleton(
         "cluster",
         seed,
@@ -350,17 +356,11 @@ def _cmd_cluster(args) -> int:
             "min_cluster_size": config.min_cluster_size,
         },
     )
-    for c in clusters:
-        document["clusters"].append(
-            {
-                "member_ids": [ids[flow_index[m]] for m in c.member_indices],
-                "epipole": _epipole_doc(c.epipole),
-                "ttc_values": c.ttc_values,
-                "mean_ttc": c.mean_ttc,
-            }
-        )
-        document["epipoles"].append(_epipole_doc(c.epipole))
-    document["outliers"] = [ids[flow_index[i]] for i in outliers]
+    for c, cluster_doc in zip(clusters, documents):
+        cluster_doc["ttc_values"] = c.ttc_values
+    document["clusters"] = documents
+    document["epipoles"] = [cluster_doc["epipole"] for cluster_doc in documents]
+    document["outliers"] = outliers
     document["stationary"] = stationary
     document["residuals"] = {
         "clustered_tracks": int(sum(len(c.member_indices) for c in clusters)),

@@ -19,18 +19,17 @@ offending line or field named.
 
 Track files and the per-track lists of result documents pass through
 memory _CHUNK rows at a time: the CSV is parsed in line-aligned pieces
-and written in row chunks, and a document's row sequence (_Rows) builds
-and encodes its entries chunk by chunk. Beyond the file's own text and
-the arrays, memory is bounded by the chunk size, not by the file size,
-for a rejected file too; the bytes are those of a whole-file parse and
-json.dumps.
+and written in row chunks, and a document's lazy row list (ttc._Rows)
+builds and encodes its entries chunk by chunk. Beyond the file's own
+text and the arrays, memory is bounded by the chunk size, not by the
+file size, for a rejected file too; the bytes are those of a whole-file
+parse and json.dumps.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from itertools import chain, compress
 
 import numpy as np
@@ -39,7 +38,7 @@ from .camera import CameraIntrinsics
 from .errors import InvalidInput
 from .simulate import CollisionMap, GroundTruth, SceneObject, Scenario
 from .stereo import SensitivityTable
-from .ttc import TrackTable
+from .ttc import TrackTable, _Rows
 
 __all__ = [
     "read_json",
@@ -80,27 +79,6 @@ def _json(value) -> str:
         value, sort_keys=True, allow_nan=False,
         default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
     )
-
-
-class _Rows(Sequence):
-    """The entries of a result-document list, built from columns when
-    read, in the style of GroundTruth.points: len() builds none, an
-    index or a slice builds those entries. build(start, stop) returns
-    entries start to stop as a list of dicts."""
-
-    def __init__(self, n: int, build):
-        self._n = n
-        self._build = build
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            rows = range(self._n)[i]
-            return self._build(rows.start, rows.stop) if rows.step == 1 else [self[j] for j in rows]
-        i = range(self._n)[i]
-        return self._build(i, i + 1)[0]
 
 
 def _json_pieces(document: dict) -> list[str]:
@@ -413,8 +391,8 @@ def write_scenario(path, scenario: Scenario) -> None:
 
 def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
     """Ground truth as a JSON-ready document (schema 1), built from the
-    columns of truth without building any PointTruth; NaN becomes null.
-    Its "points" are a _Rows, built when read."""
+    rows of truth (GroundTruth._rows) without building any PointTruth;
+    NaN becomes null. Its "points" are a _Rows, built when read."""
     if len(ids) != len(truth):
         raise InvalidInput(f"{len(ids)} ids for {len(truth)} truth points")
     v_g = truth.v_g.tolist()
@@ -422,7 +400,6 @@ def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
     labels = [label.value for label in truth.LABELS]
 
     def points(start: int, stop: int) -> list[dict]:
-        rows = slice(start, stop)
         return [
             {
                 "track_id": tid,
@@ -431,20 +408,12 @@ def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
                 "v_g": v_g[obj],
                 "speed": speed,
                 "epipole": epipole[obj],
-                "k0": None if math.isnan(k0) else k0,
-                "H": None if math.isnan(h) else h,
+                "k0": k0,
+                "H": h,
                 "label": labels[label],
                 "valid_frames": valid,
             }
-            for tid, obj, speed, k0, h, label, valid in zip(
-                ids[rows],
-                truth.cluster_id[rows].tolist(),
-                truth.speed[rows].tolist(),
-                truth.k0[rows].tolist(),
-                truth.H[rows].tolist(),
-                truth.label[rows].tolist(),
-                truth.valid_frames[rows].tolist(),
-            )
+            for tid, (obj, speed, k0, h, label, valid) in zip(ids[start:stop], truth._rows(start, stop))
         ]
 
     return {"schema": 1, "frame_count": truth.frame_count, "points": _Rows(len(truth), points)}

@@ -47,7 +47,7 @@ forward block, not once per (cell, point).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, project
 from .errors import InvalidInput, _valid_seed
-from .ttc import MotionClass, TrackTable
+from .ttc import MotionClass, TrackTable, _Rows
 
 __all__ = [
     "CollisionMap",
@@ -204,8 +204,9 @@ class GroundTruth:
         valid_frames: (N,) int64 frames before each point left the
             Z > 0 half-space.
 
-    points reads the rows as PointTruth records, built one at a time
-    when read; its len() builds none.
+    _rows reads rows as Python tuples; points (a ttc._Rows) and
+    fileio.truth_document build their records from them when an item is
+    read, and len(points) builds none.
     """
 
     frame_count: int
@@ -227,42 +228,43 @@ class GroundTruth:
         return len(self.k0)
 
     @property
-    def points(self) -> "_PointTruths":
-        return _PointTruths(self)
+    def points(self) -> _Rows:
+        return _Rows(len(self), self._points)
 
-    def _point(self, i: int) -> PointTruth:
-        """Row i as a PointTruth; NaN quantities become None, and the
-        record owns a copy of its object's epipole."""
-        obj = int(self.cluster_id[i])
-        epipole = self.epipole[obj]
-        k0, h = float(self.k0[i]), float(self.H[i])
-        return PointTruth(
-            track_index=i,
-            object_id=self.object_ids[obj],
-            cluster_id=obj,
-            v_g=self.v_g[obj],
-            speed=float(self.speed[i]),
-            epipole=None if np.isnan(epipole[0]) else epipole.copy(),
-            k0=None if np.isnan(k0) else k0,
-            H=None if np.isnan(h) else h,
-            label=self.LABELS[self.label[i]],
-            valid_frames=int(self.valid_frames[i]),
-        )
+    def _rows(self, start: int, stop: int) -> list[tuple]:
+        """Rows start to stop as Python tuples (object, speed, k0, H,
+        label code, valid frames); NaN k0 and H become None."""
+        rows = slice(start, stop)
+        return [
+            (obj, speed, None if math.isnan(k0) else k0, None if math.isnan(h) else h, label, valid)
+            for obj, speed, k0, h, label, valid in zip(
+                self.cluster_id[rows].tolist(),
+                self.speed[rows].tolist(),
+                self.k0[rows].tolist(),
+                self.H[rows].tolist(),
+                self.label[rows].tolist(),
+                self.valid_frames[rows].tolist(),
+            )
+        ]
 
-
-class _PointTruths(Sequence):
-    """The rows of a GroundTruth as PointTruth records, built when read."""
-
-    def __init__(self, truth: GroundTruth):
-        self._truth = truth
-
-    def __len__(self) -> int:
-        return len(self._truth)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return self._truth._point(range(len(self))[i])
+    def _points(self, start: int, stop: int) -> list[PointTruth]:
+        """Rows start to stop as PointTruth records, each owning a copy
+        of its object's epipole."""
+        return [
+            PointTruth(
+                track_index=i,
+                object_id=self.object_ids[obj],
+                cluster_id=obj,
+                v_g=self.v_g[obj],
+                speed=speed,
+                epipole=None if np.isnan(self.epipole[obj, 0]) else self.epipole[obj].copy(),
+                k0=k0,
+                H=h,
+                label=self.LABELS[label],
+                valid_frames=valid,
+            )
+            for i, (obj, speed, k0, h, label, valid) in enumerate(self._rows(start, stop), start)
+        ]
 
 
 def _truth(points, v_g):

@@ -191,6 +191,27 @@ class TrackTable(Sequence):
         return TrackTable(self.frames, self.positions, self.start[index], self.length[index])
 
 
+class _Rows(Sequence):
+    """n records built from columns when read: len() builds none, an
+    index or a slice builds those records afresh. build(start, stop)
+    returns records start to stop as a list. GroundTruth.points and the
+    lists of result documents are _Rows."""
+
+    def __init__(self, n: int, build):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            rows = range(self._n)[i]
+            return self._build(rows.start, rows.stop) if rows.step == 1 else [self[j] for j in rows]
+        i = range(self._n)[i]
+        return self._build(i, i + 1)[0]
+
+
 @dataclass(frozen=True)
 class CollisionEstimate:
     """Collision-plane decomposition of one observation pair.

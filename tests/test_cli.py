@@ -1199,3 +1199,74 @@ class TestCommaListValues:
         _, tracks, _ = planar_files
         assert run("estimate", tracks, "--intrinsics", "800,320,240", *flag) == 2
         assert capsys.readouterr().err.endswith(usage)
+
+
+class TestErrorPathMessages:
+    """Errors of the main() handlers and of read_scenario's wrapping: exit
+    2, one stderr line with the exact message, and no output file."""
+
+    @staticmethod
+    def assert_one_error(code, capsys, message, out):
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.fixture
+    def parallel_tracks(self, tmp_path):
+        """Three horizontal flows: their lines never meet."""
+        tracks = tmp_path / "parallel.csv"
+        tracks.write_text(
+            "track_id,frame,u,v\n"
+            "a,0,100.0,100.0\na,1,110.0,100.0\n"
+            "b,0,100.0,200.0\nb,1,120.0,200.0\n"
+            "c,0,50.0,300.0\nc,1,60.0,300.0\n"
+        )
+        return tracks
+
+    def test_least_squares_on_parallel_flows(self, parallel_tracks, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = run("estimate", parallel_tracks, "--intrinsics", "800,320,240", "--mode", "least-squares", "--out", out)
+        self.assert_one_error(code, capsys, "degenerate input: all flow lines parallel; epipole unconstrained", out)
+
+    def test_calibrate_without_two_clusters(self, parallel_tracks, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = run("estimate", parallel_tracks, "--intrinsics", "800,320,240", "--calibrate", "--out", out)
+        self.assert_one_error(code, capsys, "horizon calibration needs >= 2 motion clusters, found 0", out)
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--intrinsics", "800,320,240", "--mode", "least-squares"],
+        ["cluster", "--intrinsics", "800,320,240"],
+    ], ids=["estimate", "cluster"])
+    def test_missing_track_file(self, command, tmp_path, capsys):
+        tracks, out = tmp_path / "absent.csv", tmp_path / "out.json"
+        code = run(command[0], tracks, *command[1:], "--out", out)
+        self.assert_one_error(code, capsys, f"[Errno 2] No such file or directory: '{tracks}'", out)
+
+    def test_output_directory_missing(self, parallel_tracks, tmp_path, capsys):
+        out = tmp_path / "nodir" / "o.json"
+        code = run("cluster", parallel_tracks, "--intrinsics", "800,320,240", "--out", out)
+        self.assert_one_error(code, capsys, f"[Errno 2] No such file or directory: '{out}'", out)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--focal-mm", "8"], "--focal-mm needs --pixel-pitch-um to convert to pixels"),
+        (["--focal-px", "800", "--z-values", ","], "--z-values: need at least one depth"),
+    ])
+    def test_sensitivity_flags(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        self.assert_one_error(run("sensitivity", *flags, "--out", out), capsys, message, out)
+
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("intrinsics", "principal_point", 5, "scenario: intrinsics: 'int' object is not iterable"),
+        ("object", "points", "x", "scenario: objects[0]: could not convert string to float: 'x'"),
+        ("scenario", "pixel_noise_sigma", "x", "scenario: could not convert string to float: 'x'"),
+    ])
+    def test_scenario_field_of_wrong_type(self, where, key, value, message, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        write_scenario(scene, planar_scenario())
+        doc = read_json(scene)
+        {"intrinsics": doc["intrinsics"], "object": doc["objects"][0], "scenario": doc}[where][key] = value
+        scene.write_text(json.dumps(doc))
+        tracks = tmp_path / "t.csv"
+        code = run("simulate", scene, "--out-tracks", tracks, "--out-truth", tmp_path / "g.json")
+        self.assert_one_error(code, capsys, message, tracks)
+        assert sorted(tmp_path.iterdir()) == [scene]

@@ -28,6 +28,7 @@ from ttckit import (
     MotionCluster,
     Scenario,
     SceneObject,
+    SingularGeometry,
     TrackObservation,
     cluster_flows,
     simulate,
@@ -789,3 +790,39 @@ class TestReassignmentSweep:
             tracemalloc.stop()
         assert len(swept) == 150
         assert peak < 2**20
+
+    @staticmethod
+    def expanding_flows(e, offsets, scale=1.05):
+        """Flows from e + offset to e + scale * offset, their lines, unit
+        spans and their k about e."""
+        p0 = e + np.asarray(offsets, dtype=np.float64)
+        p1 = e + scale * (p0 - e)
+        normals, offsets, _ = _flow_lines(p0, p1)
+        k, _ = ttc_batch(p0, p1, e, intr700())
+        return p0, p1, normals, offsets, np.ones(len(p0)), k
+
+    def test_round_that_empties_a_cluster_is_rolled_back(self):
+        # every line passes through e, nearer cluster A (at e) than B (at
+        # e + 0.5 px), so the round would leave B empty
+        e = np.array([320.0, 240.0])
+        angles = np.deg2rad(np.arange(15) * 24.0 + 7.0)
+        offsets = np.column_stack([np.cos(angles), np.sin(angles)]) * (60.0 + 4.0 * np.arange(15))[:, None]
+        p0, p1, normals, offsets, spans, k = self.expanding_flows(e, offsets)
+        state = [(np.arange(10), k[:10], e), (np.arange(10, 15), k[10:], e + [0.5, 0.0])]
+        swept = _reassignment_sweep(state, p0, p1, normals, offsets, spans, intr700(), ClusteringConfig())
+        assert swept is state
+
+    def test_parallel_members_keep_their_epipole(self):
+        # four lines within 0.5 degrees of each other: the refit is
+        # singular, so the cluster keeps the epipole it came with
+        e = np.array([320.0, 240.0])
+        p0, p1, normals, offsets, spans, k = self.expanding_flows(
+            e, [(-100.0, 0.0), (-120.0, 0.3), (110.0, -0.3), (130.0, 0.2)]
+        )
+        assert isinstance(_least_squares_epipole(normals, offsets)[2], SingularGeometry)
+        state = [(np.arange(4), k, e)]
+        swept = _reassignment_sweep(state, p0, p1, normals, offsets, spans, intr700(), ClusteringConfig())
+        assert len(swept) == 1
+        members, _, epipole = swept[0]
+        np.testing.assert_array_equal(members, np.arange(4))
+        np.testing.assert_array_equal(epipole, e)
