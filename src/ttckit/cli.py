@@ -19,6 +19,11 @@ Subcommands:
   (CSV).
 * ``sensitivity``: stereo-vs-monocular error comparison table out (CSV).
 
+Each command imports the layers it runs when it runs (epipole,
+clustering, simulate and stereo; clustering only under --calibrate for
+estimate), so a command loads only those modules. The sensitivity help
+text takes the preset rig from presets, not from stereo.
+
 Exit codes: 0 success, 2 usage or input validation failure, 1 internal
 error. Per-track geometric degeneracies never abort a batch; they are
 reported inside the result document. Every command is deterministic
@@ -33,23 +38,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .camera import CameraIntrinsics, _zero_rows
-from .clustering import ClusteringConfig, cluster_flows
-from .epipole import (
-    Epipole,
-    EpipoleMethod,
-    HorizonLine,
-    _flow_lines,
-    _least_squares_epipole,
-    _offset_three_frames,
-    _planar_epipoles,
-    calibrate_horizon,
-)
 from .errors import (
     DegenerateFlow,
     InsufficientData,
@@ -68,20 +64,15 @@ from .fileio import (
     write_sensitivity_csv,
     write_tracks_csv,
 )
-from .simulate import GridSpec, collision_map, simulate
-from .stereo import (
-    PRESET_BASELINE_M,
-    PRESET_DETECTION_ERROR_PX,
-    PRESET_HEADING_DEG,
-    PRESET_SPEED_KMH,
-    StereoErrorModel,
-    focal_px_from_metric,
-    orientation_error_sweep,
-    preset_approach_45deg,
-)
+from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_HEADING_DEG, PRESET_SPEED_KMH
 from .ttc import MotionClass, _collision_rows, _Rows
 
-__all__ = ["main"]
+if TYPE_CHECKING:
+    from .clustering import ClusteringConfig
+    from .epipole import Epipole, HorizonLine
+    from .stereo import StereoErrorModel
+
+__all__ = ["main", "run"]
 
 SEED_ENV_VAR = "COLLISION_PLANE_SEED"
 PRESET_NAMES = ("approach-45deg",)
@@ -170,6 +161,8 @@ def _emit_json(document: dict, out_path: str | None) -> None:
 # ------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
+    from .simulate import simulate
+
     scenario = read_scenario(args.scenario)
     overrides = {}
     if args.seed is not None:
@@ -212,6 +205,8 @@ def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
     MotionClusters, a document of each with its member_ids, epipole and
     mean_ttc, and the ids of the outlier and of the stationary tracks.
     """
+    from .clustering import cluster_flows
+
     zero = _zero_rows(tracks.pixels(-1) - tracks.pixels(0))
     moving = np.flatnonzero(~zero)
     clusters, outliers = cluster_flows(tracks.take(moving), config=config, intrinsics=intrinsics)
@@ -228,6 +223,17 @@ def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
 
 
 def _cmd_estimate(args) -> int:
+    from .epipole import (
+        Epipole,
+        EpipoleMethod,
+        HorizonLine,
+        _flow_lines,
+        _least_squares_epipole,
+        _offset_three_frames,
+        _planar_epipoles,
+        calibrate_horizon,
+    )
+
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
@@ -248,6 +254,8 @@ def _cmd_estimate(args) -> int:
     first, second, last = (tracks.pixels(i) for i in (0, 1, -1))
     horizon = None
     if args.calibrate:
+        from .clustering import ClusteringConfig
+
         config = ClusteringConfig(rng_seed=seed)
         clusters, document["clusters"], _, _ = _cluster_moving(tracks, ids, intrinsics, config)
         if len(clusters) < 2:
@@ -335,6 +343,8 @@ def _cmd_estimate(args) -> int:
 # -------------------------------------------------------------- cluster
 
 def _cmd_cluster(args) -> int:
+    from .clustering import ClusteringConfig
+
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
@@ -373,6 +383,8 @@ def _cmd_cluster(args) -> int:
 # -------------------------------------------------------- collision map
 
 def _cmd_collision_map(args) -> int:
+    from .simulate import GridSpec, collision_map
+
     scenario = read_scenario(args.scenario)
     lat_ext, fwd_ext, *cells = _parse_floats(args.grid, 4, "--grid")
     lat_cells, fwd_cells = _integers(cells, "--grid: cell counts")
@@ -390,6 +402,8 @@ def _cmd_collision_map(args) -> int:
 # ---------------------------------------------------------- sensitivity
 
 def _build_sweep_model(args) -> StereoErrorModel:
+    from .stereo import StereoErrorModel, focal_px_from_metric, preset_approach_45deg
+
     if args.preset is not None:
         given = [f"--{name.replace('_', '-')}" for name in _RIG_FLAGS if getattr(args, name) is not None]
         if given:
@@ -418,6 +432,8 @@ def _build_sweep_model(args) -> StereoErrorModel:
 
 
 def _cmd_sensitivity(args) -> int:
+    from .stereo import orientation_error_sweep
+
     model = _build_sweep_model(args)
     seed = _seed(args)
     try:
@@ -589,3 +605,21 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+
+
+def run() -> None:
+    """Process entry point of ``python -m ttckit`` and the ``ttckit``
+    script: run main() and exit with its code.
+
+    Before exiting it freezes the collector (gc.freeze), so the
+    collection the interpreter runs at exit skips every object the
+    command leaves, most of them numpy's and the stdlib's. Objects in
+    reference cycles are then released with the process, not finalized;
+    no ttckit object holds an open file past main(). atexit handlers,
+    the flush of stdout and stderr and the exit code are those of a
+    plain sys.exit. main() leaves the collector alone, for callers in
+    the same process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -31,14 +31,17 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, compress
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .camera import CameraIntrinsics
 from .errors import InvalidInput
-from .simulate import CollisionMap, GroundTruth, SceneObject, Scenario
-from .stereo import SensitivityTable
 from .ttc import TrackTable, _Rows
+
+if TYPE_CHECKING:  # annotations only: a command that reads no scenario loads neither module
+    from .simulate import CollisionMap, GroundTruth, Scenario
+    from .stereo import SensitivityTable
 
 __all__ = [
     "read_json",
@@ -306,6 +309,8 @@ def read_scenario(path) -> Scenario:
         InvalidInput: unreadable, non-UTF-8 or malformed JSON, or failed
             validation; messages name the path or the offending field.
     """
+    from .simulate import SceneObject, Scenario
+
     try:
         doc = read_json(path)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -391,12 +396,12 @@ def write_scenario(path, scenario: Scenario) -> None:
 
 def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
     """Ground truth as a JSON-ready document (schema 1), built from the
-    rows of truth (GroundTruth._rows) without building any PointTruth;
-    NaN becomes null. Its "points" are a _Rows, built when read."""
+    rows of truth (GroundTruth._rows and _epipoles) without building any
+    PointTruth; NaN becomes null. Its "points" are a _Rows, built when read."""
     if len(ids) != len(truth):
         raise InvalidInput(f"{len(ids)} ids for {len(truth)} truth points")
     v_g = truth.v_g.tolist()
-    epipole = [None if math.isnan(e[0]) else e for e in truth.epipole.tolist()]
+    epipole = truth._epipoles()
     labels = [label.value for label in truth.LABELS]
 
     def points(start: int, stop: int) -> list[dict]:

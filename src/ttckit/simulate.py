@@ -204,9 +204,10 @@ class GroundTruth:
         valid_frames: (N,) int64 frames before each point left the
             Z > 0 half-space.
 
-    _rows reads rows as Python tuples; points (a ttc._Rows) and
-    fileio.truth_document build their records from them when an item is
-    read, and len(points) builds none.
+    _rows reads rows as Python tuples and _epipoles the objects'
+    epipoles as lists; points (a ttc._Rows) and fileio.truth_document
+    build their records from them when an item is read, and len(points)
+    builds none.
     """
 
     frame_count: int
@@ -247,9 +248,14 @@ class GroundTruth:
             )
         ]
 
+    def _epipoles(self) -> list[list[float] | None]:
+        """Each object's epipole as [u, v]; None where it is undefined (NaN)."""
+        return [None if math.isnan(e[0]) else e for e in self.epipole.tolist()]
+
     def _points(self, start: int, stop: int) -> list[PointTruth]:
         """Rows start to stop as PointTruth records, each owning a copy
         of its object's epipole."""
+        epipoles = self._epipoles()
         return [
             PointTruth(
                 track_index=i,
@@ -257,7 +263,7 @@ class GroundTruth:
                 cluster_id=obj,
                 v_g=self.v_g[obj],
                 speed=speed,
-                epipole=None if np.isnan(self.epipole[obj, 0]) else self.epipole[obj].copy(),
+                epipole=None if epipoles[obj] is None else np.array(epipoles[obj]),
                 k0=k0,
                 H=h,
                 label=self.LABELS[label],

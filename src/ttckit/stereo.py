@@ -34,6 +34,13 @@ import numpy as np
 from .camera import CameraIntrinsics, project
 from .epipole import HorizonLine, _cut_horizon, _tls_lines
 from .errors import InvalidInput, _valid_seed
+from .presets import (
+    PRESET_BASELINE_M,
+    PRESET_DETECTION_ERROR_PX,
+    PRESET_FOCAL_MM,
+    PRESET_HEADING_DEG,
+    PRESET_SPEED_KMH,
+)
 from .ttc import ttc_batch
 
 __all__ = [
@@ -46,15 +53,6 @@ __all__ = [
     "preset_approach_45deg",
     "stereo_depth_error",
 ]
-
-# Sweep preset: small automotive stereo rig, object crossing at 45
-# degrees with 50 km/h. Pixel pitch stays caller-supplied; the metric
-# focal length cannot become pixels without it.
-PRESET_BASELINE_M = 0.15
-PRESET_FOCAL_MM = 8.0
-PRESET_DETECTION_ERROR_PX = 0.2
-PRESET_SPEED_KMH = 50.0
-PRESET_HEADING_DEG = 45.0
 
 # Height of the swept point below the camera axis, meters. It must be
 # nonzero: at 0 every flow line would be the horizon.

@@ -6,6 +6,7 @@ closure of CLI estimates against simulator ground truth.
 """
 
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -1119,13 +1120,250 @@ class TestExitCodes:
         def boom(_scenario):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("ttckit.cli.simulate", boom)
+        monkeypatch.setattr(importlib.import_module("ttckit.simulate"), "simulate", boom)
         code = run(
             "simulate", scene,
             "--out-tracks", tmp_path / "t.csv", "--out-truth", tmp_path / "g.json",
         )
         assert code == 1
         assert "internal error" in capsys.readouterr().err
+
+
+# `ttckit [<cmd>] --help` at COLUMNS=80. Each subcommand imports its layers
+# only when it runs, so these pin that its help text still comes out whole.
+HELP_TEXT = {
+    '': """\
+usage: ttckit [-h] {simulate,estimate,cluster,collision-map,sensitivity} ...
+
+Monocular time-to-collision toolkit: simulate synthetic point tracks, estimate
+collision parameters and epipoles, cluster independent motions, and map
+collision outcomes over velocity changes.
+
+positional arguments:
+  {simulate,estimate,cluster,collision-map,sensitivity}
+    simulate            render a scenario to tracks + ground truth
+    estimate            per-track collision estimates from a track CSV
+    cluster             group tracks into independent motions
+    collision-map       collision state over velocity changes
+    sensitivity         stereo vs collision-plane error table
+
+options:
+  -h, --help            show this help message and exit
+""",
+    'simulate': """\
+usage: ttckit simulate [-h] --out-tracks OUT_TRACKS --out-truth OUT_TRUTH
+                       [--seed SEED] [--noise-sigma NOISE_SIGMA]
+                       scenario
+
+positional arguments:
+  scenario              scenario JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --out-tracks OUT_TRACKS
+                        output track CSV
+  --out-truth OUT_TRUTH
+                        output ground-truth JSON
+  --seed SEED           override scenario rng_seed
+  --noise-sigma NOISE_SIGMA
+                        override scenario pixel noise
+""",
+    'estimate': """\
+usage: ttckit estimate [-h] --intrinsics INTRINSICS
+                       [--mode {planar,three-frame,least-squares}]
+                       [--horizon HORIZON | --calibrate] [--seed SEED]
+                       [--out OUT]
+                       tracks
+
+positional arguments:
+  tracks                track CSV file
+
+options:
+  -h, --help            show this help message and exit
+  --intrinsics INTRINSICS
+                        f,u0,v0[,width,height] (focal in pixels)
+  --mode {planar,three-frame,least-squares}
+                        epipole estimator (default: planar)
+  --horizon HORIZON     horizon line v = a*u + b, given as a,b
+  --calibrate           derive the horizon from clustered epipoles before
+                        estimating
+  --seed SEED
+  --out OUT             output JSON (default: stdout)
+""",
+    'cluster': """\
+usage: ttckit cluster [-h] --intrinsics INTRINSICS [--eps-dist EPS_DIST]
+                      [--eps-ttc EPS_TTC] [--min-size MIN_SIZE]
+                      [--max-iterations MAX_ITERATIONS] [--seed SEED]
+                      [--out OUT]
+                      tracks
+
+positional arguments:
+  tracks                track CSV file
+
+options:
+  -h, --help            show this help message and exit
+  --intrinsics INTRINSICS
+                        f,u0,v0[,width,height] (focal in pixels)
+  --eps-dist EPS_DIST   inlier line distance, px
+  --eps-ttc EPS_TTC     TTC agreement threshold, frames (default: adaptive)
+  --min-size MIN_SIZE   smallest reportable cluster
+  --max-iterations MAX_ITERATIONS
+  --seed SEED
+  --out OUT             output JSON (default: stdout)
+""",
+    'collision-map': """\
+usage: ttckit collision-map [-h] --grid GRID [--radius RADIUS] --out OUT
+                            scenario
+
+positional arguments:
+  scenario         scenario JSON file
+
+options:
+  -h, --help       show this help message and exit
+  --grid GRID      lat_extent,fwd_extent,lat_cells,fwd_cells (cells odd)
+  --radius RADIUS  collision radius, meters
+  --out OUT        output CSV
+""",
+    'sensitivity': """\
+usage: ttckit sensitivity [-h] [--preset {approach-45deg}]
+                          [--baseline-m BASELINE_M] [--focal-px FOCAL_PX]
+                          [--focal-mm FOCAL_MM]
+                          [--pixel-pitch-um PIXEL_PITCH_UM]
+                          [--detection-error-px DETECTION_ERROR_PX]
+                          [--speed-kmh SPEED_KMH] [--heading-deg HEADING_DEG]
+                          [--z-values Z_VALUES] [--trials TRIALS]
+                          [--track-frames TRACK_FRAMES] [--frame-dt FRAME_DT]
+                          [--seed SEED] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --preset {approach-45deg}
+  --baseline-m BASELINE_M
+                        stereo baseline, meters (default: 0.15)
+  --focal-px FOCAL_PX
+  --focal-mm FOCAL_MM
+  --pixel-pitch-um PIXEL_PITCH_UM
+                        sensor pixel pitch; required with a metric focal
+                        length
+  --detection-error-px DETECTION_ERROR_PX
+                        per-detection pixel error (default: 0.2)
+  --speed-kmh SPEED_KMH
+                        object speed, km/h (default: 50.0)
+  --heading-deg HEADING_DEG
+                        motion direction from the optical axis, degrees
+                        (default: 45.0)
+  --z-values Z_VALUES   comma-separated depths in meters
+  --trials TRIALS
+  --track-frames TRACK_FRAMES
+  --frame-dt FRAME_DT
+  --seed SEED
+  --out OUT             output CSV
+""",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="argparse before 3.11 titles options 'optional arguments'")
+class TestHelpText:
+    @pytest.mark.parametrize("command", list(HELP_TEXT))
+    def test_help_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(*filter(None, [command, "--help"])) == 0
+        assert capsys.readouterr().out == HELP_TEXT[command]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a child python."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+def python(*argv, text=True):
+    """Run a child python on src/; a CompletedProcess with its output."""
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], env=src_env(), capture_output=True, text=text, timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def triple_files(tmp_path_factory):
+    """A noise-free three-object scene and its simulated tracks."""
+    tmp = tmp_path_factory.mktemp("triple")
+    write_scenario(tmp / "scene.json", triple_scenario(seed=5, noise=0.0))
+    assert run("simulate", tmp / "scene.json", "--out-tracks", tmp / "t.csv", "--out-truth", tmp / "g.json") == 0
+    return tmp
+
+
+# the ttckit modules that hold a layer's work; cli, errors and presets load for every command
+LAYERS = {"camera", "clustering", "epipole", "fileio", "simulate", "stereo", "ttc"}
+
+
+class TestLoadedModules:
+    """Each command, run through the real entry point, loads only the
+    layers it runs."""
+
+    # prints the ttckit modules loaded at exit, after `python -m ttckit argv...` has run
+    PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("ttckit."))), file=sys.stderr))
+runpy.run_module("ttckit", run_name="__main__", alter_sys=True)
+"""
+
+    @pytest.mark.parametrize("argv, layers", [
+        pytest.param(["--help"], {"camera", "fileio", "ttc"}, id="help"),
+        pytest.param(["simulate", "scene.json", "--out-tracks", "t2.csv", "--out-truth", "g2.json"],
+                     {"simulate", "ttc", "camera", "fileio"}, id="simulate"),
+        pytest.param(["collision-map", "scene.json", "--grid", "2,2,3,3", "--out", "map.csv"],
+                     {"simulate", "ttc", "camera", "fileio"}, id="collision-map"),
+        pytest.param(["sensitivity", "--focal-px", "800", "--trials", "5", "--z-values", "10", "--out", "sens.csv"],
+                     {"stereo", "epipole", "ttc", "camera", "fileio"}, id="sensitivity"),
+        pytest.param(["estimate", "t.csv", "--intrinsics", "700,320,240", "--mode", "three-frame", "--horizon", "0,240"],
+                     {"epipole", "ttc", "camera", "fileio"}, id="estimate-three-frame"),
+        pytest.param(["estimate", "t.csv", "--intrinsics", "700,320,240", "--mode", "least-squares"],
+                     {"epipole", "ttc", "camera", "fileio"}, id="estimate-least-squares"),
+        pytest.param(["estimate", "t.csv", "--intrinsics", "700,320,240", "--calibrate"],
+                     {"clustering", "epipole", "ttc", "camera", "fileio"}, id="estimate-calibrate"),
+        pytest.param(["cluster", "t.csv", "--intrinsics", "700,320,240"],
+                     {"clustering", "epipole", "ttc", "camera", "fileio"}, id="cluster"),
+    ])
+    def test_command_loads_only_its_layers(self, argv, layers, triple_files):
+        done = python("-c", self.PROBE, *(triple_files / a if a.endswith((".json", ".csv")) else a for a in argv))
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stderr.splitlines()[-1])
+        assert {m.removeprefix("ttckit.") for m in loaded} & LAYERS == layers
+
+
+class TestProcessEntryPoint:
+    """python -m ttckit, which runs cli.run: main, then a frozen collector at exit."""
+
+    def test_estimate_stdout_equals_out_file(self, triple_files, tmp_path):
+        argv = ["-m", "ttckit", "estimate", triple_files / "t.csv", "--intrinsics", "700,320,240",
+                "--mode", "planar", "--horizon", "0,240"]
+        to_stdout = python(*argv, text=False)
+        to_file = python(*argv, "--out", tmp_path / "est.json", text=False)
+        assert (to_stdout.returncode, to_stdout.stderr, to_file.returncode, to_file.stderr) == (0, b"", 0, b"")
+        assert to_file.stdout == b""
+        assert to_stdout.stdout == (tmp_path / "est.json").read_bytes()
+
+    def test_bad_input_exits_two_with_one_line(self, tmp_path):
+        (tmp_path / "bad.csv").write_text("track_id,frame,u,v\na,0,1,x\n", encoding="utf-8")
+        done = python("-m", "ttckit", "cluster", tmp_path / "bad.csv", "--intrinsics", "700,320,240")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+    def test_help_exits_zero(self):
+        done = python("-m", "ttckit", "--help")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: ttckit ")
+
+    def test_script_entry_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"ttckit": "ttckit.cli:run"}
+        assert importlib.import_module("ttckit.__main__").run is importlib.import_module("ttckit.cli").run
 
 
 class TestLazyNumpyModules:
