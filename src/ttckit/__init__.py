@@ -70,57 +70,7 @@ _SUBMODULES = ("camera", "cli", "clustering", "epipole", "errors", "fileio", "pr
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BehindCamera",
-    "CameraIntrinsics",
-    "ClusteringConfig",
-    "CollisionEstimate",
-    "CollisionMap",
-    "DegenerateConfiguration",
-    "DegenerateFlow",
-    "DegenerateGeometry",
-    "Epipole",
-    "EpipoleMethod",
-    "FlowVector",
-    "GridSpec",
-    "GroundTruth",
-    "HorizonLine",
-    "InsufficientData",
-    "InvalidInput",
-    "LineAngleFrame",
-    "MotionClass",
-    "MotionCluster",
-    "ParallelToHorizon",
-    "PointTruth",
-    "SceneObject",
-    "Scenario",
-    "SensitivityRow",
-    "SensitivityTable",
-    "SingularGeometry",
-    "StationaryPoint",
-    "StereoErrorModel",
-    "TrackObservation",
-    "TrackTable",
-    "TtcError",
-    "calibrate_horizon",
-    "classify_motion",
-    "cluster_flows",
-    "collision_estimate",
-    "collision_map",
-    "disparity_px",
-    "epipole_least_squares",
-    "epipole_offset_three_frames",
-    "focal_px_from_metric",
-    "line_angle_frame",
-    "orientation_error_sweep",
-    "planar_epipole",
-    "point_truth",
-    "preset_approach_45deg",
-    "project",
-    "simulate",
-    "stereo_depth_error",
-    "ttc_batch",
-]
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):

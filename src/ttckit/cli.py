@@ -22,7 +22,8 @@ Subcommands:
 Each command imports the layers it runs when it runs (epipole,
 clustering, simulate and stereo; clustering only under --calibrate for
 estimate), so a command loads only those modules. The sensitivity help
-text takes the preset rig from presets, not from stereo.
+text and the --preset rig take the preset's values from presets, not
+from stereo.
 
 Exit codes: 0 success, 2 usage or input validation failure, 1 internal
 error. Per-track geometric degeneracies never abort a batch; they are
@@ -64,12 +65,12 @@ from .fileio import (
     write_sensitivity_csv,
     write_tracks_csv,
 )
-from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_HEADING_DEG, PRESET_SPEED_KMH
+from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_FOCAL_MM, PRESET_HEADING_DEG, PRESET_SPEED_KMH
 from .ttc import MotionClass, _collision_rows, _Rows
 
 if TYPE_CHECKING:
     from .clustering import ClusteringConfig
-    from .epipole import Epipole, HorizonLine
+    from .epipole import HorizonLine
     from .stereo import StereoErrorModel
 
 __all__ = ["main", "run"]
@@ -121,13 +122,9 @@ def _parse_intrinsics(text: str) -> CameraIntrinsics:
     return CameraIntrinsics(focal_px=vals[0], principal_point=(vals[1], vals[2]), image_size=size)
 
 
-def _epipole_doc(epipole: Epipole) -> dict:
-    return {
-        "track_id": None,
-        "position": epipole.position,
-        "method": epipole.method.value,
-        "residual": epipole.residual,
-    }
+def _epipole_doc(track_id: str | None, position, method: str, residual: float) -> dict:
+    """One epipole record; track_id is None for a shared or a cluster epipole."""
+    return {"track_id": track_id, "position": position, "method": method, "residual": residual}
 
 
 def _horizon_doc(horizon: HorizonLine) -> dict:
@@ -213,7 +210,7 @@ def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
     documents = [
         {
             "member_ids": [ids[moving[m]] for m in c.member_indices],
-            "epipole": _epipole_doc(c.epipole),
+            "epipole": _epipole_doc(None, c.epipole.position, c.epipole.method.value, c.epipole.residual),
             "mean_ttc": c.mean_ttc,
         }
         for c in clusters
@@ -285,7 +282,9 @@ def _cmd_estimate(args) -> int:
         if error is not None:
             raise error
         shared_epipole = Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
-        document["epipoles"].append(_epipole_doc(shared_epipole))
+        document["epipoles"].append(_epipole_doc(
+            None, shared_epipole.position, shared_epipole.method.value, shared_epipole.residual
+        ))
         epipoles, errors = shared_epipole.position, [None] * n
 
     k, H, v_g_dir, _, point, pair_errors = _collision_rows(first, second, epipoles, intrinsics)
@@ -321,7 +320,7 @@ def _cmd_estimate(args) -> int:
     def epipole_rows(start: int, stop: int) -> list[dict]:
         index = ok[start:stop]
         return [
-            {"track_id": ids[i], "position": position, "method": method, "residual": r}
+            _epipole_doc(ids[i], position, method, r)
             for i, position, r in zip(index.tolist(), epipoles[index].tolist(), residual[index].tolist())
         ]
 
@@ -402,24 +401,26 @@ def _cmd_collision_map(args) -> int:
 # ---------------------------------------------------------- sensitivity
 
 def _build_sweep_model(args) -> StereoErrorModel:
-    from .stereo import StereoErrorModel, focal_px_from_metric, preset_approach_45deg
+    from .stereo import StereoErrorModel, focal_px_from_metric
 
+    focal_mm = args.focal_mm
     if args.preset is not None:
         given = [f"--{name.replace('_', '-')}" for name in _RIG_FLAGS if getattr(args, name) is not None]
         if given:
             raise InvalidInput(f"--preset {args.preset} fixes the rig; drop {', '.join(given)}")
         if args.pixel_pitch_um is None:
             raise InvalidInput("--preset uses a metric focal length; --pixel-pitch-um is required")
-        return preset_approach_45deg(args.pixel_pitch_um)
-    if (args.focal_px is None) == (args.focal_mm is None):
+        focal_mm = PRESET_FOCAL_MM
+    if (args.focal_px is None) == (focal_mm is None):
         raise InvalidInput("give exactly one of --focal-px or --focal-mm")
-    if args.focal_mm is not None:
+    if focal_mm is not None:
         if args.pixel_pitch_um is None:
             raise InvalidInput("--focal-mm needs --pixel-pitch-um to convert to pixels")
-        focal_px = focal_px_from_metric(args.focal_mm, args.pixel_pitch_um)
+        focal_px = focal_px_from_metric(focal_mm, args.pixel_pitch_um)
     else:
         focal_px = args.focal_px
-    # a rig flag left out takes the approach-45deg preset's value
+    # a rig flag left out takes the approach-45deg preset's value, so the
+    # preset is these defaults with its metric lens
     return StereoErrorModel(
         baseline_m=PRESET_BASELINE_M if args.baseline_m is None else args.baseline_m,
         focal_px=focal_px,

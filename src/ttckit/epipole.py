@@ -144,14 +144,13 @@ class FlowVector:
     def __post_init__(self):
         p = as_pixel(self.p)
         q = as_pixel(self.p_prime)
-        t = q - p
-        unit, zero = _unit_rows(t[np.newaxis])
-        if zero[0]:
-            raise DegenerateFlow(f"zero displacement at pixel {p}")
+        normals, _, error = _flow_lines(p[np.newaxis], q[np.newaxis])
+        if error is not None:
+            raise error
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_prime", q)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", np.array([-unit[0, 1], unit[0, 0]]))
+        object.__setattr__(self, "t", q - p)
+        object.__setattr__(self, "n", normals[0])
 
     @classmethod
     def from_track(cls, track: TrackObservation, pair_index: int = 0) -> "FlowVector":
@@ -260,12 +259,12 @@ def _flow_lines(p: np.ndarray, q: np.ndarray):
     """Lines of the flows from pixels p to pixels q, shape (N, 2).
 
     Returns:
-        (normals, offsets, error): the unit normals (FlowVector.n) of
-        shape (N, 2), the offsets n . p of shape (N,), so that a pixel e
-        lies at signed distance n . e - offset from a line, and error,
-        the DegenerateFlow a FlowVector raises for the first flow of zero
-        displacement, or None. The normal of a zero-displacement row is
-        its displacement turned a quarter, not a unit vector.
+        (normals, offsets, error): the unit normals of shape (N, 2), the
+        offsets n . p of shape (N,), so that a pixel e lies at signed
+        distance n . e - offset from a line, and error, a DegenerateFlow
+        for the first flow of zero displacement, or None. The normal of a
+        zero-displacement row is its displacement turned a quarter, not a
+        unit vector. FlowVector takes its n and its error from one row.
     """
     directions, zero = _unit_rows(q - p)
     still = np.flatnonzero(zero)

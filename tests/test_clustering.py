@@ -826,3 +826,61 @@ class TestReassignmentSweep:
         members, _, epipole = swept[0]
         np.testing.assert_array_equal(members, np.arange(4))
         np.testing.assert_array_equal(epipole, e)
+
+    def test_round_that_trims_a_cluster_below_min_size_is_rolled_back(self):
+        # three lines through e with k 12, 28 and 28 all pass the gate
+        # about the state's k (20 +- 10), but the trim about their own
+        # mean (22.7) drops the 12, which leaves two members
+        e = np.array([320.0, 240.0])
+        k_true = np.array([12.0, 28.0, 28.0])
+        p0, p1, normals, offsets, spans, k = self.expanding_flows(
+            e, [(-100.0, 20.0), (80.0, 60.0), (30.0, -90.0)], scale=(k_true / (k_true - 1.0))[:, np.newaxis]
+        )
+        np.testing.assert_allclose(k, k_true, rtol=1e-9)
+        config = ClusteringConfig(eps_ttc=10.0)
+        assert _trim_to_invariants(np.arange(3), k, config)[0].size == 2
+        state = [(np.arange(3), np.full(3, 20.0), e)]
+        assert _reassignment_sweep(state, p0, p1, normals, offsets, spans, intr700(), config) is state
+
+
+class TestExtractionFallbacks:
+    expanding_flows = staticmethod(TestReassignmentSweep.expanding_flows)
+
+    def test_parallel_members_keep_the_hypothesis_epipole(self):
+        # five lines within 0.4 degrees of each other with one k, and one
+        # at 30 degrees whose k the TTC gate drops: each hypothesis pairs
+        # the 30-degree line with a near-parallel one, and the refit on
+        # the five members is singular
+        e = np.array([320.0, 240.0])
+        angles = np.deg2rad([0.0, 0.1, 0.2, 0.3, 0.4, 30.0])
+        radii = np.array([60.0, 80.0, 100.0, 120.0, 140.0, 100.0])
+        scale = np.array([1.05] * 5 + [1.01])[:, np.newaxis]
+        p0, p1, normals, offsets, _, _ = self.expanding_flows(
+            e, np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, np.newaxis], scale
+        )
+        assert isinstance(_least_squares_epipole(normals[:5], offsets[:5])[2], SingularGeometry)
+        tracks = [TrackObservation.from_positions([a, b]) for a, b in zip(p0, p1)]
+        clusters, outliers = cluster_flows(tracks, intrinsics=intr700())
+        assert [c.member_indices for c in clusters] == [(0, 1, 2, 3, 4)]
+        assert outliers == (5,)
+        np.testing.assert_allclose(clusters[0].epipole.position, e, atol=1e-9)
+
+    def test_consensus_trimmed_below_min_size_ends_extraction(self):
+        # four lines through e with k 12, 28, 28 and 5: the TTC gate about
+        # their median (20 +- 10) keeps the first three, and the trim
+        # about those three's mean (22.7) drops the 12
+        e = np.array([320.0, 240.0])
+        k_true = np.array([12.0, 28.0, 28.0, 5.0])
+        p0, p1, normals, offsets, spans, k = self.expanding_flows(
+            e, [(-100.0, 20.0), (80.0, 60.0), (30.0, -90.0), (-40.0, -70.0)],
+            scale=(k_true / (k_true - 1.0))[:, np.newaxis],
+        )
+        np.testing.assert_allclose(k, k_true, rtol=1e-9)
+        config = ClusteringConfig(eps_ttc=10.0)
+        _, members, k_values = _consensus(
+            e[np.newaxis], np.arange(4), p0, p1, normals, offsets, spans, intr700(), config
+        )
+        np.testing.assert_array_equal(members, [0, 1, 2])
+        assert _trim_to_invariants(members, k_values, config)[0].size == 2
+        tracks = [TrackObservation.from_positions([a, b]) for a, b in zip(p0, p1)]
+        assert cluster_flows(tracks, config, intrinsics=intr700()) == ([], (0, 1, 2, 3))

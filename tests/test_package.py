@@ -46,6 +46,16 @@ def test_submodules_reachable_as_attributes():
     assert ttckit.fileio is importlib.import_module("ttckit.fileio")
 
 
+@pytest.mark.parametrize("module", sorted(ttckit._NAMES))
+def test_name_map_points_at_the_defining_module(module):
+    # a wrong entry would load the wrong submodule on first use of the name
+    submodule = importlib.import_module(f"ttckit.{module}")
+    listed = getattr(submodule, "__all__", None)
+    for name in ttckit._NAMES[module]:
+        assert getattr(submodule, name).__module__ == submodule.__name__, name
+        assert listed is None or name in listed, name
+
+
 def test_simulate_is_the_function():
     simulate_module = importlib.import_module("ttckit.simulate")
     assert inspect.isfunction(ttckit.simulate)
@@ -78,3 +88,17 @@ print(json.dumps([inspect.isfunction(ttckit.simulate), simulate is sys.modules["
     done = subprocess.run([sys.executable, "-c", probe, str(scene)], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [True, True]
+
+
+def test_submodule_attribute_loads_the_submodule_in_a_fresh_interpreter():
+    probe = """
+import json, sys
+import ttckit
+before = ["ttckit.stereo" in sys.modules, "stereo" in vars(ttckit)]
+stereo = ttckit.stereo
+print(json.dumps(before + [stereo is sys.modules["ttckit.stereo"]]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, False, True]
