@@ -19,11 +19,13 @@ Subcommands:
   (CSV).
 * ``sensitivity``: stereo-vs-monocular error comparison table out (CSV).
 
-Each command imports the layers it runs when it runs (epipole,
-clustering, simulate and stereo; clustering only under --calibrate for
-estimate), so a command loads only those modules. The sensitivity help
-text and the --preset rig take the preset's values from presets, not
-from stereo.
+At module level cli imports only the standard library, errors and
+presets, none of which loads numpy, so --help and every usage error
+run without numpy. Each command imports numpy and the layers it runs
+when it runs (camera, fileio, ttc, epipole, clustering, simulate and
+stereo; clustering only under --calibrate for estimate), so a command
+loads only those modules. The sensitivity help text and the --preset
+rig take the preset's values from presets, not from stereo.
 
 Exit codes: 0 success, 2 usage or input validation failure, 1 internal
 error. Per-track geometric degeneracies never abort a batch; they are
@@ -38,15 +40,11 @@ no random numbers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .camera import CameraIntrinsics, _zero_rows
 from .errors import (
     DegenerateFlow,
     InsufficientData,
@@ -55,20 +53,10 @@ from .errors import (
     TtcError,
     _valid_seed,
 )
-from .fileio import (
-    _json_pieces,
-    read_scenario,
-    read_tracks_csv,
-    truth_document,
-    write_collision_map_csv,
-    write_json,
-    write_sensitivity_csv,
-    write_tracks_csv,
-)
 from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_FOCAL_MM, PRESET_HEADING_DEG, PRESET_SPEED_KMH
-from .ttc import MotionClass, _collision_rows, _Rows
 
 if TYPE_CHECKING:
+    from .camera import CameraIntrinsics
     from .clustering import ClusteringConfig
     from .epipole import HorizonLine
     from .stereo import StereoErrorModel
@@ -79,10 +67,6 @@ SEED_ENV_VAR = "COLLISION_PLANE_SEED"
 PRESET_NAMES = ("approach-45deg",)
 # sensitivity flags that describe the rig, which a --preset fixes
 _RIG_FLAGS = ("baseline_m", "focal_px", "focal_mm", "detection_error_px", "speed_kmh", "heading_deg")
-# classification strings of estimate entries, read off the enum once, not per track
-_APPROACHING, _RECEDING, _CONSTANT_BEARING = (
-    MotionClass.APPROACHING.value, MotionClass.RECEDING.value, MotionClass.CONSTANT_BEARING.value
-)
 
 
 def _seed(args) -> int:
@@ -117,6 +101,8 @@ def _integers(values: list[float], what: str) -> list[int]:
 
 
 def _parse_intrinsics(text: str) -> CameraIntrinsics:
+    from .camera import CameraIntrinsics
+
     vals = _parse_floats(text, (3, 5), "--intrinsics")
     size = tuple(_integers(vals[3:], "--intrinsics: width and height")) if len(vals) == 5 else None
     return CameraIntrinsics(focal_px=vals[0], principal_point=(vals[1], vals[2]), image_size=size)
@@ -149,6 +135,8 @@ def _result_skeleton(command: str, seed: int, config: dict) -> dict:
 
 
 def _emit_json(document: dict, out_path: str | None) -> None:
+    from .fileio import _json_pieces, write_json
+
     if out_path is None:
         sys.stdout.writelines(_json_pieces(document))
     else:
@@ -158,6 +146,9 @@ def _emit_json(document: dict, out_path: str | None) -> None:
 # ------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
+    import dataclasses
+
+    from .fileio import read_scenario, truth_document, write_json, write_tracks_csv
     from .simulate import simulate
 
     scenario = read_scenario(args.scenario)
@@ -177,11 +168,11 @@ def _cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------- estimate
 
-def _failed_entry(track_id: str, error: TtcError) -> dict:
-    """Zero flow and constant bearing make a track stationary; every other
-    per-track problem makes it degenerate."""
+def _failed_entry(track_id: str, error: TtcError, constant_bearing: str) -> dict:
+    """Zero flow and constant bearing make a track stationary, classified
+    constant_bearing; every other per-track problem makes it degenerate."""
     if isinstance(error, (DegenerateFlow, StationaryPoint)):
-        status, h, classification = "stationary", 0.0, _CONSTANT_BEARING
+        status, h, classification = "stationary", 0.0, constant_bearing
     else:
         status, h, classification = f"degenerate:{type(error).__name__}", None, None
     return {
@@ -202,6 +193,9 @@ def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
     MotionClusters, a document of each with its member_ids, epipole and
     mean_ttc, and the ids of the outlier and of the stationary tracks.
     """
+    import numpy as np
+
+    from .camera import _zero_rows
     from .clustering import cluster_flows
 
     zero = _zero_rows(tracks.pixels(-1) - tracks.pixels(0))
@@ -220,6 +214,9 @@ def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
 
 
 def _cmd_estimate(args) -> int:
+    import numpy as np
+
+    from .camera import _zero_rows
     from .epipole import (
         Epipole,
         EpipoleMethod,
@@ -230,7 +227,13 @@ def _cmd_estimate(args) -> int:
         _planar_epipoles,
         calibrate_horizon,
     )
+    from .fileio import read_tracks_csv
+    from .ttc import MotionClass, _collision_rows, _Rows
 
+    # classification strings of the entries, read off the enum once, not per track
+    approaching, receding, constant_bearing = (
+        MotionClass.APPROACHING.value, MotionClass.RECEDING.value, MotionClass.CONSTANT_BEARING.value
+    )
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
@@ -300,7 +303,7 @@ def _cmd_estimate(args) -> int:
             v_g_dir[rows].tolist(), point[rows].tolist(),
         )):
             if error is not None:
-                entries.append(_failed_entry(track_id, error))
+                entries.append(_failed_entry(track_id, error, constant_bearing))
                 continue
             entry = {
                 "track_id": track_id,
@@ -308,7 +311,7 @@ def _cmd_estimate(args) -> int:
                 "k": k_j,
                 "H": h_j,
                 # the truth label's rule: the collision plane has yet to sweep the camera
-                "classification": _APPROACHING if k_j > 0.0 else _RECEDING,
+                "classification": approaching if k_j > 0.0 else receding,
                 "v_g_dir": v_j,
                 "point": point_j,
             }
@@ -343,6 +346,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from .clustering import ClusteringConfig
+    from .fileio import read_tracks_csv
 
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
@@ -382,6 +386,7 @@ def _cmd_cluster(args) -> int:
 # -------------------------------------------------------- collision map
 
 def _cmd_collision_map(args) -> int:
+    from .fileio import read_scenario, write_collision_map_csv
     from .simulate import GridSpec, collision_map
 
     scenario = read_scenario(args.scenario)
@@ -433,6 +438,7 @@ def _build_sweep_model(args) -> StereoErrorModel:
 
 
 def _cmd_sensitivity(args) -> int:
+    from .fileio import write_sensitivity_csv
     from .stereo import orientation_error_sweep
 
     model = _build_sweep_model(args)
@@ -612,15 +618,27 @@ def run() -> None:
     """Process entry point of ``python -m ttckit`` and the ``ttckit``
     script: run main() and exit with its code.
 
+    Before main() loads numpy it sets OPENBLAS_NUM_THREADS=1, unless one
+    of the variables OpenBLAS reads for its thread count
+    (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS) is already
+    set, so a user's value wins. numpy's OpenBLAS otherwise starts a
+    worker thread per extra CPU when it loads; no product in ttckit is
+    large enough for it to help, and starting it and waking it cost each
+    command tens of milliseconds. The variable only takes effect if
+    numpy is not yet loaded, which is why nothing cli imports at module
+    level loads it.
+
     Before exiting it freezes the collector (gc.freeze), so the
     collection the interpreter runs at exit skips every object the
     command leaves, most of them numpy's and the stdlib's. Objects in
     reference cycles are then released with the process, not finalized;
     no ttckit object holds an open file past main(). atexit handlers,
     the flush of stdout and stderr and the exit code are those of a
-    plain sys.exit. main() leaves the collector alone, for callers in
-    the same process.
+    plain sys.exit. main() leaves the collector and os.environ alone,
+    for callers in the same process.
     """
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     gc.freeze()
     sys.exit(code)

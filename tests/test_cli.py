@@ -1279,10 +1279,11 @@ def src_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
-def python(*argv, text=True):
-    """Run a child python on src/; a CompletedProcess with its output."""
+def python(*argv, text=True, env=None):
+    """Run a child python on src/ (in env, default src_env()); a
+    CompletedProcess with its output."""
     return subprocess.run(
-        [sys.executable, *map(str, argv)], env=src_env(), capture_output=True, text=text, timeout=120,
+        [sys.executable, *map(str, argv)], env=env or src_env(), capture_output=True, text=text, timeout=120,
     )
 
 
@@ -1303,15 +1304,15 @@ class TestLoadedModules:
     """Each command, run through the real entry point, loads only the
     layers it runs."""
 
-    # prints the ttckit modules loaded at exit, after `python -m ttckit argv...` has run
+    # prints the ttckit modules and numpy, if loaded, at exit, after `python -m ttckit argv...` has run
     PROBE = """
 import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("ttckit."))), file=sys.stderr))
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("ttckit.") or m == "numpy")), file=sys.stderr))
 runpy.run_module("ttckit", run_name="__main__", alter_sys=True)
 """
 
     @pytest.mark.parametrize("argv, layers", [
-        pytest.param(["--help"], {"camera", "fileio", "ttc"}, id="help"),
+        pytest.param(["--help"], set(), id="help"),
         pytest.param(["simulate", "scene.json", "--out-tracks", "t2.csv", "--out-truth", "g2.json"],
                      {"simulate", "ttc", "camera", "fileio"}, id="simulate"),
         pytest.param(["collision-map", "scene.json", "--grid", "2,2,3,3", "--out", "map.csv"],
@@ -1332,6 +1333,17 @@ runpy.run_module("ttckit", run_name="__main__", alter_sys=True)
         assert done.returncode == 0, done.stderr
         loaded = json.loads(done.stderr.splitlines()[-1])
         assert {m.removeprefix("ttckit.") for m in loaded} & LAYERS == layers
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(["estimate", "--help"], 0, id="estimate-help"),
+        pytest.param(["estimate"], 2, id="estimate-no-arguments"),
+        pytest.param(["sensitivity", "--trials", "x", "--out", "s.csv"], 2, id="sensitivity-bad-int"),
+    ])
+    def test_help_and_usage_errors_load_no_numpy(self, argv, code):
+        done = python("-c", self.PROBE, *argv)
+        assert done.returncode == code, done.stderr
+        assert "numpy" not in json.loads(done.stderr.splitlines()[-1])
 
 
 class TestProcessEntryPoint:
@@ -1364,6 +1376,91 @@ class TestProcessEntryPoint:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"ttckit": "ttckit.cli:run"}
         assert importlib.import_module("ttckit.__main__").run is importlib.import_module("ttckit.cli").run
+
+
+# the variables OpenBLAS reads for its thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env(**values) -> dict:
+    """src_env() with no BLAS thread variable but those in values."""
+    return {**{k: v for k, v in src_env().items() if k not in BLAS_THREAD_VARS}, **values}
+
+
+@pytest.fixture(scope="module")
+def noisy_triple_tracks(tmp_path_factory):
+    """The three-object scene with 0.3 px of pixel noise, simulated."""
+    tmp = tmp_path_factory.mktemp("noisy-triple")
+    write_scenario(tmp / "scene.json", triple_scenario(seed=5, noise=0.3))
+    assert run("simulate", tmp / "scene.json", "--out-tracks", tmp / "t.csv", "--out-truth", tmp / "g.json") == 0
+    return tmp / "t.csv"
+
+
+class TestBlasThreads:
+    """cli.run sets OPENBLAS_NUM_THREADS=1 before numpy loads unless a BLAS
+    thread variable is set; main() and imports leave the environment alone."""
+
+    # prints OPENBLAS_NUM_THREADS and the process's thread count (None where
+    # /proc/self/task does not list it) at exit, after `python -m ttckit argv...`
+    PROBE = """
+import atexit, json, os, runpy, sys
+tasks = "/proc/self/task"
+atexit.register(lambda: print(json.dumps([
+    os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+]), file=sys.stderr))
+runpy.run_module("ttckit", run_name="__main__", alter_sys=True)
+"""
+
+    @pytest.mark.parametrize("given, expected", [
+        pytest.param({}, "1", id="unset"),
+        pytest.param({"OPENBLAS_NUM_THREADS": "2"}, "2", id="openblas"),
+        pytest.param({"GOTO_NUM_THREADS": "2"}, None, id="goto"),
+        pytest.param({"OMP_NUM_THREADS": "2"}, None, id="omp"),
+    ])
+    def test_user_value_wins(self, given, expected):
+        done = python("-c", self.PROBE, "--help", env=blas_env(**given))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stderr.splitlines()[-1])[0] == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+    def test_command_runs_on_one_thread(self, tmp_path):
+        argv = ["sensitivity", "--focal-px", "800", "--trials", "5", "--z-values", "10", "--out", tmp_path / "s.csv"]
+        done = python("-c", self.PROBE, *argv, env=blas_env())
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stderr.splitlines()[-1]) == ["1", 1]
+
+    def test_imports_leave_the_environment(self):
+        done = python("-c", "import os; before = dict(os.environ); import ttckit, ttckit.cli; "
+                      "assert dict(os.environ) == before", env=blas_env())
+        assert done.returncode == 0, done.stderr
+
+    def test_main_leaves_the_environment(self, monkeypatch, tmp_path):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        assert run("--help") == 0
+        assert run("sensitivity", "--focal-px", "800", "--trials", "5", "--z-values", "10", "--out", tmp_path / "s.csv") == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["estimate", "--mode", "planar", "--horizon", "0,240"], id="estimate-planar"),
+        pytest.param(["estimate", "--mode", "three-frame", "--horizon", "0,240"], id="estimate-three-frame"),
+        pytest.param(["estimate", "--mode", "least-squares"], id="estimate-least-squares"),
+        pytest.param(["estimate", "--calibrate"], id="estimate-calibrate"),
+        pytest.param(["cluster"], id="cluster"),
+        pytest.param(["sensitivity", "--focal-px", "800", "--trials", "50", "--z-values", "10,40"], id="sensitivity"),
+    ])
+    def test_thread_count_changes_no_byte(self, argv, noisy_triple_tracks, tmp_path):
+        if argv[0] != "sensitivity":
+            argv = [argv[0], noisy_triple_tracks, "--intrinsics", "700,320,240", *argv[1:]]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            done = python("-m", "ttckit", *argv, "--seed", "3", "--out", out,
+                          env=blas_env(OPENBLAS_NUM_THREADS=threads), text=False)
+            assert (done.returncode, done.stderr) == (0, b"")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestLazyNumpyModules:
