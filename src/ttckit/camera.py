@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateGeometry, InvalidInput
+from .errors import _AT_INFINITY, BehindCamera, DegenerateGeometry, InvalidInput, _reason_error
 
 __all__ = [
     "CameraIntrinsics",
@@ -214,7 +214,7 @@ class LineAngleFrame:
         """
         a = float(angle)
         if abs(np.cos(a)) < 1e-12:
-            raise DegenerateGeometry(f"angle {a} maps to a point at infinity on the line")
+            raise _reason_error(_AT_INFINITY, {"angle": [a]})
         return self.foot + self.depth * np.tan(a) * self.direction
 
 

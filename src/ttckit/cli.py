@@ -45,14 +45,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DegenerateFlow,
-    InsufficientData,
-    InvalidInput,
-    StationaryPoint,
-    TtcError,
-    _valid_seed,
-)
+from .errors import _STATUS, InsufficientData, InvalidInput, TtcError, _reason_error, _valid_seed
 from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_FOCAL_MM, PRESET_HEADING_DEG, PRESET_SPEED_KMH
 
 if TYPE_CHECKING:
@@ -168,20 +161,19 @@ def _cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------- estimate
 
-def _failed_entry(track_id: str, error: TtcError, constant_bearing: str) -> dict:
-    """Zero flow and constant bearing make a track stationary, classified
-    constant_bearing; every other per-track problem makes it degenerate."""
-    if isinstance(error, (DegenerateFlow, StationaryPoint)):
-        status, h, classification = "stationary", 0.0, constant_bearing
-    else:
-        status, h, classification = f"degenerate:{type(error).__name__}", None, None
+def _failed_entry(track_id: str, code: int, columns: dict, i: int, constant_bearing: str) -> dict:
+    """The entry of track i, whose reason code is code (errors._REASONS),
+    its message filled from the estimator's columns. A stationary track
+    is classified constant_bearing, with H = 0."""
+    status = _STATUS[code]
+    stationary = status == "stationary"
     return {
         "track_id": track_id,
         "status": status,
-        "message": str(error),
+        "message": str(_reason_error(code, columns, i)),
         "k": None,
-        "H": h,
-        "classification": classification,
+        "H": 0.0 if stationary else None,
+        "classification": constant_bearing if stationary else None,
     }
 
 
@@ -216,7 +208,6 @@ def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
 def _cmd_estimate(args) -> int:
     import numpy as np
 
-    from .camera import _zero_rows
     from .epipole import (
         Epipole,
         EpipoleMethod,
@@ -270,40 +261,41 @@ def _cmd_estimate(args) -> int:
     method = None  # the "method" string of per-track epipoles
     if args.mode == "planar":
         # the full-span flow: less noise than the first pair, same epipolar line
-        epipoles, _, errors = _planar_epipoles(first, last, horizon)
+        epipoles, code, columns = _planar_epipoles(first, last, horizon)
         residual = np.zeros(n)
         method = EpipoleMethod.HORIZON_INTERSECTION.value
     elif args.mode == "three-frame":
-        x, epipoles, residual, errors = _offset_three_frames(tracks, horizon, intrinsics)
+        x, epipoles, residual, code, columns = _offset_three_frames(tracks, horizon, intrinsics)
         method = EpipoleMethod.THREE_FRAME_OFFSET.value
     else:
         # One epipole for the whole set: least squares assumes all
         # tracks share a single rigid relative motion.
-        moving = ~_zero_rows(last - first)  # a zero flow defines no line to fit
-        normals, offsets, _ = _flow_lines(first[moving], last[moving])
-        position, residual, error = _least_squares_epipole(normals, offsets)
+        normals, offsets, zero = _flow_lines(first, last)
+        # a zero flow defines no line to fit
+        position, residual, error = _least_squares_epipole(normals[~zero], offsets[~zero])
         if error is not None:
             raise error
         shared_epipole = Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
         document["epipoles"].append(_epipole_doc(
             None, shared_epipole.position, shared_epipole.method.value, shared_epipole.residual
         ))
-        epipoles, errors = shared_epipole.position, [None] * n
+        epipoles, code, columns = shared_epipole.position, 0, {}
 
-    k, H, v_g_dir, _, point, pair_errors = _collision_rows(first, second, epipoles, intrinsics)
-    failures = [error or pair_error for error, pair_error in zip(errors, pair_errors)]
-    ok = np.flatnonzero(np.array([error is None for error in failures], dtype=bool))
+    k, H, v_g_dir, _, point, pair_code = _collision_rows(first, second, epipoles, intrinsics)
+    # an epipole's reason comes first; the pair's messages read no column
+    code = np.where(code, code, pair_code)
+    ok = np.flatnonzero(code == 0)
 
     def estimate_rows(start: int, stop: int) -> list[dict]:
         rows = slice(start, stop)
         angles = x[rows].tolist() if args.mode == "three-frame" else None
         entries = []
-        for j, (track_id, error, k_j, h_j, v_j, point_j) in enumerate(zip(
-            ids[rows], failures[rows], k[rows].tolist(), H[rows].tolist(),
+        for j, (track_id, code_j, k_j, h_j, v_j, point_j) in enumerate(zip(
+            ids[rows], code[rows].tolist(), k[rows].tolist(), H[rows].tolist(),
             v_g_dir[rows].tolist(), point[rows].tolist(),
         )):
-            if error is not None:
-                entries.append(_failed_entry(track_id, error, constant_bearing))
+            if code_j:
+                entries.append(_failed_entry(track_id, code_j, columns, start + j, constant_bearing))
                 continue
             entry = {
                 "track_id": track_id,

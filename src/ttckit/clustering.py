@@ -53,7 +53,7 @@ from .epipole import (
     _flow_lines,
     _least_squares_epipole,
 )
-from .errors import InvalidInput, _valid_seed
+from .errors import _ZERO_DISPLACEMENT, InvalidInput, _reason_error, _valid_seed
 from .ttc import TrackObservation, TrackTable, _decompose, ttc_batch
 
 __all__ = [
@@ -397,9 +397,9 @@ def cluster_flows(
     n = len(tracks)
     p0, p1 = tracks.pixels(0), tracks.pixels(-1)
     spans = (tracks.length - 1).astype(np.float64)  # frames step by 1
-    normals, offsets, error = _flow_lines(p0, p1)
-    if error is not None:
-        raise error
+    normals, offsets, zero = _flow_lines(p0, p1)
+    if zero.any():
+        raise _reason_error(_ZERO_DISPLACEMENT, {"pixel": p0}, int(np.argmax(zero)))
 
     rng = np.random.default_rng(config.rng_seed)
     remaining = np.arange(n, dtype=np.int64)

@@ -30,15 +30,10 @@ import numpy as np
 
 from .camera import CameraIntrinsics, _dot_rows, _unit_rows, as_pixel
 from .errors import (
-    DegenerateConfiguration,
-    DegenerateFlow,
-    DegenerateGeometry,
-    InsufficientData,
-    InvalidInput,
-    ParallelToHorizon,
-    SingularGeometry,
+    _AT_INFINITY, _EPS_TAN, _FEW_FRAMES, _PARALLEL_TO_HORIZON, _TTC_UNDEFINED, _UNIFORM_ANGLES, _ZERO_DISPLACEMENT,
+    _ZERO_FLOW, EPS_PARALLEL_DEG, InsufficientData, InvalidInput, SingularGeometry, _reason_error,
 )
-from .ttc import _EPS_TAN, _VERDICTS, _ZERO_FLOW, TrackObservation, TrackTable, _decompose
+from .ttc import TrackObservation, TrackTable, _decompose
 
 __all__ = [
     "Epipole",
@@ -51,9 +46,7 @@ __all__ = [
     "planar_epipole",
 ]
 
-# Angular tolerance below which two image lines count as parallel.
-# Intersection error grows like 1 / sin(angle), so a floor is required.
-EPS_PARALLEL_DEG = 0.5
+# |sin| of EPS_PARALLEL_DEG, the angle below which two image lines count as parallel
 _MIN_SIN_PARALLEL = np.sin(np.deg2rad(EPS_PARALLEL_DEG))
 
 
@@ -144,9 +137,9 @@ class FlowVector:
     def __post_init__(self):
         p = as_pixel(self.p)
         q = as_pixel(self.p_prime)
-        normals, _, error = _flow_lines(p[np.newaxis], q[np.newaxis])
-        if error is not None:
-            raise error
+        normals, _, zero = _flow_lines(p[np.newaxis], q[np.newaxis])
+        if zero[0]:
+            raise _reason_error(_ZERO_DISPLACEMENT, {"pixel": p[np.newaxis]})
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_prime", q)
         object.__setattr__(self, "t", q - p)
@@ -221,24 +214,18 @@ def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine):
     """Cut the flow lines through pixels p and q, shape (N, 2), with the horizon.
 
     Returns:
-        (positions, directions, errors): the epipoles and the unit flow
-        directions, shape (N, 2), and errors, a list holding per row the
-        exception planar_epipole raises for it (DegenerateFlow for zero
-        displacement, else ParallelToHorizon), or None.
+        (positions, code, columns): the epipoles, shape (N, 2), the int8
+        reason code of each row (zero displacement before parallel to the
+        horizon), and the columns its messages read: "pixel" (p) and
+        "direction" (the unit flow directions, shape (N, 2)). Rows of a
+        non-zero code hold meaningless positions.
     """
     directions, still = _unit_rows(q - p)
     positions, sin = _cut_horizon(p, directions, horizon)
-    parallel = np.abs(sin) < _MIN_SIN_PARALLEL
-    errors = [None] * len(p)
-    for i in np.flatnonzero(still | parallel):
-        errors[i] = (
-            DegenerateFlow(f"zero displacement at pixel {p[i]}")
-            if still[i]
-            else ParallelToHorizon(
-                f"flow direction {directions[i]} within {EPS_PARALLEL_DEG} deg of the horizon"
-            )
-        )
-    return positions, directions, errors
+    code = np.zeros(len(p), dtype=np.int8)
+    code[np.abs(sin) < _MIN_SIN_PARALLEL] = _PARALLEL_TO_HORIZON
+    code[still] = _ZERO_DISPLACEMENT
+    return positions, code, {"pixel": p, "direction": directions}
 
 
 def planar_epipole(flow: FlowVector, horizon: HorizonLine) -> Epipole:
@@ -249,9 +236,9 @@ def planar_epipole(flow: FlowVector, horizon: HorizonLine) -> Epipole:
             horizon direction; fall back to the least-squares or
             three-frame estimators.
     """
-    positions, _, errors = _planar_epipoles(flow.p[np.newaxis], flow.p_prime[np.newaxis], horizon)
-    if errors[0] is not None:
-        raise errors[0]
+    positions, code, columns = _planar_epipoles(flow.p[np.newaxis], flow.p_prime[np.newaxis], horizon)
+    if code[0]:
+        raise _reason_error(code[0], columns)
     return Epipole(position=positions[0], method=EpipoleMethod.HORIZON_INTERSECTION, residual=0.0)
 
 
@@ -259,18 +246,16 @@ def _flow_lines(p: np.ndarray, q: np.ndarray):
     """Lines of the flows from pixels p to pixels q, shape (N, 2).
 
     Returns:
-        (normals, offsets, error): the unit normals of shape (N, 2), the
+        (normals, offsets, zero): the unit normals of shape (N, 2), the
         offsets n . p of shape (N,), so that a pixel e lies at signed
-        distance n . e - offset from a line, and error, a DegenerateFlow
-        for the first flow of zero displacement, or None. The normal of a
-        zero-displacement row is its displacement turned a quarter, not a
-        unit vector. FlowVector takes its n and its error from one row.
+        distance n . e - offset from a line, and zero, True for a flow of
+        zero displacement. The normal of such a row is its displacement
+        turned a quarter, not a unit vector. FlowVector takes its n from
+        one row, and raises for a zero one.
     """
     directions, zero = _unit_rows(q - p)
-    still = np.flatnonzero(zero)
-    error = DegenerateFlow(f"zero displacement at pixel {p[still[0]]}") if still.size else None
     normals = np.column_stack([-directions[:, 1], directions[:, 0]])
-    return normals, np.einsum("ij,ij->i", normals, p), error
+    return normals, np.einsum("ij,ij->i", normals, p), zero
 
 
 def _cross_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -364,15 +349,17 @@ def _offset_three_frames(tracks: TrackTable, horizon: HorizonLine, intrinsics: C
     the corrected epipole.
 
     Returns:
-        (x, positions, residual, errors): x and residual of shape (N,),
-        the corrected epipoles of shape (N, 2), and errors, a list
-        holding per row the exception epipole_offset_three_frames
-        raises for it, or None. Rows with an error hold meaningless
-        values; a track of 2 frames is worked with its last pixel as p2
-        and reported as InsufficientData.
+        (x, positions, residual, code, columns): x and residual of shape
+        (N,), the corrected epipoles of shape (N, 2), the int8 reason
+        code of each row, that of the first problem listed under
+        epipole_offset_three_frames' Raises, and the columns its messages
+        read ("direction", "denominator", "angle", "frames"). Rows of a
+        non-zero code hold meaningless values; a track of 2 frames is
+        worked with its last pixel as p2.
     """
     p0, p1, p2 = (tracks.pixels(i) for i in range(3))
-    anchors, directions, errors = _planar_epipoles(p0, p1, horizon)
+    anchors, planar, columns = _planar_epipoles(p0, p1, horizon)
+    directions = columns["direction"]
     pp = intrinsics.pp
     with np.errstate(divide="ignore", invalid="ignore"):
         # the line frame of p0 -> p1: its foot nearest the principal point,
@@ -394,27 +381,13 @@ def _offset_three_frames(tracks: TrackTable, horizon: HorizonLine, intrinsics: C
         )
         residual = np.abs(k[:n] - k[n:] - 1.0)
         at_infinity = np.abs(np.cos(angle)) < 1e-12
-    uniform = np.abs(denominator) < _EPS_TAN
-    undefined = ~np.isfinite(residual)
-    for i in np.flatnonzero(uniform | at_infinity | undefined):
-        if errors[i] is not None:
-            continue
-        if uniform[i]:
-            errors[i] = DegenerateConfiguration(
-                f"offset denominator {denominator[i]:.3e} below {_EPS_TAN:.3e}"
-            )
-        elif at_infinity[i]:
-            errors[i] = DegenerateGeometry(f"angle {float(angle[i])} maps to a point at infinity on the line")
-        else:
-            errors[i] = DegenerateConfiguration("corrected epipole leaves TTC undefined")
-    # no displacement between the first two frames: _decompose's zero flow
-    stationary, message = _VERDICTS[_ZERO_FLOW]
-    for i, error in enumerate(errors):
-        if isinstance(error, DegenerateFlow):
-            errors[i] = stationary(message)
-    for i in np.flatnonzero(tracks.length < 3):
-        errors[i] = InsufficientData(f"need at least 3 frames, got {tracks.length[i]}")
-    return x, positions, residual, errors
+    code = np.select(
+        [tracks.length < 3, planar == _ZERO_DISPLACEMENT, planar != 0,
+         np.abs(denominator) < _EPS_TAN, at_infinity, ~np.isfinite(residual)],
+        [_FEW_FRAMES, _ZERO_FLOW, _PARALLEL_TO_HORIZON, _UNIFORM_ANGLES, _AT_INFINITY, _TTC_UNDEFINED],
+    ).astype(np.int8)
+    columns.update(denominator=denominator, angle=angle, frames=tracks.length)
+    return x, positions, residual, code, columns
 
 
 def epipole_offset_three_frames(
@@ -442,19 +415,20 @@ def epipole_offset_three_frames(
         is |k01 - k12 - 1|, the TTC (ttc_batch) of the observed pixel
         pairs (0, 1) and (1, 2) against it; 0 without noise.
 
-    Raises:
+    Raises, for the first of these problems:
         InsufficientData: fewer than 3 frames.
         StationaryPoint: no displacement between the first two frames,
             by the zero-flow rule of collision_estimate.
-        DegenerateConfiguration: vanishing offset denominator (uniformly
-            spaced angles), or no finite TTC against the corrected
-            epipole.
-        DegenerateGeometry: corrected epipole at infinity.
         ParallelToHorizon: the track's flow line never meets the horizon.
+        DegenerateConfiguration: vanishing offset denominator (uniformly
+            spaced angles).
+        DegenerateGeometry: corrected epipole at infinity.
+        DegenerateConfiguration: no finite TTC against the corrected
+            epipole.
     """
-    x, positions, residual, errors = _offset_three_frames(TrackTable.from_tracks([track]), horizon, intrinsics)
-    if errors[0] is not None:
-        raise errors[0]
+    x, positions, residual, code, columns = _offset_three_frames(TrackTable.from_tracks([track]), horizon, intrinsics)
+    if code[0]:
+        raise _reason_error(code[0], columns)
     epipole = Epipole(
         position=positions[0], method=EpipoleMethod.THREE_FRAME_OFFSET, residual=float(residual[0])
     )

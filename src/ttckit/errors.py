@@ -1,12 +1,15 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy and per-row reason codes for the toolkit.
 
 All exceptions raised by this package derive from TtcError so callers can
 catch the whole family with one handler. A few also derive from ValueError
 because they signal malformed arguments rather than geometric conditions.
 
 Geometric conditions (degenerate configurations, stationary points) are
-expected outcomes on real data. Batch drivers should catch them per item
-and keep going; only InvalidInput indicates caller error.
+expected outcomes on real data, so the row kernels return an int8 reason
+code per row (0 for a valid row) instead of raising. _REASONS maps a code
+to its exception class and message template; _reason_error builds both the
+one-row APIs' exceptions and the messages of result documents. Only
+InvalidInput indicates caller error.
 """
 
 from __future__ import annotations
@@ -61,6 +64,49 @@ class DegenerateConfiguration(DegenerateGeometry):
 
 class DegenerateFlow(DegenerateGeometry):
     """Flow vector with zero pixel displacement; it defines no line."""
+
+
+# The thresholds that reason messages quote.
+# Angular tolerance below which two image lines count as parallel.
+# Intersection error grows like 1 / sin(angle), so a floor is required.
+EPS_PARALLEL_DEG = 0.5
+# Relative floor on the angular motion |tan(beta) - tan(alpha)| of a
+# pair; below it the pair is constant bearing. The three-frame offset
+# fit holds its denominator to the same floor.
+_EPS_TAN = 1e-12
+
+# Reason codes: ttc._decompose's in order of precedence, then the epipole kernels'.
+_ZERO_FLOW, _COINCIDENT, _CONSTANT_BEARING = 1, 2, 3
+(_ZERO_DISPLACEMENT, _PARALLEL_TO_HORIZON, _FEW_FRAMES, _UNIFORM_ANGLES, _AT_INFINITY,
+ _TTC_UNDEFINED) = range(4, 10)
+
+# code: (exception class, message template); a template's fields name
+# columns that the kernel giving the code returns beside it
+_REASONS = {
+    _ZERO_FLOW: (StationaryPoint, "zero pixel displacement between frames"),
+    _COINCIDENT: (DegenerateGeometry, "epipole coincides with a track point"),
+    _CONSTANT_BEARING: (StationaryPoint, "angular motion below threshold"),
+    _ZERO_DISPLACEMENT: (DegenerateFlow, "zero displacement at pixel {pixel}"),
+    _PARALLEL_TO_HORIZON: (
+        ParallelToHorizon, f"flow direction {{direction}} within {EPS_PARALLEL_DEG} deg of the horizon"
+    ),
+    _FEW_FRAMES: (InsufficientData, "need at least 3 frames, got {frames}"),
+    _UNIFORM_ANGLES: (DegenerateConfiguration, f"offset denominator {{denominator:.3e}} below {_EPS_TAN:.3e}"),
+    _AT_INFINITY: (DegenerateGeometry, "angle {angle} maps to a point at infinity on the line"),
+    _TTC_UNDEFINED: (DegenerateConfiguration, "corrected epipole leaves TTC undefined"),
+}
+# a result entry's status: zero flow and constant bearing are stationary
+_STATUS = {
+    code: "stationary" if error in (StationaryPoint, DegenerateFlow) else f"degenerate:{error.__name__}"
+    for code, (error, _) in _REASONS.items()
+}
+
+
+def _reason_error(code: int, columns: dict, i: int = 0) -> TtcError:
+    """The exception of row i, whose reason is code, its message the
+    code's template filled from columns (column name: the rows' values)."""
+    error, template = _REASONS[code]
+    return error(template.format_map({name: column[i] for name, column in columns.items()}))
 
 
 def _valid_seed(value, name: str) -> int:

@@ -28,10 +28,10 @@ for one coming from the antipode (receding), where H changes sign and k
 does not.
 
 _decompose is the only code that turns observations and an epipole into
-k, H and a degeneracy verdict, N rows at a time. ttc_batch wraps it for
-the clustering gates and the sensitivity sweep, and _collision_rows adds
-the collision-plane directions; ttckit estimate calls it on every track
-at once, and collision_estimate is its one-row wrapper.
+k, H and a reason code, N rows at a time. ttc_batch wraps it for the
+clustering gates and the sensitivity sweep, and _collision_rows adds the
+collision-plane directions; ttckit estimate calls it on every track at
+once, and collision_estimate is its one-row wrapper.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, _dot_rows, _zero_rows, as_pixel
-from .errors import DegenerateGeometry, InvalidInput, StationaryPoint
+from .errors import _COINCIDENT, _CONSTANT_BEARING, _EPS_TAN, _ZERO_FLOW, InvalidInput, _reason_error
 
 __all__ = [
     "CollisionEstimate",
@@ -57,21 +57,6 @@ __all__ = [
 
 # Pixel coincidence tolerance for "epipole on top of a track point".
 _EPS_COINCIDENT = 1e-9
-
-# Relative floor on the angular motion |tan(beta) - tan(alpha)| of a
-# pair; below it the pair is constant bearing.
-_EPS_TAN = 1e-12
-
-# Verdicts of _decompose for rows without a decomposition, in order of
-# precedence; a valid row has verdict 0. Zero flow is the rule of
-# camera._zero_rows: a displacement of norm 0, which a span of 1e-170 px
-# has too.
-_ZERO_FLOW, _COINCIDENT, _CONSTANT_BEARING = 1, 2, 3
-_VERDICTS = {
-    _ZERO_FLOW: (StationaryPoint, "zero pixel displacement between frames"),
-    _COINCIDENT: (DegenerateGeometry, "epipole coincides with a track point"),
-    _CONSTANT_BEARING: (StationaryPoint, "angular motion below threshold"),
-}
 
 
 class MotionClass(enum.Enum):
@@ -247,13 +232,15 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
         e: epipole pixel, shape (2,) shared by all rows or (N, 2).
 
     Returns:
-        (k, H, from_epipole, verdict), each of shape (N,). from_epipole
+        (k, H, from_epipole, code), each of shape (N,). from_epipole
         is True where the angle to the epipole ray grows between the
         frames: the point comes from that ray, elsewhere from its
         antipode. Since k * tan(alpha) = 1 / (cot(alpha) - cot(beta)),
         the angle grows exactly where k * tan(alpha) > 0, and H is its
-        magnitude. verdict is 0 for a valid row, else a _VERDICTS key;
-        k and H are NaN there.
+        magnitude. code is each row's int8 reason code: 0, or by
+        precedence _ZERO_FLOW (norm 0 by camera._zero_rows, which a span
+        of 1e-170 px has too), _COINCIDENT or _CONSTANT_BEARING, where k
+        and H are NaN.
     """
     pp = intrinsics.pp
     f = intrinsics.focal_px
@@ -289,14 +276,14 @@ def _decompose(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: Camera
     k /= den
     h = ya * yb
     h /= den
-    verdict = np.zeros(len(k), dtype=np.int8)
-    verdict[still] = _CONSTANT_BEARING
-    verdict[coincident] = _COINCIDENT
-    verdict[_zero_rows(p1 - p0)] = _ZERO_FLOW
-    bad = verdict != 0
+    code = np.zeros(len(k), dtype=np.int8)
+    code[still] = _CONSTANT_BEARING
+    code[coincident] = _COINCIDENT
+    code[_zero_rows(p1 - p0)] = _ZERO_FLOW
+    bad = code != 0
     k[bad] = np.nan
     h[bad] = np.nan
-    return k, np.abs(h), h >= 0.0, verdict
+    return k, np.abs(h), h >= 0.0, code
 
 
 def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: CameraIntrinsics):
@@ -307,17 +294,17 @@ def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: C
         e: epipole pixel, shape (2,) shared by all rows or (N, 2).
 
     Returns:
-        (k, H, v_g_dir, v_H_dir, point, errors): k and H of shape (N,),
-        the three CollisionEstimate vectors of shape (N, 3), and errors,
-        a list holding per row the exception collision_estimate raises
-        for it, or None. Rows with an error hold NaN or meaningless
-        values, and non-finite epipoles are allowed there.
+        (k, H, v_g_dir, v_H_dir, point, code): k and H of shape (N,),
+        the three CollisionEstimate vectors of shape (N, 3), and code,
+        _decompose's int8 reason code of each row, whose messages read no
+        column. Rows of a non-zero code hold NaN or meaningless values,
+        and non-finite epipoles are allowed there.
     """
     n = len(p0)
     pp = intrinsics.pp
     f = np.full(n, intrinsics.focal_px)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k, h, from_epipole, verdict = _decompose(p0, p1, e, intrinsics)
+        k, h, from_epipole, code = _decompose(p0, p1, e, intrinsics)
         # the point comes from the epipole ray or from its antipode
         v_g_dir = np.column_stack([np.broadcast_to(e - pp, (n, 2)), f])
         v_g_dir *= (np.where(from_epipole, 1.0, -1.0) / np.sqrt(_dot_rows(v_g_dir, v_g_dir)))[:, np.newaxis]
@@ -327,11 +314,7 @@ def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: C
         lateral = ray0 - _dot_rows(ray0, v_g_dir)[:, np.newaxis] * v_g_dir
         v_h_dir = lateral / np.sqrt(_dot_rows(lateral, lateral))[:, np.newaxis]
     point = k[:, np.newaxis] * v_g_dir + h[:, np.newaxis] * v_h_dir
-    errors = [None] * n
-    for i in np.flatnonzero(verdict):
-        error, message = _VERDICTS[verdict[i]]
-        errors[i] = error(message)
-    return k, h, v_g_dir, v_h_dir, point, errors
+    return k, h, v_g_dir, v_h_dir, point, code
 
 
 def collision_estimate(
@@ -362,9 +345,9 @@ def collision_estimate(
         raise InvalidInput(f"pair_index {pair_index} out of range for {len(track)} frames")
     e = as_pixel(epipole)
     pair = track.positions[pair_index : pair_index + 2]
-    k, h, v_g_dir, v_h_dir, point, errors = _collision_rows(pair[:1], pair[1:], e, intrinsics)
-    if errors[0] is not None:
-        raise errors[0]
+    k, h, v_g_dir, v_h_dir, point, code = _collision_rows(pair[:1], pair[1:], e, intrinsics)
+    if code[0]:
+        raise _reason_error(code[0], {})
     return CollisionEstimate(k=float(k[0]), H=float(h[0]), v_g_dir=v_g_dir[0], v_H_dir=v_h_dir[0], point=point[0])
 
 

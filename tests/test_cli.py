@@ -381,6 +381,66 @@ class TestEstimateCommand:
         assert run("cluster", merged, "--intrinsics", "800,320,240", "--out", out) == 0
         assert read_json(out)["stationary"] == ["tiny"]
 
+    # One track per way a track can fail, at intrinsics 800,640,360 and
+    # horizon v = 360: still; flowing along the horizon; two frames; its
+    # first pixel on the horizon cut; uniformly spaced tangents; and the
+    # same angle from the principal point, where its planar epipole lies,
+    # at frames 0 and 1.
+    MIXED_TRACKS = {
+        "still": [(500.0, 300.0), (500.0, 300.0), (500.0, 300.0)],
+        "parallel": [(500.0, 300.0), (510.0, 300.0), (520.0, 300.0)],
+        "short": [(400.0, 200.0), (405.0, 198.0)],
+        "on-epipole": [(640.0, 360.0), (650.0, 361.0), (660.0, 362.0)],
+        "uniform": [(600.0, 380.0), (601.0, 381.0), (602.0, 382.0)],
+        "bearing": [(610.0, 320.0), (680.0, 390.0), (670.0, 400.0)],
+    }
+    ZERO_FLOW = ("stationary", "zero pixel displacement between frames", None, 0.0, "ConstantBearing")
+    PARALLEL = ("degenerate:ParallelToHorizon", "flow direction [1. 0.] within 0.5 deg of the horizon",
+                None, None, None)
+    # (status, message, k, H, classification) of each track, in file order
+    MIXED_ENTRIES = {
+        "planar": [
+            ("stationary", "zero displacement at pixel [500. 300.]", None, 0.0, "ConstantBearing"),
+            PARALLEL,
+            ("ok", None, 61.24390243902465, 27.746593276103518, "Approaching"),
+            ("degenerate:DegenerateGeometry", "epipole coincides with a track point", None, None, None),
+            ("ok", None, 20.960845245494134, 0.7393466496050716, "Approaching"),
+            ("stationary", "angular motion below threshold", None, 0.0, "ConstantBearing"),
+        ],
+        "three-frame": [
+            ZERO_FLOW,
+            PARALLEL,
+            ("degenerate:InsufficientData", "need at least 3 frames, got 2", None, None, None),
+            ("degenerate:DegenerateConfiguration", "offset denominator 0.000e+00 below 1.000e-12", None, None, None),
+            ("degenerate:DegenerateGeometry", "angle -1.5707963267949925 maps to a point at infinity on the line",
+             None, None, None),
+            ("degenerate:DegenerateConfiguration", "corrected epipole leaves TTC undefined", None, None, None),
+        ],
+        "least-squares": [
+            ZERO_FLOW,
+            ("ok", None, 13.697542160141298, 0.6198626462813909, "Approaching"),
+            ("ok", None, -38.923154528530276, 5.078135170437493, "Receding"),
+            ("ok", None, 19.663967905316444, 4.321438943220819, "Approaching"),
+            ("ok", None, 108.41742237610235, 21.33622873838225, "Approaching"),
+            ("ok", None, 2.2750835855811653, 0.36479441488839887, "Approaching"),
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["planar", "three-frame", "least-squares"])
+    def test_every_reason_of_each_mode(self, mode, tmp_path):
+        tracks = tmp_path / "mixed.csv"
+        tracks.write_text("track_id,frame,u,v\n" + "".join(
+            f"{tid},{f},{u!r},{v!r}\n" for tid, pixels in self.MIXED_TRACKS.items() for f, (u, v) in enumerate(pixels)
+        ))
+        out = tmp_path / "est.json"
+        assert run(
+            "estimate", tracks, "--intrinsics", "800,640,360", "--mode", mode, "--horizon", "0,360", "--out", out,
+        ) == 0
+        entries = read_json(out)["estimates"]
+        assert [e["track_id"] for e in entries] == list(self.MIXED_TRACKS)
+        got = [(e["status"], e.get("message"), e["k"], e["H"], e["classification"]) for e in entries]
+        assert got == self.MIXED_ENTRIES[mode]
+
     @pytest.mark.parametrize("mode", ["planar", "three-frame"])
     def test_classification_follows_k(self, mode, tmp_path):
         # P0 = (0, 0.5, 10) moving v = (1, 0, -1), seen at frames 6-9: its

@@ -32,6 +32,7 @@ from ttckit import (
     TrackTable,
     TtcError,
     calibrate_horizon,
+    collision_estimate,
     epipole_least_squares,
     epipole_offset_three_frames,
     line_angle_frame,
@@ -42,6 +43,7 @@ from ttckit import (
     simulate,
 )
 from ttckit.camera import _unit_rows
+from ttckit.errors import _FEW_FRAMES, _ZERO_DISPLACEMENT, _reason_error
 from ttckit.epipole import (
     _flow_lines,
     _least_squares_epipole,
@@ -50,6 +52,7 @@ from ttckit.epipole import (
     _planar_epipoles,
     _tls_lines,
 )
+from ttckit.ttc import _collision_rows
 from conftest import oracle_epipole, oracle_signed_distance, random_approach_scenario, wrap_half_pi
 
 
@@ -165,12 +168,12 @@ class TestUnitRows:
             assert np.array_equal(bits(flow.direction), bits(unit[i]))
             assert np.array_equal(bits(HorizonLine(reference=(0.0, 0.0), direction=t[i]).direction), bits(unit[i]))
 
-        _, directions, errors = _planar_epipoles(p, q, HorizonLine.level(360.0))
-        assert np.array_equal(bits(directions), bits(unit))
-        assert [isinstance(e, DegenerateFlow) for e in errors] == zero.tolist()
-        line_normals, _, error = _flow_lines(p, q)
+        _, code, columns = _planar_epipoles(p, q, HorizonLine.level(360.0))
+        assert np.array_equal(bits(columns["direction"]), bits(unit))
+        np.testing.assert_array_equal(code == _ZERO_DISPLACEMENT, zero)
+        line_normals, _, line_zero = _flow_lines(p, q)
         assert np.array_equal(bits(line_normals), bits(normals))
-        assert isinstance(error, DegenerateFlow) == zero.any()
+        np.testing.assert_array_equal(line_zero, zero)
 
 
 class TestEpipoleRecord:
@@ -459,17 +462,68 @@ class TestThreeFrameBatch:
         intr = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
         horizon = HorizonLine.from_slope_intercept(slope, intercept)
         observations = [TrackObservation.from_positions(pixels) for pixels in tracks]
-        x, positions, residual, errors = _offset_three_frames(TrackTable.from_tracks(observations), horizon, intr)
+        x, positions, residual, code, columns = _offset_three_frames(
+            TrackTable.from_tracks(observations), horizon, intr
+        )
         for i, track in enumerate(observations):
-            assert isinstance(errors[i], InsufficientData) == (len(track) < 3)
+            assert (code[i] == _FEW_FRAMES) == (len(track) < 3)
             try:
                 offset, epipole = epipole_offset_three_frames(track, horizon, intr)
             except TtcError as exc:
-                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+                assert code[i] != 0
+                row = _reason_error(code[i], columns, i)
+                assert type(exc) is type(row) and str(exc) == str(row)
             else:
-                assert errors[i] is None
+                assert code[i] == 0
                 assert offset == x[i] and epipole.residual == residual[i]
                 assert np.array_equal(epipole.position, positions[i])
+
+
+class TestScalarRaisesBatchCode:
+    """A one-row API raises exactly where its row kernel gives a non-zero
+    reason code, with the class and the text of that code's row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(*[pixel_coordinate] * 4), min_size=1, max_size=8),
+        st.sampled_from([0.0, 0.1, -0.5]),
+        st.sampled_from([360.0, 361.0, 200.0]),
+    )
+    # zero flow, flow along the horizon, and a valid cut
+    @example([(500.0, 300.0, 500.0, 300.0), (500.0, 300.0, 510.0, 300.0), (610.0, 320.0, 670.0, 400.0)], 0.0, 360.0)
+    def test_planar_epipole(self, rows, slope, intercept):
+        horizon = HorizonLine.from_slope_intercept(slope, intercept)
+        pixels = np.array(rows).reshape(-1, 2, 2)
+        positions, code, columns = _planar_epipoles(pixels[:, 0], pixels[:, 1], horizon)
+        for i, (p, q) in enumerate(pixels):
+            try:
+                epipole = planar_epipole(FlowVector(p, q), horizon)
+            except TtcError as exc:
+                assert code[i] != 0
+                row = _reason_error(code[i], columns, i)
+                assert type(exc) is type(row) and str(exc) == str(row)
+            else:
+                assert code[i] == 0 and np.array_equal(epipole.position, positions[i])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[pixel_coordinate] * 6), min_size=1, max_size=8))
+    # zero flow, epipole on a track point, constant bearing about the
+    # principal point, and a valid pair
+    @example([(600.0, 300.0, 600.0, 300.0, 640.0, 360.0), (600.0, 300.0, 610.0, 305.0, 600.0, 300.0),
+              (640.0, 350.0, 650.0, 360.0, 640.0, 360.0), (600.0, 300.0, 610.0, 305.0, 640.0, 360.0)])
+    def test_collision_estimate(self, rows):
+        intr = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
+        p0, p1, e = np.array(rows).reshape(-1, 3, 2).transpose(1, 0, 2)
+        k, h, _, _, _, code = _collision_rows(p0, p1, e, intr)
+        for i in range(len(p0)):
+            try:
+                estimate = collision_estimate(TrackObservation.from_positions([p0[i], p1[i]]), e[i], intr)
+            except TtcError as exc:
+                assert code[i] != 0
+                row = _reason_error(code[i], {}, i)
+                assert type(exc) is type(row) and str(exc) == str(row)
+            else:
+                assert code[i] == 0 and estimate.k == k[i] and estimate.H == h[i]
 
 
 two_pixels = st.lists(st.tuples(pixel_coordinate, pixel_coordinate), min_size=2, max_size=2)
@@ -484,8 +538,11 @@ class TestLeastSquaresKernel:
     @example([[(0.0, 0.0), (10.0, 0.0)], [(3.0, 4.0), (3.0, 4.0)], [(5.0, 7.0), (5.0, 9.0)]])
     def test_wrapper_equals_kernel(self, flows):
         pixels = np.array(flows, dtype=np.float64).reshape(-1, 2, 2)
-        normals, offsets, error = _flow_lines(pixels[:, 0], pixels[:, 1])
-        if error is None:
+        normals, offsets, zero = _flow_lines(pixels[:, 0], pixels[:, 1])
+        error = None
+        if zero.any():
+            error = _reason_error(_ZERO_DISPLACEMENT, {"pixel": pixels[:, 0]}, int(np.argmax(zero)))
+        else:
             position, residual, error = _least_squares_epipole(normals, offsets)
         try:
             epipole = epipole_least_squares([FlowVector(p, q) for p, q in pixels])
