@@ -272,9 +272,9 @@ def _cmd_estimate(args) -> int:
         # tracks share a single rigid relative motion.
         normals, offsets, zero = _flow_lines(first, last)
         # a zero flow defines no line to fit
-        position, residual, error = _least_squares_epipole(normals[~zero], offsets[~zero])
-        if error is not None:
-            raise error
+        position, residual, code = _least_squares_epipole(normals[~zero], offsets[~zero])
+        if code:
+            raise _reason_error(code, {"flows": [int((~zero).sum())]})
         shared_epipole = Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
         document["epipoles"].append(_epipole_doc(
             None, shared_epipole.position, shared_epipole.method.value, shared_epipole.residual

@@ -331,8 +331,8 @@ def _reassignment_sweep(
             members = np.flatnonzero(choice == c)
             if members.size < config.min_cluster_size:
                 return state
-            e_pos, _, error = _least_squares_epipole(normals[members], offsets[members])
-            if error is not None:  # all lines parallel
+            e_pos, _, code = _least_squares_epipole(normals[members], offsets[members])
+            if code:  # all lines parallel
                 e_pos = state[c][2]
             k, _h = ttc_batch(p0[members], p1[members], e_pos, intrinsics)
             k = k * spans[members]
@@ -421,8 +421,8 @@ def cluster_flows(
 
         h, members, k_values = best
         hypothesis = hypotheses[h]
-        refit, _, error = _least_squares_epipole(normals[members], offsets[members])
-        if error is not None:  # all member lines parallel
+        refit, _, code = _least_squares_epipole(normals[members], offsets[members])
+        if code:  # all member lines parallel
             refit = hypothesis
         refit_best = _consensus(
             refit[np.newaxis], remaining, p0, p1, normals, offsets, spans, intrinsics, config

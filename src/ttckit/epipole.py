@@ -30,8 +30,9 @@ import numpy as np
 
 from .camera import CameraIntrinsics, _dot_rows, _unit_rows, as_pixel
 from .errors import (
-    _AT_INFINITY, _EPS_TAN, _FEW_FRAMES, _PARALLEL_TO_HORIZON, _TTC_UNDEFINED, _UNIFORM_ANGLES, _ZERO_DISPLACEMENT,
-    _ZERO_FLOW, EPS_PARALLEL_DEG, InsufficientData, InvalidInput, SingularGeometry, _reason_error,
+    _ALL_PARALLEL, _AT_INFINITY, _EPS_TAN, _FEW_FLOWS, _FEW_FRAMES, _PARALLEL_TO_HORIZON, _TTC_UNDEFINED,
+    _UNIFORM_ANGLES, _ZERO_DISPLACEMENT, _ZERO_FLOW, EPS_PARALLEL_DEG, InsufficientData, InvalidInput, SingularGeometry,
+    _reason_error,
 )
 from .ttc import TrackObservation, TrackTable, _decompose
 
@@ -299,19 +300,18 @@ def _least_squares_epipole(normals: np.ndarray, offsets: np.ndarray):
     """Least-squares meeting point of N flow lines given as _flow_lines rows.
 
     Returns:
-        (position, residual, error): the epipole pixel, the RMS distance
-        of the lines from it, and error, the exception
-        epipole_least_squares raises for these lines (InsufficientData,
-        SingularGeometry), or None; position and residual are None then.
+        (position, residual, code): the epipole pixel, the RMS distance
+        of the lines from it, and the lines' reason code: 0, _FEW_FLOWS
+        (its message reads the column "flows", the line count) or
+        _ALL_PARALLEL, where position and residual are None.
     """
-    n = len(normals)
-    if n < 2:
-        return None, None, InsufficientData(f"need at least 2 flows, got {n}")
+    if len(normals) < 2:
+        return None, None, _FEW_FLOWS
     if not _lines_spread(normals, _MIN_SIN_PARALLEL):
-        return None, None, SingularGeometry("all flow lines parallel; epipole unconstrained")
+        return None, None, _ALL_PARALLEL
     solution, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
     distances = normals @ solution - offsets
-    return solution, float(np.sqrt(np.mean(distances**2))), None
+    return solution, float(np.sqrt(np.mean(distances**2))), 0
 
 
 def epipole_least_squares(flows: list[FlowVector]) -> Epipole:
@@ -329,9 +329,9 @@ def epipole_least_squares(flows: list[FlowVector]) -> Epipole:
     p = np.array([fl.p for fl in flows]).reshape(-1, 2)
     q = np.array([fl.p_prime for fl in flows]).reshape(-1, 2)
     normals, offsets, _ = _flow_lines(p, q)
-    position, residual, error = _least_squares_epipole(normals, offsets)
-    if error is not None:
-        raise error
+    position, residual, code = _least_squares_epipole(normals, offsets)
+    if code:
+        raise _reason_error(code, {"flows": [len(normals)]})
     return Epipole(position=position, method=EpipoleMethod.LEAST_SQUARES, residual=residual)
 
 

@@ -5,11 +5,11 @@ catch the whole family with one handler. A few also derive from ValueError
 because they signal malformed arguments rather than geometric conditions.
 
 Geometric conditions (degenerate configurations, stationary points) are
-expected outcomes on real data, so the row kernels return an int8 reason
-code per row (0 for a valid row) instead of raising. _REASONS maps a code
-to its exception class and message template; _reason_error builds both the
-one-row APIs' exceptions and the messages of result documents. Only
-InvalidInput indicates caller error.
+expected outcomes on real data, so kernels return an int8 reason code per
+row (0 for a valid row), never an exception. _REASONS maps a code to its
+exception class and message template; _reason_error alone turns a code
+into text, from plain Python values, for the one-row APIs' exceptions and
+the messages of result documents. Only InvalidInput indicates caller error.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ EPS_PARALLEL_DEG = 0.5
 # fit holds its denominator to the same floor.
 _EPS_TAN = 1e-12
 
-# Reason codes: ttc._decompose's in order of precedence, then the epipole kernels'.
+# Reason codes: ttc._decompose's in order of precedence, then the other kernels'.
 _ZERO_FLOW, _COINCIDENT, _CONSTANT_BEARING = 1, 2, 3
 (_ZERO_DISPLACEMENT, _PARALLEL_TO_HORIZON, _FEW_FRAMES, _UNIFORM_ANGLES, _AT_INFINITY,
- _TTC_UNDEFINED) = range(4, 10)
+ _TTC_UNDEFINED, _FEW_FLOWS, _ALL_PARALLEL, _NOT_FINITE) = range(4, 13)
 
 # code: (exception class, message template); a template's fields name
 # columns that the kernel giving the code returns beside it
@@ -94,6 +94,9 @@ _REASONS = {
     _UNIFORM_ANGLES: (DegenerateConfiguration, f"offset denominator {{denominator:.3e}} below {_EPS_TAN:.3e}"),
     _AT_INFINITY: (DegenerateGeometry, "angle {angle} maps to a point at infinity on the line"),
     _TTC_UNDEFINED: (DegenerateConfiguration, "corrected epipole leaves TTC undefined"),
+    _FEW_FLOWS: (InsufficientData, "need at least 2 flows, got {flows}"),
+    _ALL_PARALLEL: (SingularGeometry, "all flow lines parallel; epipole unconstrained"),
+    _NOT_FINITE: (DegenerateGeometry, "collision-plane values overflow float64"),
 }
 # a result entry's status: zero flow and constant bearing are stationary
 _STATUS = {
@@ -104,9 +107,12 @@ _STATUS = {
 
 def _reason_error(code: int, columns: dict, i: int = 0) -> TtcError:
     """The exception of row i, whose reason is code, its message the
-    code's template filled from columns (column name: the rows' values)."""
+    code's template filled from columns (column name: the rows' values),
+    a numpy value in its Python form (.tolist()): numpy's own print cuts
+    digits and follows process-wide print options."""
     error, template = _REASONS[code]
-    return error(template.format_map({name: column[i] for name, column in columns.items()}))
+    fields = {name: column[i] for name, column in columns.items()}
+    return error(template.format_map({k: v.tolist() if hasattr(v, "tolist") else v for k, v in fields.items()}))
 
 
 def _valid_seed(value, name: str) -> int:

@@ -577,33 +577,34 @@ def collision_map(
     )
     n_points = points.shape[1]
     blocks = _map_blocks(points, velocities, scenario.camera_velocity, lat, fwd) if n_points else ()
-    for rows, chunk, k0, h, speed in blocks:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # also covers _map_blocks: a generator runs under its consumer's error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, chunk, k0, h, speed in blocks:
             miss_m = h * speed
-        # a finite miss_m needs a finite h and speed, which rules out
-        # every overflow
-        if not np.isfinite(miss_m).all():
-            bad = _overflows(k0, h, speed)
-            if bad.any():
-                f, l, point = np.argwhere(bad)[0]
-                owner = np.searchsorted(np.cumsum([len(obj.points) for obj in objects]), point, side="right")
-                change = [float(lat[chunk][l]), 0.0, float(fwd[rows][f])]
-                raise InvalidInput(
-                    f"object {objects[owner].object_id!r}: collision truth overflows at camera "
-                    f"velocity change {change}"
-                )
-        # first point of the smallest pending k0 per cell, in object
-        # order; point 0 of a cell without one, which is not pending
-        block = k0.shape[:2]
-        ttc = np.where(k0 > 0.0, k0, np.inf).reshape(-1, n_points)
-        miss_m = miss_m.reshape(-1, n_points)
-        cells, nearest = np.arange(len(ttc)), np.argmin(ttc, axis=1)
-        cell_ttc = ttc[cells, nearest]
-        min_ttc[rows, chunk] = cell_ttc.reshape(block)
-        miss[rows, chunk] = np.where(cell_ttc < np.inf, miss_m[cells, nearest], np.nan).reshape(block)
-        hit[rows, chunk] = np.any(
-            (ttc <= scenario.frame_count) & (miss_m < collision_radius), axis=1
-        ).reshape(block)
+            # a finite miss_m needs a finite h and speed, which rules out
+            # every overflow
+            if not np.isfinite(miss_m).all():
+                bad = _overflows(k0, h, speed)
+                if bad.any():
+                    f, l, point = np.argwhere(bad)[0]
+                    owner = np.searchsorted(np.cumsum([len(obj.points) for obj in objects]), point, side="right")
+                    change = [float(lat[chunk][l]), 0.0, float(fwd[rows][f])]
+                    raise InvalidInput(
+                        f"object {objects[owner].object_id!r}: collision truth overflows at camera "
+                        f"velocity change {change}"
+                    )
+            # first point of the smallest pending k0 per cell, in object
+            # order; point 0 of a cell without one, which is not pending
+            block = k0.shape[:2]
+            ttc = np.where(k0 > 0.0, k0, np.inf).reshape(-1, n_points)
+            miss_m = miss_m.reshape(-1, n_points)
+            cells, nearest = np.arange(len(ttc)), np.argmin(ttc, axis=1)
+            cell_ttc = ttc[cells, nearest]
+            min_ttc[rows, chunk] = cell_ttc.reshape(block)
+            miss[rows, chunk] = np.where(cell_ttc < np.inf, miss_m[cells, nearest], np.nan).reshape(block)
+            hit[rows, chunk] = np.any(
+                (ttc <= scenario.frame_count) & (miss_m < collision_radius), axis=1
+            ).reshape(block)
     return CollisionMap(
         lateral_offsets=lat,
         forward_offsets=fwd,
@@ -644,17 +645,14 @@ def _map_blocks(points, velocities, camera_velocity, lat, fwd):
         vx = velocities[0] - (camera_velocity[0] + lat[chunk, np.newaxis])
         return vx, px * vx + py * vy, vx * vx + vy * vy
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        vy = velocities[1] - (camera_velocity[1] + 0.0)
-        # when a whole row fits a block, its one chunk serves every block
-        whole_row = lateral(chunks[0]) if len(chunks) == 1 else None
+    vy = velocities[1] - (camera_velocity[1] + 0.0)
+    # when a whole row fits a block, its one chunk serves every block
+    whole_row = lateral(chunks[0]) if len(chunks) == 1 else None
     for f in range(0, len(fwd), fwd_cells):
         rows = slice(f, f + fwd_cells)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vz = velocities[2] - (camera_velocity[2] + fwd[rows, np.newaxis, np.newaxis])
-            dot_z, sq_z = pz * vz, vz * vz
+        vz = velocities[2] - (camera_velocity[2] + fwd[rows, np.newaxis, np.newaxis])
+        dot_z, sq_z = pz * vz, vz * vz
         for chunk in chunks:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vx, dot_xy, sq_xy = whole_row or lateral(chunk)
-                k0, h, speed, _ = _truth_from_sums(points, (vx, vy, vz), dot_xy + dot_z, sq_xy + sq_z)
+            vx, dot_xy, sq_xy = whole_row or lateral(chunk)
+            k0, h, speed, _ = _truth_from_sums(points, (vx, vy, vz), dot_xy + dot_z, sq_xy + sq_z)
             yield rows, chunk, k0, h, speed

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, _dot_rows, _zero_rows, as_pixel
-from .errors import _COINCIDENT, _CONSTANT_BEARING, _EPS_TAN, _ZERO_FLOW, InvalidInput, _reason_error
+from .errors import _COINCIDENT, _CONSTANT_BEARING, _EPS_TAN, _NOT_FINITE, _ZERO_FLOW, InvalidInput, _reason_error
 
 __all__ = [
     "CollisionEstimate",
@@ -82,7 +82,12 @@ class TrackObservation:
     positions: np.ndarray
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.int64)
+        try:  # the cast fails past int64 and truncates a fraction, as int() would
+            frames = np.asarray(self.frames, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            frames = None
+        if frames is None or np.any(frames != np.asarray(self.frames)):
+            raise InvalidInput(f"frame indices must be 64-bit integers, got {self.frames!r}")
         positions = np.asarray(self.positions, dtype=np.float64)
         if frames.ndim != 1 or len(frames) < 2:
             raise InvalidInput("track needs at least 2 frames")
@@ -296,9 +301,10 @@ def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: C
     Returns:
         (k, H, v_g_dir, v_H_dir, point, code): k and H of shape (N,),
         the three CollisionEstimate vectors of shape (N, 3), and code,
-        _decompose's int8 reason code of each row, whose messages read no
-        column. Rows of a non-zero code hold NaN or meaningless values,
-        and non-finite epipoles are allowed there.
+        _decompose's int8 reason code of each row, or _NOT_FINITE where a
+        value overflowed; no message reads a column. Rows of a non-zero
+        code hold NaN or meaningless values, and non-finite epipoles are
+        allowed there.
     """
     n = len(p0)
     pp = intrinsics.pp
@@ -314,6 +320,8 @@ def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: C
         lateral = ray0 - _dot_rows(ray0, v_g_dir)[:, np.newaxis] * v_g_dir
         v_h_dir = lateral / np.sqrt(_dot_rows(lateral, lateral))[:, np.newaxis]
     point = k[:, np.newaxis] * v_g_dir + h[:, np.newaxis] * v_h_dir
+    finite = np.isfinite(np.column_stack([k, h, v_g_dir, v_h_dir, point])).all(axis=1)
+    code[~finite & (code == 0)] = _NOT_FINITE
     return k, h, v_g_dir, v_h_dir, point, code
 
 
@@ -338,7 +346,7 @@ def collision_estimate(
         StationaryPoint: constant-bearing track (zero or sub-threshold
             angular motion). Callers should report MotionClass
             CONSTANT_BEARING with H = 0 instead of failing.
-        DegenerateGeometry: epipole coincides with a track point.
+        DegenerateGeometry: epipole coincides with a track point, or a value overflows.
         InvalidInput: pair_index out of range.
     """
     if not 0 <= pair_index <= len(track) - 2:

@@ -374,7 +374,7 @@ class TestEstimateCommand:
             entries[mode] = next(e for e in read_json(out)["estimates"] if e["track_id"] == "tiny")
         assert {entry["status"] for entry in entries.values()} == {"stationary"}
         # planar cuts the first-to-last flow, the others decompose the first pair
-        assert entries["planar"]["message"] == "zero displacement at pixel [0. 0.]"
+        assert entries["planar"]["message"] == "zero displacement at pixel [0.0, 0.0]"
         assert entries["three-frame"]["message"] == "zero pixel displacement between frames"
         assert entries["least-squares"]["message"] == "zero pixel displacement between frames"
         out = tmp_path / "clusters.json"
@@ -395,12 +395,12 @@ class TestEstimateCommand:
         "bearing": [(610.0, 320.0), (680.0, 390.0), (670.0, 400.0)],
     }
     ZERO_FLOW = ("stationary", "zero pixel displacement between frames", None, 0.0, "ConstantBearing")
-    PARALLEL = ("degenerate:ParallelToHorizon", "flow direction [1. 0.] within 0.5 deg of the horizon",
+    PARALLEL = ("degenerate:ParallelToHorizon", "flow direction [1.0, 0.0] within 0.5 deg of the horizon",
                 None, None, None)
     # (status, message, k, H, classification) of each track, in file order
     MIXED_ENTRIES = {
         "planar": [
-            ("stationary", "zero displacement at pixel [500. 300.]", None, 0.0, "ConstantBearing"),
+            ("stationary", "zero displacement at pixel [500.0, 300.0]", None, 0.0, "ConstantBearing"),
             PARALLEL,
             ("ok", None, 61.24390243902465, 27.746593276103518, "Approaching"),
             ("degenerate:DegenerateGeometry", "epipole coincides with a track point", None, None, None),
@@ -440,6 +440,51 @@ class TestEstimateCommand:
         assert [e["track_id"] for e in entries] == list(self.MIXED_TRACKS)
         got = [(e["status"], e.get("message"), e["k"], e["H"], e["classification"]) for e in entries]
         assert got == self.MIXED_ENTRIES[mode]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_decomposition_is_degenerate(self, tmp_path):
+        # the horizon near 1e308 overflows the tangents of the planar
+        # epipole: the track gets a reason code, not an ok entry of NaN
+        tracks = tmp_path / "bearing.csv"
+        tracks.write_text("track_id,frame,u,v\n" + "".join(
+            f"bearing,{f},{u!r},{v!r}\n" for f, (u, v) in enumerate(self.MIXED_TRACKS["bearing"])
+        ))
+        out = tmp_path / "est.json"
+        assert run(
+            "estimate", tracks, "--intrinsics", "800,640,360", "--mode", "planar", "--horizon", "0,1e308", "--out", out,
+        ) == 0
+        (entry,) = read_json(out)["estimates"]
+        assert (entry["status"], entry["message"], entry["k"], entry["H"]) == (
+            "degenerate:DegenerateGeometry", "collision-plane values overflow float64", None, None,
+        )
+
+    @pytest.mark.parametrize("mode", ["planar", "three-frame", "least-squares"])
+    def test_messages_ignore_numpy_print_options(self, mode, tmp_path, capsys):
+        # a still track at a pixel of many digits, one flowing 0.1 deg off
+        # the horizon, and one valid track for the least-squares fit
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(
+            "track_id,frame,u,v\n"
+            + "".join(f"still,{f},500.123456789,300.987654321\n" for f in range(3))
+            + "".join(f"parallel,{f},{500.5 + 10 * f!r},{300.25 + 0.02 * f!r}\n" for f in range(3))
+            + "".join(f"valid,{f},{400.0 + 5 * f!r},{200.0 - 2 * f!r}\n" for f in range(3))
+        )
+
+        def estimate():
+            out = tmp_path / "est.json"
+            code = run(
+                "estimate", tracks, "--intrinsics", "800,640,360", "--mode", mode, "--horizon", "0,360", "--out", out,
+            )
+            return code, out.read_bytes(), capsys.readouterr()
+
+        plain = estimate()
+        options = np.get_printoptions()
+        np.set_printoptions(precision=3, threshold=5)
+        try:
+            assert estimate() == plain
+        finally:
+            np.set_printoptions(**options)
+        assert plain[0] == 0
 
     @pytest.mark.parametrize("mode", ["planar", "three-frame"])
     def test_classification_follows_k(self, mode, tmp_path):

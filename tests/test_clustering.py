@@ -28,7 +28,6 @@ from ttckit import (
     MotionCluster,
     Scenario,
     SceneObject,
-    SingularGeometry,
     TrackObservation,
     cluster_flows,
     simulate,
@@ -37,6 +36,7 @@ from ttckit import (
 from ttckit import clustering
 from ttckit.clustering import _consensus, _reassignment_sweep, _trim_to_invariants
 from ttckit.epipole import _flow_lines, _least_squares_epipole
+from ttckit.errors import _ALL_PARALLEL
 from conftest import oracle_epipole, oracle_k0, random_approach_scenario
 
 
@@ -443,8 +443,8 @@ def per_hypothesis_clustering(flows, intrinsics, config):
         if best is None:
             break
         members, k, e = best
-        refit, _, error = _least_squares_epipole(normals[members], offsets[members])
-        if error is not None:
+        refit, _, code = _least_squares_epipole(normals[members], offsets[members])
+        if code:
             refit = e
         re_members, re_k, _ = consensus(refit, remaining)
         if re_members.size >= members.size:
@@ -819,7 +819,7 @@ class TestReassignmentSweep:
         p0, p1, normals, offsets, spans, k = self.expanding_flows(
             e, [(-100.0, 0.0), (-120.0, 0.3), (110.0, -0.3), (130.0, 0.2)]
         )
-        assert isinstance(_least_squares_epipole(normals, offsets)[2], SingularGeometry)
+        assert _least_squares_epipole(normals, offsets)[2] == _ALL_PARALLEL
         state = [(np.arange(4), k, e)]
         swept = _reassignment_sweep(state, p0, p1, normals, offsets, spans, intr700(), ClusteringConfig())
         assert len(swept) == 1
@@ -858,7 +858,7 @@ class TestExtractionFallbacks:
         p0, p1, normals, offsets, _, _ = self.expanding_flows(
             e, np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, np.newaxis], scale
         )
-        assert isinstance(_least_squares_epipole(normals[:5], offsets[:5])[2], SingularGeometry)
+        assert _least_squares_epipole(normals[:5], offsets[:5])[2] == _ALL_PARALLEL
         tracks = [TrackObservation.from_positions([a, b]) for a, b in zip(p0, p1)]
         clusters, outliers = cluster_flows(tracks, intrinsics=intr700())
         assert [c.member_indices for c in clusters] == [(0, 1, 2, 3, 4)]

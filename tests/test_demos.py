@@ -1,5 +1,6 @@
 """Every demo script and every Python example of README.md runs to
-completion against the package in src/."""
+completion against the package in src/, and README.md's table of
+estimate statuses lists every reason an estimate entry can carry."""
 
 import os
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ttckit.errors import _ALL_PARALLEL, _FEW_FLOWS, _REASONS, _STATUS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,3 +42,17 @@ def test_readme_examples_found():
 @pytest.mark.parametrize("example", README_EXAMPLES, ids=lambda _: "python-block")
 def test_readme_example_runs(example, tmp_path):
     run_python(["-c", example], tmp_path)
+
+
+# rows of the README table: "| `status` | `message` ... | modes |"
+README_REASON_ROWS = re.findall(r"^  \| `[^`]+` \| `.*$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
+# the least-squares fit's own reasons abort the command instead of filling an entry
+ENTRY_REASONS = sorted(set(_REASONS) - {_FEW_FLOWS, _ALL_PARALLEL})
+
+
+@pytest.mark.parametrize("code", ENTRY_REASONS, ids=lambda code: _REASONS[code][1].split("{")[0].strip())
+def test_readme_lists_reason(code):
+    prefix = _REASONS[code][1].split("{")[0]
+    assert any(
+        row.startswith(f"  | `{_STATUS[code]}` | `{prefix}") for row in README_REASON_ROWS
+    ), f"README.md's table of estimate statuses lacks {_STATUS[code]}: {_REASONS[code][1]}"

@@ -54,6 +54,10 @@ CASES = [
     ), InvalidInput, "camera_velocity must be a finite 3-vector, got [inf  0.  0.]"),
     (lambda _: TrackObservation.from_positions([[0, 0], [NAN, 1]]),
      InvalidInput, "track positions must be finite"),
+    (lambda _: TrackObservation(frames=[0.5, 1.5], positions=np.zeros((2, 2))),
+     InvalidInput, "frame indices must be 64-bit integers, got [0.5, 1.5]"),
+    (lambda _: TrackObservation(frames=[2**63, 2**63 + 1], positions=np.zeros((2, 2))),
+     InvalidInput, "frame indices must be 64-bit integers, got [9223372036854775808, 9223372036854775809]"),
     (lambda _: collision_estimate(
         TrackObservation.from_positions([[600.0, 300.0], [610.0, 305.0]]), (640.0, 360.0), K, pair_index=1
     ), InvalidInput, "pair_index 1 out of range for 2 frames"),
@@ -64,7 +68,7 @@ CASES = [
     ),
      InvalidInput, "every track needs at least 2 frames to derive a flow"),
     (lambda _: cluster_flows([TrackObservation.from_positions([[0.0, 0.0], [0.0, 0.0]])] * 3, intrinsics=K),
-     DegenerateFlow, "zero displacement at pixel [0. 0.]"),
+     DegenerateFlow, "zero displacement at pixel [0.0, 0.0]"),
 ]
 
 
