@@ -53,7 +53,7 @@ _NAMES = {
     ),
     "simulate": (
         "CollisionMap", "GridSpec", "GroundTruth", "PointTruth", "SceneObject", "Scenario",
-        "collision_map", "point_truth", "simulate",
+        "collision_map", "simulate",
     ),
     "stereo": (
         "SensitivityRow", "SensitivityTable", "StereoErrorModel", "disparity_px",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _AT_INFINITY, BehindCamera, DegenerateGeometry, InvalidInput, _reason_error
+from .errors import _AT_INFINITY, BehindCamera, DegenerateGeometry, InvalidInput, _reason_error, _whole
 
 __all__ = [
     "CameraIntrinsics",
@@ -118,10 +118,10 @@ class CameraIntrinsics:
         object.__setattr__(self, "focal_px", f)
         object.__setattr__(self, "principal_point", (u0, v0))
         if self.image_size is not None:
-            w, h = self.image_size
-            if int(w) != w or int(h) != h or w <= 0 or h <= 0:
+            w, h = size = tuple(_whole(n) for n in self.image_size)
+            if None in size or w <= 0 or h <= 0:
                 raise InvalidInput(f"image_size must be positive integers, got {self.image_size}")
-            object.__setattr__(self, "image_size", (int(w), int(h)))
+            object.__setattr__(self, "image_size", size)
             inside = 0.0 <= u0 <= w and 0.0 <= v0 <= h
             if not inside and not self.allow_off_center:
                 raise InvalidInput(

@@ -45,7 +45,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import _STATUS, InsufficientData, InvalidInput, TtcError, _reason_error, _valid_seed
+from .errors import _STATUS, InsufficientData, InvalidInput, TtcError, _reason_error, _valid_seed, _whole
 from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_FOCAL_MM, PRESET_HEADING_DEG, PRESET_SPEED_KMH
 
 if TYPE_CHECKING:
@@ -86,11 +86,11 @@ def _parse_floats(text: str, n: int | tuple[int, ...], what: str) -> list[float]
 
 
 def _integers(values: list[float], what: str) -> list[int]:
-    """values as ints; int() would silently truncate a fraction."""
-    for v in values:
-        if not v.is_integer():
-            raise InvalidInput(f"{what} must be integers, got {v!r}")
-    return [int(v) for v in values]
+    """values as ints; InvalidInput naming the first that is not whole."""
+    whole = [_whole(v) for v in values]
+    if None in whole:
+        raise InvalidInput(f"{what} must be integers, got {values[whole.index(None)]!r}")
+    return whole
 
 
 def _parse_intrinsics(text: str) -> CameraIntrinsics:

@@ -10,6 +10,7 @@ row (0 for a valid row), never an exception. _REASONS maps a code to its
 exception class and message template; _reason_error alone turns a code
 into text, from plain Python values, for the one-row APIs' exceptions and
 the messages of result documents. Only InvalidInput indicates caller error.
+_whole alone decides whether a number given as a count or a seed is whole.
 """
 
 from __future__ import annotations
@@ -115,14 +116,21 @@ def _reason_error(code: int, columns: dict, i: int = 0) -> TtcError:
     return error(template.format_map({k: v.tolist() if hasattr(v, "tolist") else v for k, v in fields.items()}))
 
 
+def _whole(value) -> int | None:
+    """value as an int when it is a whole number, else None (a fraction,
+    NaN, an infinity, a string, None); never raises. int() alone would
+    truncate a fraction and raise on NaN or an infinity."""
+    try:
+        whole = int(value)
+        return whole if whole == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _valid_seed(value, name: str) -> int:
     """value as a generator seed; InvalidInput naming name unless it is a
-    non-negative integer (numpy rejects a negative seed, and int() would
-    silently truncate a fraction)."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError, OverflowError):
-        seed = -1
-    if seed < 0 or seed != value:
+    non-negative whole number (numpy rejects a negative seed)."""
+    seed = _whole(value)
+    if seed is None or seed < 0:
         raise InvalidInput(f"{name} must be a non-negative integer, got {value!r}")
     return seed

@@ -8,7 +8,8 @@ Formats are part of the CLI contract and deliberately boring:
   file as columns into a TrackTable (rows grouped by track, in
   first-appearance order) and checks it with array operations; a piece
   of lines that fails a check is walked line by line to name the
-  offending line, and the first bad track is built alone to name it.
+  offending line, and ttc._track_problem, the track rule that
+  TrackObservation also applies, names the first bad track.
 * Scenarios and ground truth: JSON, schema-versioned (``"schema": 1``).
 * Collision maps and sensitivity tables: CSV grids.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain, compress
 from typing import TYPE_CHECKING
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .errors import InvalidInput
-from .ttc import TrackTable, _Rows
+from .ttc import TrackTable, _Rows, _track_problem
 
 if TYPE_CHECKING:  # annotations only: a command that reads no scenario loads neither module
     from .simulate import CollisionMap, GroundTruth, Scenario
@@ -260,19 +262,9 @@ def _table_from_columns(path, lines: list[str], pieces=()) -> tuple[list[str], T
     ids = list(index)
     length = np.bincount(track, minlength=len(ids))
     start = np.cumsum(length) - length
-    table = TrackTable(frames, positions, start, length)
-    # as in TrackObservation: the int64 difference wraps, so a step also rises
-    steps_ok = (np.diff(frames) == 1) & (frames[1:] > frames[:-1])
-    steps_ok[start[1:] - 1] = True  # a step between two tracks is no step
-    bad = length < 2
-    bad[np.searchsorted(start, np.flatnonzero(~steps_ok), side="right") - 1] = True
-    if bad.any():
-        t = int(np.argmax(bad))
-        try:
-            table[t]
-        except InvalidInput as exc:
-            raise InvalidInput(f"{path}: track {ids[t]!r}: {exc}") from exc
-    return ids, table
+    if problem := _track_problem(frames, start, length):
+        raise InvalidInput(f"{path}: track {ids[problem[0]]!r}: {problem[1]}")
+    return ids, TrackTable(frames, positions, start, length)
 
 
 def _raise_bad_line(path, lines: list[str], lineno: int) -> None:
@@ -302,6 +294,19 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+@contextmanager
+def _field_errors(where: str):
+    """Turn a TypeError, ValueError or OverflowError of the block, raised
+    by a bad field of a scenario section, into InvalidInput prefixed with
+    where; an InvalidInput, which names its field, passes unchanged."""
+    try:
+        yield
+    except InvalidInput:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{where}{exc}") from exc
+
+
 def read_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file.
 
@@ -321,7 +326,7 @@ def read_scenario(path) -> Scenario:
     if schema != 1:
         raise InvalidInput(f"scenario: unsupported schema {schema!r}, expected 1")
     intr_doc = _require(doc, "intrinsics", "")
-    try:
+    with _field_errors("scenario: intrinsics: "):
         intrinsics = CameraIntrinsics(
             focal_px=_require(intr_doc, "focal_px", "intrinsics."),
             principal_point=tuple(_require(intr_doc, "principal_point", "intrinsics.")),
@@ -330,17 +335,13 @@ def read_scenario(path) -> Scenario:
             ),
             allow_off_center=bool(intr_doc.get("allow_off_center", False)),
         )
-    except InvalidInput:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"scenario: intrinsics: {exc}") from exc
     objects_doc = _require(doc, "objects", "")
     if not isinstance(objects_doc, list):
         raise InvalidInput(f"scenario: objects must be a list, got {objects_doc!r}")
     objects = []
     for i, obj_doc in enumerate(objects_doc):
         where = f"objects[{i}]."
-        try:
+        with _field_errors(f"scenario: objects[{i}]: "):
             objects.append(
                 SceneObject(
                     object_id=str(_require(obj_doc, "id", where)),
@@ -348,11 +349,7 @@ def read_scenario(path) -> Scenario:
                     velocity=np.asarray(_require(obj_doc, "velocity", where), dtype=np.float64),
                 )
             )
-        except InvalidInput:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"scenario: objects[{i}]: {exc}") from exc
-    try:
+    with _field_errors("scenario: "):
         return Scenario(
             intrinsics=intrinsics,
             objects=tuple(objects),
@@ -361,10 +358,6 @@ def read_scenario(path) -> Scenario:
             pixel_noise_sigma=float(doc.get("pixel_noise_sigma", 0.0)),
             rng_seed=doc.get("rng_seed", 0),
         )
-    except InvalidInput:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"scenario: {exc}") from exc
 
 
 def write_scenario(path, scenario: Scenario) -> None:

@@ -16,10 +16,10 @@ collision quantities from 3D geometry:
 
 One camera-free broadcasting kernel derives k0 and H for any number of
 points and relative motions: _truth builds the sums P . v and |v|^2 and
-_truth_from_sums finishes from them. point_truth and simulate call
-_truth, collision_map builds the same sums in the same order and calls
-_truth_from_sums, so they cannot disagree. The epipole depends only on
-the motion, so it is computed once per motion, and never for
+_truth_from_sums finishes from them. simulate calls _truth through
+_truth_columns, collision_map builds the same sums in the same order and
+calls _truth_from_sums, so they cannot disagree. The epipole depends
+only on the motion, so it is computed once per motion, and never for
 collision_map.
 
 simulate renders each object in one pass and returns columns: a
@@ -54,7 +54,7 @@ from typing import ClassVar
 import numpy as np
 
 from .camera import CameraIntrinsics, project
-from .errors import InvalidInput, _valid_seed
+from .errors import InvalidInput, _valid_seed, _whole
 from .ttc import MotionClass, TrackTable, _Rows
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "SceneObject",
     "Scenario",
     "collision_map",
-    "point_truth",
     "simulate",
 ]
 
@@ -135,9 +134,10 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if int(self.frame_count) != self.frame_count or self.frame_count < 2:
+        frame_count = _whole(self.frame_count)
+        if frame_count is None or frame_count < 2:
             raise InvalidInput(f"frame_count must be an integer >= 2, got {self.frame_count}")
-        object.__setattr__(self, "frame_count", int(self.frame_count))
+        object.__setattr__(self, "frame_count", frame_count)
         if not np.isfinite(self.pixel_noise_sigma) or self.pixel_noise_sigma < 0.0:
             raise InvalidInput(f"pixel_noise_sigma must be >= 0, got {self.pixel_noise_sigma}")
         vel = np.asarray(self.camera_velocity, dtype=np.float64)
@@ -389,27 +389,6 @@ def _scenario_truth(scenario) -> dict:
     )
 
 
-def point_truth(p0, v_g, intrinsics: CameraIntrinsics) -> PointTruth:
-    """Analytic truth for a single point and relative motion.
-
-    Exposed for tests and planners that need truth without building a
-    whole scenario. The record is row 0 of a one-point GroundTruth of
-    object "point", with valid_frames 0.
-
-    Raises:
-        InvalidInput: v_g or a truth quantity overflows float64.
-    """
-    v_g = np.asarray(v_g, dtype=np.float64)
-    truth = GroundTruth(
-        frame_count=0,
-        valid_frames=np.zeros(1, dtype=np.int64),
-        **_truth_columns(
-            ["point"], [np.asarray(p0, dtype=np.float64)[np.newaxis]], v_g[np.newaxis], intrinsics
-        ),
-    )
-    return truth.points[0]
-
-
 def simulate(scenario: Scenario) -> tuple[TrackTable, GroundTruth]:
     """Render tracks and analytic ground truth for a scenario, as columns.
 
@@ -478,7 +457,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name, cells in (("lateral_cells", self.lateral_cells), ("forward_cells", self.forward_cells)):
-            if int(cells) != cells or cells < 1 or cells % 2 == 0:
+            whole = _whole(cells)
+            if whole is None or whole < 1 or whole % 2 == 0:
                 raise InvalidInput(f"{name} must be an odd positive integer, got {cells}")
         for name, extent, cells in (
             ("lateral_extent", self.lateral_extent, self.lateral_cells),

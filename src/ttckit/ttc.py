@@ -82,28 +82,23 @@ class TrackObservation:
     positions: np.ndarray
 
     def __post_init__(self):
-        try:  # the cast fails past int64 and truncates a fraction, as int() would
-            frames = np.asarray(self.frames, dtype=np.int64)
+        try:  # past int64, for NaN or a fraction, the cast fails or the comparison below does
+            with np.errstate(invalid="ignore"):
+                frames = np.asarray(self.frames, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
             frames = None
         if frames is None or np.any(frames != np.asarray(self.frames)):
             raise InvalidInput(f"frame indices must be 64-bit integers, got {self.frames!r}")
+        frames = frames if frames.ndim == 1 else np.zeros(0, np.int64)  # not a sequence: no frames
+        if problem := _track_problem(frames, np.zeros(1, np.int64), np.array([len(frames)])):
+            raise InvalidInput(problem[1])
         positions = np.asarray(self.positions, dtype=np.float64)
-        if frames.ndim != 1 or len(frames) < 2:
-            raise InvalidInput("track needs at least 2 frames")
         if positions.shape != (len(frames), 2):
             raise InvalidInput(
                 f"positions shape {positions.shape} does not match {len(frames)} frames"
             )
         if not np.all(np.isfinite(positions)):
             raise InvalidInput("track positions must be finite")
-        steps = np.diff(frames)
-        rising = frames[1:] > frames[:-1]
-        # an int64 difference wraps past 2**63, so a step of 1 must also rise
-        if np.any((steps != 1) | ~rising):
-            if np.any((steps > 0) != rising):
-                steps = np.diff(frames.astype(object))  # exact where they wrapped
-            raise InvalidInput(f"frame indices must increase by exactly 1, got steps {steps}")
         object.__setattr__(self, "frames", tuple(int(f) for f in frames))
         object.__setattr__(self, "positions", positions)
 
@@ -120,6 +115,24 @@ class TrackObservation:
         return self.positions[i]
 
 
+def _track_problem(frames: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[int, str] | None:
+    """The first track of the int64 columns frames, start and length (see
+    TrackTable) with under 2 rows or a frame step other than 1, as
+    (track, message); None when every track keeps that rule."""
+    # the int64 difference wraps past 2**63, so a step of 1 must also rise
+    steps_ok = (np.diff(frames) == 1) & (frames[1:] > frames[:-1])
+    steps_ok[start[1:] - 1] = True  # a step between two tracks is no step
+    bad = length < 2
+    bad[np.searchsorted(start, np.flatnonzero(~steps_ok), side="right") - 1] = True
+    if not bad.any():
+        return None
+    t = int(np.argmax(bad))
+    if length[t] < 2:
+        return t, "track needs at least 2 frames"
+    steps = np.diff(frames[start[t]:start[t] + length[t]].astype(object))  # exact where int64 wraps
+    return t, f"frame indices must increase by exactly 1, got steps {steps}"
+
+
 class TrackTable(Sequence):
     """Many tracks stored as columns, the rows of each track contiguous.
 
@@ -129,11 +142,11 @@ class TrackTable(Sequence):
         start, length: (N,) int64 first row and row count of each track.
 
     The columns are taken as valid tracks: at least 2 rows each, frames
-    stepping by exactly 1, finite pixels; or 0 rows, which stands for no
-    track. Indexing builds a TrackObservation on demand, or gives None
-    for a track of 0 rows; a slice gives a table. pixels() reads one
-    pixel of every track without building any, and needs every track to
-    have rows.
+    stepping by exactly 1 (the rule _track_problem checks), finite
+    pixels; or 0 rows, which stands for no track. Indexing builds a
+    TrackObservation on demand, or gives None for a track of 0 rows; a
+    slice gives a table. pixels() reads one pixel of every track without
+    building any, and needs every track to have rows.
     """
 
     def __init__(self, frames: np.ndarray, positions: np.ndarray, start: np.ndarray, length: np.ndarray):

@@ -5,8 +5,8 @@ Every test prints exactly one line of the form
     ACCEPTANCE <n> PASS|FAIL - <description>
 
 before asserting, so a full run always shows the complete scoreboard.
-Tolerances are stated inline; helpers are reused from the unit-test
-modules to keep oracles identical across suites.
+Tolerances are stated inline; helpers are shared with the unit-test
+modules through conftest to keep oracles identical across suites.
 """
 
 import time
@@ -17,10 +17,14 @@ import pytest
 from conftest import (
     oracle_epipole,
     random_approach_scenario,
+    reduce_truth,
+    reference_consensus,
+    triple_object_scenario,
+    two_frame_tracks,
+    two_object_flows,
+    wall_scenario,
     wrap_half_pi,
 )
-from test_clustering import reference_consensus, triple_object_scenario, two_frame_tracks, two_object_flows
-from test_simulate import reduce_truth, wall_scenario
 
 from ttckit import (
     CameraIntrinsics,

@@ -8,6 +8,7 @@ closure of CLI estimates against simulator ground truth.
 import dataclasses
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1701,12 +1702,37 @@ class TestErrorPathMessages:
         ("scenario", "pixel_noise_sigma", "x", "scenario: could not convert string to float: 'x'"),
     ])
     def test_scenario_field_of_wrong_type(self, where, key, value, message, tmp_path, capsys):
+        code, tracks = self.run_with_field("simulate", where, key, value, tmp_path)
+        self.assert_one_error(code, capsys, message, tracks)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+    @staticmethod
+    def run_with_field(command, where, key, value, tmp_path):
+        """(exit code, output path) of simulate or collision-map on
+        planar_scenario() with one field set to value, written as JSON
+        allows: Infinity, NaN and every digit of an integer."""
         scene = tmp_path / "scene.json"
         write_scenario(scene, planar_scenario())
         doc = read_json(scene)
         {"intrinsics": doc["intrinsics"], "object": doc["objects"][0], "scenario": doc}[where][key] = value
         scene.write_text(json.dumps(doc))
-        tracks = tmp_path / "t.csv"
-        code = run("simulate", scene, "--out-tracks", tracks, "--out-truth", tmp_path / "g.json")
-        self.assert_one_error(code, capsys, message, tracks)
-        assert sorted(tmp_path.iterdir()) == [scene]
+        out = tmp_path / "out.csv"
+        if command == "simulate":
+            return run("simulate", scene, "--out-tracks", out, "--out-truth", tmp_path / "g.json"), out
+        return run("collision-map", scene, "--grid", "2,2,5,5", "--out", out), out
+
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("intrinsics", "image_size", [math.inf, 720], "image_size must be positive integers, got (inf, 720)"),
+        ("scenario", "frame_count", math.inf, "frame_count must be an integer >= 2, got inf"),
+        ("scenario", "frame_count", math.nan, "frame_count must be an integer >= 2, got nan"),
+        ("object", "points", [[1.0, 10**399, 20.0]], "scenario: objects[0]: int too large to convert to float"),
+        ("intrinsics", "focal_px", 10**399, "scenario: intrinsics: int too large to convert to float"),
+        ("scenario", "pixel_noise_sigma", 10**399, "scenario: int too large to convert to float"),
+        ("scenario", "camera_velocity", [0.0, 10**399, 0.0], "scenario: int too large to convert to float"),
+    ], ids=["image-size-inf", "frame-count-inf", "frame-count-nan", "point-400-digits", "focal-400-digits",
+            "noise-400-digits", "camera-velocity-400-digits"])
+    @pytest.mark.parametrize("command", ["simulate", "collision-map"])
+    def test_scenario_number_no_field_takes(self, command, where, key, value, message, tmp_path, capsys):
+        code, out = self.run_with_field(command, where, key, value, tmp_path)
+        self.assert_one_error(code, capsys, message, out)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]

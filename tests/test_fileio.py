@@ -482,6 +482,87 @@ class TestScenarioJson:
             read_scenario(path)
 
 
+# values no scenario field takes: NaN, infinities, 400-digit integers,
+# numbers past float64's range, fractions, strings, None, empty containers
+HOSTILE_LEAVES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 10**399, -(10**399), 1.7e308, -1.7e308, 0.5, 2.5, "x", "3", None, [], {},
+])
+# lists of the wrong length or depth
+MISSHAPEN = st.lists(st.floats(-1e3, 1e3) | st.lists(st.floats(-1e3, 1e3), max_size=4), max_size=4)
+
+
+def slots(node):
+    """(container, key) of every value below node, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from slots(value)
+
+
+@st.composite
+def scenario_docs(draw):
+    """A valid scenario document, then up to 3 of its values, at any
+    depth, replaced by a hostile leaf or a misshapen list, or deleted."""
+    coord = st.floats(-1e3, 1e3)
+    vector = st.lists(coord, min_size=3, max_size=3)
+    point = st.tuples(coord, coord, st.floats(0.1, 1e3)).map(list)
+    size = st.none() | st.lists(st.integers(1, 2000), min_size=2, max_size=2)
+    doc = draw(st.fixed_dictionaries({
+        "schema": st.just(1),
+        "intrinsics": st.fixed_dictionaries({
+            "focal_px": st.floats(1.0, 1e4), "principal_point": st.lists(coord, min_size=2, max_size=2),
+            "image_size": size, "allow_off_center": st.just(True),
+        }),
+        "objects": st.lists(st.fixed_dictionaries({
+            "id": st.text(max_size=3), "points": st.lists(point, min_size=1, max_size=3), "velocity": vector,
+        }), max_size=3),
+        "camera_velocity": vector,
+        "frame_count": st.integers(2, 50),
+        "pixel_noise_sigma": st.floats(0.0, 5.0),
+        "rng_seed": st.integers(0, 2**32),
+    }))
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(list(slots(doc))))
+        if draw(st.booleans()) and isinstance(container, dict):
+            del container[key]
+        else:
+            container[key] = draw(HOSTILE_LEAVES | MISSHAPEN)
+    return doc
+
+
+def hostile_scenario(**fields):
+    """A valid one-object scenario document with fields replaced."""
+    doc = {
+        "schema": 1, "intrinsics": {"focal_px": 800.0, "principal_point": [320.0, 240.0]},
+        "objects": [{"id": "a", "points": [[1.0, 0.0, 20.0]], "velocity": [0.0, 0.0, -1.0]}],
+        "frame_count": 5,
+    }
+    return {**doc, **fields}
+
+
+class TestScenarioProperties:
+    """read_scenario returns a Scenario or raises InvalidInput, whatever
+    the document holds; never another error or a warning."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=scenario_docs())
+    @example(doc=hostile_scenario(frame_count=math.inf))
+    @example(doc=hostile_scenario(frame_count=math.nan))
+    @example(doc=hostile_scenario(intrinsics={"focal_px": 800.0, "principal_point": [0, 0], "image_size": [math.inf, 720]}))
+    @example(doc=hostile_scenario(intrinsics={"focal_px": 10**399, "principal_point": [320.0, 240.0]}))
+    @example(doc=hostile_scenario(objects=[{"id": "a", "points": [[1.0, 10**399, 20.0]], "velocity": [0.0, 0.0, 1.0]}]))
+    @example(doc=hostile_scenario(pixel_noise_sigma=10**399))
+    @example(doc=hostile_scenario(camera_velocity=[0.0, 10**399, 0.0]))
+    def test_scenario_or_invalid_input(self, doc, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            scenario = read_scenario(path)
+        except InvalidInput:
+            return
+        assert isinstance(scenario, Scenario)
+
+
 class TestJsonHelpers:
     def test_write_json_numpy(self, tmp_path):
         path = tmp_path / "numpy.json"

@@ -10,6 +10,7 @@ from ttckit import (
     CameraIntrinsics,
     DegenerateFlow,
     DegenerateGeometry,
+    GridSpec,
     HorizonLine,
     InvalidInput,
     Scenario,
@@ -69,6 +70,18 @@ CASES = [
      InvalidInput, "every track needs at least 2 frames to derive a flow"),
     (lambda _: cluster_flows([TrackObservation.from_positions([[0.0, 0.0], [0.0, 0.0]])] * 3, intrinsics=K),
      DegenerateFlow, "zero displacement at pixel [0.0, 0.0]"),
+    (lambda _: Scenario(intrinsics=K, objects=(), camera_velocity=np.zeros(3), frame_count=INF),
+     InvalidInput, "frame_count must be an integer >= 2, got inf"),
+    (lambda _: Scenario(intrinsics=K, objects=(), camera_velocity=np.zeros(3), frame_count=NAN),
+     InvalidInput, "frame_count must be an integer >= 2, got nan"),
+    (lambda _: GridSpec(1.0, 1.0, INF, 3),
+     InvalidInput, "lateral_cells must be an odd positive integer, got inf"),
+    (lambda _: CameraIntrinsics(800.0, (0.0, 0.0), (NAN, 3)),
+     InvalidInput, "image_size must be positive integers, got (nan, 3)"),
+    (lambda _: TrackObservation(frames=np.array([1e20, 2e20]), positions=np.zeros((2, 2))),
+     InvalidInput, "frame indices must be 64-bit integers, got array([1.e+20, 2.e+20])"),
+    (lambda _: TrackObservation(frames=np.array([0.0, NAN]), positions=np.zeros((2, 2))),
+     InvalidInput, "frame indices must be 64-bit integers, got array([ 0., nan])"),
 ]
 
 

@@ -21,20 +21,20 @@ from hypothesis import strategies as st
 from ttckit import (
     CameraIntrinsics,
     GridSpec,
+    GroundTruth,
     InvalidInput,
     MotionClass,
     PointTruth,
     Scenario,
     SceneObject,
     collision_map,
-    point_truth,
     simulate,
 )
 from ttckit.camera import project
 from ttckit.cli import main
 from ttckit.fileio import write_json, write_scenario, write_tracks_csv
 from ttckit.ttc import TrackObservation
-from conftest import oracle_epipole, oracle_h, oracle_k0, random_approach_scenario
+from conftest import oracle_epipole, oracle_h, oracle_k0, random_approach_scenario, reduce_truth, wall_scenario
 
 # the module, not the simulate() function the package exports under its name
 simulate_module = importlib.import_module("ttckit.simulate")
@@ -218,18 +218,23 @@ class TestSimulateTracks:
 
 
 class TestPointTruth:
+    """The truth record of a one-point scenario."""
+
+    def point(self, intrinsics, p, v):
+        return simulate(single_point_scenario(intrinsics, p, v))[1].points[0]
+
     def test_receding_label(self, intr800):
-        pt = point_truth([1.0, 0.0, 10.0], [0.0, 0.0, 1.0], intr800)
+        pt = self.point(intr800, [1.0, 0.0, 10.0], [0.0, 0.0, 1.0])
         assert pt.label is MotionClass.RECEDING
         assert pt.k0 == pytest.approx(-10.0)
 
     def test_head_on_course_is_constant_bearing(self, intr800):
-        pt = point_truth([0.0, 0.0, 10.0], [0.0, 0.0, -1.0], intr800)
+        pt = self.point(intr800, [0.0, 0.0, 10.0], [0.0, 0.0, -1.0])
         assert pt.label is MotionClass.CONSTANT_BEARING
         assert pt.H == pytest.approx(0.0, abs=1e-12)
 
     def test_image_parallel_motion_has_no_epipole(self, intr800):
-        pt = point_truth([1.0, 0.0, 10.0], [0.3, 0.0, 0.0], intr800)
+        pt = self.point(intr800, [1.0, 0.0, 10.0], [0.3, 0.0, 0.0])
         assert pt.epipole is None
         assert pt.k0 == pytest.approx(-0.3 / 0.09)
         assert pt.H == pytest.approx(np.hypot(0.0, 10.0) / 0.3)
@@ -259,33 +264,6 @@ class TestGridSpec:
     def test_negative_extent_rejected(self):
         with pytest.raises(InvalidInput):
             GridSpec(lateral_extent=-1.0, forward_extent=1.0)
-
-
-def wall_scenario(intr):
-    wall = SceneObject(
-        "wall", np.array([[0.0, 0.0, 30.0], [0.4, 0.1, 30.5]]), np.zeros(3)
-    )
-    return Scenario(
-        intrinsics=intr,
-        objects=(wall,),
-        camera_velocity=np.array([0.0, 0.0, 1.2]),
-        frame_count=40,
-    )
-
-
-def reduce_truth(scenario):
-    """Independent per-scenario collision reduction from simulate() truth."""
-    _, truth = simulate(scenario)
-    best_k, best_miss, collides = np.inf, np.nan, False
-    for pt in truth.points:
-        if pt.k0 is None or pt.k0 <= 0.0:
-            continue
-        miss_m = pt.H * pt.speed
-        if pt.k0 < best_k:
-            best_k, best_miss = pt.k0, miss_m
-        if pt.k0 <= scenario.frame_count and miss_m < 2.0:
-            collides = True
-    return best_k, best_miss, collides
 
 
 class TestCollisionMap:
@@ -454,7 +432,9 @@ class TestTruthKernel:
         got_k0, got_h, got_speed, _ = simulate_module._truth(points.T, v_g.T)
         assert same_bits(got_k0, k0) and same_bits(got_h, h) and same_bits(got_speed, speed)
         assert same_bits(simulate_module._motion_epipole(v_g, intr800), epipole)
-        labels = [point_truth(p, v, intr800).label for p, v in zip(points, v_g)]
+        # each point its own object, so each has its own motion
+        columns = simulate_module._truth_columns(range(len(points)), list(points[:, np.newaxis]), v_g, intr800)
+        labels = [GroundTruth.LABELS[i] for i in columns["label"]]
         assert labels == [REFERENCE_LABELS[i] for i in label]
 
     def test_all_negative_zero_dot_keeps_its_sign(self):
@@ -720,7 +700,7 @@ def per_point_simulate(scenario):
     return tracks, truths
 
 
-def per_point_truth_document(truths, ids, frame_count):
+def truth_document_by_record(truths, ids, frame_count):
     """The truth document built from PointTruth records, one at a time:
     the reference for truth_document, which reads GroundTruth columns."""
     points = [
@@ -752,7 +732,7 @@ def assert_cli_matches_per_point(scenario):
         argv = ["simulate", tmp / "scene.json", "--out-tracks", tmp / "t.csv", "--out-truth", tmp / "g.json"]
         assert main([str(a) for a in argv]) == 0
         write_tracks_csv(tmp / "want.csv", want_tracks, ids)
-        write_json(tmp / "want.json", per_point_truth_document(want_truths, ids, scenario.frame_count))
+        write_json(tmp / "want.json", truth_document_by_record(want_truths, ids, scenario.frame_count))
         assert (tmp / "t.csv").read_bytes() == (tmp / "want.csv").read_bytes()
         assert (tmp / "g.json").read_bytes() == (tmp / "want.json").read_bytes()
 
@@ -874,11 +854,6 @@ class TestTruthColumns:
         assert [(pt.track_index, pt.object_id, pt.k0) for pt in truth.points[1:3]] == key[1:3]
         with pytest.raises(IndexError):
             truth.points[6]
-
-    def test_point_truth_is_a_one_row_table(self, intr800):
-        pt = point_truth([1.0, 0.5, 9.0], [0.1, 0.0, -1.0], intr800)
-        assert (pt.track_index, pt.object_id, pt.cluster_id, pt.valid_frames) == (0, "point", 0, 0)
-        assert pt.label is MotionClass.APPROACHING and pt.k0 > 0.0
 
 
 class TestOverflow:
