@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _AT_INFINITY, BehindCamera, DegenerateGeometry, InvalidInput, _reason_error, _whole
+from .errors import _AT_INFINITY, BehindCamera, DegenerateGeometry, InvalidInput, _plain, _real, _reason_error, _whole
 
 __all__ = [
     "CameraIntrinsics",
@@ -47,13 +47,22 @@ def as_pixel(p) -> np.ndarray:
     unwrapped first, so estimator outputs can be passed wherever a pixel
     is expected.
     """
-    p = getattr(p, "position", p)
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.shape != (2,):
-        raise InvalidInput(f"pixel point must have shape (2,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"pixel point must be finite, got {arr}")
-    return arr
+    return _vector(getattr(p, "position", p), 2, "pixel point")
+
+
+def _vector(value, n: int, name: str) -> np.ndarray:
+    """value as a finite float64 array of shape (n,), else InvalidInput
+    naming name: the one check of a fixed-length vector."""
+    try:
+        vector = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise InvalidInput(f"{name} has a number too large for float64") from None
+    except (TypeError, ValueError):
+        vector = None
+    if vector is None or vector.shape != (n,) or not np.isfinite(vector).all():
+        got = _plain(value) if vector is None or vector.ndim == 0 else vector.tolist()
+        raise InvalidInput(f"{name} must be a finite {n}-vector, got {got!r}")
+    return vector
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,18 +118,13 @@ class CameraIntrinsics:
     allow_off_center: bool = False
 
     def __post_init__(self):
-        f = float(self.focal_px)
-        if not np.isfinite(f) or f <= 0.0:
-            raise InvalidInput(f"focal_px must be positive and finite, got {self.focal_px}")
-        u0, v0 = (float(c) for c in self.principal_point)
-        if not (np.isfinite(u0) and np.isfinite(v0)):
-            raise InvalidInput(f"principal point must be finite, got {self.principal_point}")
-        object.__setattr__(self, "focal_px", f)
+        object.__setattr__(self, "focal_px", _real(self.focal_px, "focal_px", gt=0))
+        u0, v0 = _vector(self.principal_point, 2, "principal_point").tolist()
         object.__setattr__(self, "principal_point", (u0, v0))
         if self.image_size is not None:
             w, h = size = tuple(_whole(n) for n in self.image_size)
             if None in size or w <= 0 or h <= 0:
-                raise InvalidInput(f"image_size must be positive integers, got {self.image_size}")
+                raise InvalidInput(f"image_size must be positive integers, got {_plain(self.image_size)}")
             object.__setattr__(self, "image_size", size)
             inside = 0.0 <= u0 <= w and 0.0 <= v0 <= h
             if not inside and not self.allow_off_center:
@@ -169,7 +173,7 @@ def project(point, intrinsics: CameraIntrinsics) -> np.ndarray:
     z = pts[:, 2]
     if np.any(z <= 0.0):
         bad = pts[z <= 0.0][0]
-        raise BehindCamera(f"cannot project point with Z <= 0: {bad}")
+        raise BehindCamera(f"cannot project point with Z <= 0: {bad.tolist()}")
     uv = intrinsics.pp + intrinsics.focal_px * pts[:, :2] / z[:, np.newaxis]
     return uv[0] if single else uv
 
@@ -211,8 +215,9 @@ class LineAngleFrame:
         Raises:
             DegenerateGeometry: angle within ~1e-12 of an odd multiple
                 of pi/2 (the requested pixel lies at infinity).
+            InvalidInput: angle not a finite real.
         """
-        a = float(angle)
+        a = _real(angle, "angle")
         if abs(np.cos(a)) < 1e-12:
             raise _reason_error(_AT_INFINITY, {"angle": [a]})
         return self.foot + self.depth * np.tan(a) * self.direction
@@ -231,7 +236,7 @@ def line_angle_frame(a, b, intrinsics: CameraIntrinsics) -> LineAngleFrame:
     chord = pb - pa
     norm = float(np.linalg.norm(chord))
     if norm == 0.0:
-        raise DegenerateGeometry(f"coincident pixels {pa} define no line")
+        raise DegenerateGeometry(f"coincident pixels {pa.tolist()} define no line")
     direction = chord / norm
     pp = intrinsics.pp
     foot = pa + ((pp - pa) @ direction) * direction

@@ -45,7 +45,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import _STATUS, InsufficientData, InvalidInput, TtcError, _reason_error, _valid_seed, _whole
+from .errors import _STATUS, InsufficientData, InvalidInput, TtcError, _count, _reason_error
 from .presets import PRESET_BASELINE_M, PRESET_DETECTION_ERROR_PX, PRESET_FOCAL_MM, PRESET_HEADING_DEG, PRESET_SPEED_KMH
 
 if TYPE_CHECKING:
@@ -66,17 +66,16 @@ def _seed(args) -> int:
     """--seed if given, else the COLLISION_PLANE_SEED environment variable,
     else 0; a non-negative integer."""
     if args.seed is not None:
-        return _valid_seed(args.seed, "--seed")
+        return _count(args.seed, "--seed", 0)
     raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return _valid_seed(int(raw), SEED_ENV_VAR)
+        return _count(int(raw), SEED_ENV_VAR, 0)
     except ValueError:  # not an integer, or (InvalidInput) a negative one
         raise InvalidInput(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}") from None
 
 
-def _parse_floats(text: str, n: int | tuple[int, ...], what: str) -> list[float]:
+def _parse_floats(text: str, allowed: tuple[int, ...], what: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
-    allowed = (n,) if isinstance(n, int) else n
     if len(parts) not in allowed:
         raise InvalidInput(f"{what}: expected {' or '.join(map(str, allowed))} values, got {len(parts)}")
     try:
@@ -85,20 +84,11 @@ def _parse_floats(text: str, n: int | tuple[int, ...], what: str) -> list[float]
         raise InvalidInput(f"{what}: {exc}") from exc
 
 
-def _integers(values: list[float], what: str) -> list[int]:
-    """values as ints; InvalidInput naming the first that is not whole."""
-    whole = [_whole(v) for v in values]
-    if None in whole:
-        raise InvalidInput(f"{what} must be integers, got {values[whole.index(None)]!r}")
-    return whole
-
-
 def _parse_intrinsics(text: str) -> CameraIntrinsics:
     from .camera import CameraIntrinsics
 
     vals = _parse_floats(text, (3, 5), "--intrinsics")
-    size = tuple(_integers(vals[3:], "--intrinsics: width and height")) if len(vals) == 5 else None
-    return CameraIntrinsics(focal_px=vals[0], principal_point=(vals[1], vals[2]), image_size=size)
+    return CameraIntrinsics(focal_px=vals[0], principal_point=(vals[1], vals[2]), image_size=tuple(vals[3:]) or None)
 
 
 def _epipole_doc(track_id: str | None, position, method: str, residual: float) -> dict:
@@ -147,7 +137,7 @@ def _cmd_simulate(args) -> int:
     scenario = read_scenario(args.scenario)
     overrides = {}
     if args.seed is not None:
-        overrides["rng_seed"] = _valid_seed(args.seed, "--seed")
+        overrides["rng_seed"] = _count(args.seed, "--seed", 0)
     if args.noise_sigma is not None:
         overrides["pixel_noise_sigma"] = args.noise_sigma
     if overrides:  # one replace: each derives the scenario's truth again
@@ -253,7 +243,7 @@ def _cmd_estimate(args) -> int:
             raise InsufficientData(f"horizon calibration needs >= 2 motion clusters, found {len(clusters)}")
         horizon = calibrate_horizon([c.epipole for c in clusters])
     elif args.horizon:
-        a, b = _parse_floats(args.horizon, 2, "--horizon")
+        a, b = _parse_floats(args.horizon, (2,), "--horizon")
         horizon = HorizonLine.from_slope_intercept(a, b)
     if horizon is not None:
         document["horizon"] = _horizon_doc(horizon)
@@ -382,14 +372,7 @@ def _cmd_collision_map(args) -> int:
     from .simulate import GridSpec, collision_map
 
     scenario = read_scenario(args.scenario)
-    lat_ext, fwd_ext, *cells = _parse_floats(args.grid, 4, "--grid")
-    lat_cells, fwd_cells = _integers(cells, "--grid: cell counts")
-    grid = GridSpec(
-        lateral_extent=lat_ext,
-        forward_extent=fwd_ext,
-        lateral_cells=lat_cells,
-        forward_cells=fwd_cells,
-    )
+    grid = GridSpec(*_parse_floats(args.grid, (4,), "--grid"))
     cmap = collision_map(scenario, grid, collision_radius=args.radius)
     write_collision_map_csv(args.out, cmap)
     return 0

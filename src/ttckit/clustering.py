@@ -39,7 +39,6 @@ stream as one rng.choice(m, size=2, replace=False) call per hypothesis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ from .epipole import (
     _flow_lines,
     _least_squares_epipole,
 )
-from .errors import _ZERO_DISPLACEMENT, InvalidInput, _reason_error, _valid_seed
+from .errors import _ZERO_DISPLACEMENT, InvalidInput, _count, _real, _reason_error
 from .ttc import TrackObservation, TrackTable, _decompose, ttc_batch
 
 __all__ = [
@@ -77,15 +76,15 @@ class ClusteringConfig:
         eps_dist: inlier threshold on flow-line-to-epipole distance, px;
             finite and > 0.
         eps_ttc: inlier threshold on |k - consensus k|, frames; finite
-            and > 0. None
-            selects the adaptive default max(1.0, 0.1 * |median k|),
-            which treats near and far objects uniformly.
-        max_iterations: RANSAC hypothesis budget per extraction round;
-            rounds with at most this many candidate pairs enumerate them
-            all instead of sampling.
-        min_cluster_size: smallest reportable cluster. Two non-parallel
-            lines always intersect somewhere, so 3 is the smallest value
-            that rejects spurious pairings.
+            and > 0. None selects the adaptive default
+            max(1.0, 0.1 * |median k|), which treats near and far objects
+            uniformly.
+        max_iterations: RANSAC hypothesis budget per extraction round,
+            an integer >= 1; rounds with at most this many candidate
+            pairs enumerate them all instead of sampling.
+        min_cluster_size: smallest reportable cluster, an integer >= 3.
+            Two non-parallel lines always intersect somewhere, so 3 is
+            the smallest value that rejects spurious pairings.
         rng_seed: seed for the hypothesis sampler, a non-negative integer.
     """
 
@@ -96,15 +95,12 @@ class ClusteringConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps_dist) and self.eps_dist > 0.0):
-            raise InvalidInput(f"eps_dist must be finite and > 0, got {self.eps_dist}")
-        if self.eps_ttc is not None and not (math.isfinite(self.eps_ttc) and self.eps_ttc > 0.0):
-            raise InvalidInput(f"eps_ttc must be finite and > 0, or None, got {self.eps_ttc}")
-        if self.max_iterations < 1:
-            raise InvalidInput(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.min_cluster_size < 3:
-            raise InvalidInput(f"min_cluster_size must be >= 3, got {self.min_cluster_size}")
-        object.__setattr__(self, "rng_seed", _valid_seed(self.rng_seed, "rng_seed"))
+        object.__setattr__(self, "eps_dist", _real(self.eps_dist, "eps_dist", gt=0))
+        if self.eps_ttc is not None:
+            object.__setattr__(self, "eps_ttc", _real(self.eps_ttc, "eps_ttc", gt=0))
+        object.__setattr__(self, "max_iterations", _count(self.max_iterations, "max_iterations", 1))
+        object.__setattr__(self, "min_cluster_size", _count(self.min_cluster_size, "min_cluster_size", 3))
+        object.__setattr__(self, "rng_seed", _count(self.rng_seed, "rng_seed", 0))
 
     def effective_eps_ttc(self, median_k):
         """The TTC gate around a median k, or around each of an array of them."""

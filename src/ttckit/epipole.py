@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _dot_rows, _unit_rows, as_pixel
+from .camera import CameraIntrinsics, _dot_rows, _unit_rows, _vector, as_pixel
 from .errors import (
     _ALL_PARALLEL, _AT_INFINITY, _EPS_TAN, _FEW_FLOWS, _FEW_FRAMES, _PARALLEL_TO_HORIZON, _TTC_UNDEFINED,
     _UNIFORM_ANGLES, _ZERO_DISPLACEMENT, _ZERO_FLOW, EPS_PARALLEL_DEG, InsufficientData, InvalidInput, SingularGeometry,
-    _reason_error,
+    _real, _reason_error,
 )
 from .ttc import TrackObservation, TrackTable, _decompose
 
@@ -76,8 +76,7 @@ class Epipole:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_pixel(self.position))
-        if not np.isfinite(self.residual) or self.residual < 0.0:
-            raise InvalidInput(f"residual must be finite and >= 0, got {self.residual}")
+        object.__setattr__(self, "residual", _real(self.residual, "residual", ge=0))
 
 
 @dataclass(frozen=True)
@@ -96,25 +95,21 @@ class HorizonLine:
     fit_residual: float = 0.0
 
     def __post_init__(self):
-        ref = as_pixel(self.reference)
-        d = np.asarray(self.direction, dtype=np.float64)
-        if d.shape != (2,) or not np.all(np.isfinite(d)):
-            raise InvalidInput(f"direction must be a finite 2-vector, got {d}")
-        unit, zero = _unit_rows(d[np.newaxis])
+        object.__setattr__(self, "reference", as_pixel(self.reference))
+        unit, zero = _unit_rows(_vector(self.direction, 2, "direction")[np.newaxis])
         if zero[0]:
             raise InvalidInput("direction must be nonzero")
-        object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "direction", unit[0])
 
     @classmethod
     def level(cls, v0: float) -> "HorizonLine":
         """Horizontal horizon v = v0 of a level camera."""
-        return cls(reference=np.array([0.0, float(v0)]), direction=np.array([1.0, 0.0]))
+        return cls(reference=(0.0, v0), direction=(1.0, 0.0))
 
     @classmethod
     def from_slope_intercept(cls, a: float, b: float) -> "HorizonLine":
         """Line v = a * u + b."""
-        return cls(reference=np.array([0.0, float(b)]), direction=np.array([1.0, float(a)]))
+        return cls(reference=(0.0, b), direction=(1.0, a))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,14 @@ row (0 for a valid row), never an exception. _REASONS maps a code to its
 exception class and message template; _reason_error alone turns a code
 into text, from plain Python values, for the one-row APIs' exceptions and
 the messages of result documents. Only InvalidInput indicates caller error.
-_whole alone decides whether a number given as a count or a seed is whole.
+Each public constructor and function checks an input number by one rule
+of its kind: _real a real, _count a count or a seed, camera._vector a
+fixed-length vector. Messages print Python values (_plain), never numpy's.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class TtcError(Exception):
@@ -109,11 +113,15 @@ _STATUS = {
 def _reason_error(code: int, columns: dict, i: int = 0) -> TtcError:
     """The exception of row i, whose reason is code, its message the
     code's template filled from columns (column name: the rows' values),
-    a numpy value in its Python form (.tolist()): numpy's own print cuts
-    digits and follows process-wide print options."""
+    a numpy value in its Python form (_plain)."""
     error, template = _REASONS[code]
-    fields = {name: column[i] for name, column in columns.items()}
-    return error(template.format_map({k: v.tolist() if hasattr(v, "tolist") else v for k, v in fields.items()}))
+    return error(template.format_map({name: _plain(column[i]) for name, column in columns.items()}))
+
+
+def _plain(value):
+    """value in its Python form: a numpy value's .tolist(), since numpy's
+    own print cuts digits and follows process-wide print options."""
+    return value.tolist() if hasattr(value, "tolist") else value
 
 
 def _whole(value) -> int | None:
@@ -127,10 +135,29 @@ def _whole(value) -> int | None:
         return None
 
 
-def _valid_seed(value, name: str) -> int:
-    """value as a generator seed; InvalidInput naming name unless it is a
-    non-negative whole number (numpy rejects a negative seed)."""
-    seed = _whole(value)
-    if seed is None or seed < 0:
-        raise InvalidInput(f"{name} must be a non-negative integer, got {value!r}")
-    return seed
+def _real(value, name: str, *, gt=None, ge=None) -> float:
+    """value, whatever float() takes (a numeric string too), as a finite
+    float > gt or >= ge when one is given; else InvalidInput naming name,
+    or naming it too large for float64, digits unechoed, if float() overflows."""
+    try:
+        real = float(value)
+    except OverflowError:
+        raise InvalidInput(f"{name} is too large for float64") from None
+    except (TypeError, ValueError):
+        real = math.nan
+    if not math.isfinite(real):
+        raise InvalidInput(f"{name} must be finite, got {_plain(value)!r}")
+    if (gt is not None and real <= gt) or (ge is not None and real < ge):
+        bound = f"> {gt}" if gt is not None else f">= {ge}"
+        raise InvalidInput(f"{name} must be {bound}, got {_plain(value)!r}")
+    return real
+
+
+def _count(value, name: str, low: int) -> int:
+    """value, a whole number (_whole), as an int >= low, else InvalidInput
+    naming name; a generator seed has low 0, as numpy rejects a negative one."""
+    count = _whole(value)
+    if count is None or count < low:
+        what = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise InvalidInput(f"{name} must be {what}, got {_plain(value)!r}")
+    return count

@@ -19,12 +19,12 @@ byte-identical files. Parse failures raise InvalidInput with the
 offending line or field named.
 
 Track files and the per-track lists of result documents pass through
-memory _CHUNK rows at a time: the CSV is parsed in line-aligned pieces
-and written in row chunks, and a document's lazy row list (ttc._Rows)
-builds and encodes its entries chunk by chunk. Beyond the file's own
-text and the arrays, memory is bounded by the chunk size, not by the
-file size, for a rejected file too; the bytes are those of a whole-file
-parse and json.dumps.
+memory _CHUNK rows at a time: the CSV is read and parsed in line-aligned
+pieces and written in row chunks, and a document's lazy row list
+(ttc._Rows) builds and encodes its entries chunk by chunk. Beyond the
+arrays, memory is bounded by the chunk size, not by the file size, for a
+rejected file too: the file's text is never held whole. The bytes are
+those of a whole-file parse and json.dumps.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     """Parse a track CSV.
 
     Track ids are kept verbatim, surrounding whitespace included. The
-    text is read once and parsed as columns, one line-aligned piece at a
-    time.
+    file is read and parsed as columns one piece of whole lines (about
+    _PIECE characters) at a time, so its text is never held whole.
 
     Returns:
         (ids, tracks) in first-appearance order of track_id; tracks is a
@@ -193,31 +193,22 @@ def read_tracks_csv(path) -> tuple[list[str], TrackTable]:
     Raises:
         InvalidInput: non-UTF-8 text or malformed header/rows, a frame
             index beyond 64 bits included, named by path and 1-based line
-            number; else a track of under 2 rows or with frame steps other
-            than 1, named by path and track id.
+            number (a bad line ahead of bad UTF-8 is the one named); else
+            a track of under 2 rows or with frame steps other than 1,
+            named by path and track id.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # _PIECE characters and the rest of their line: a piece ends with a
+            # "\n", which ends a line for str.splitlines too, so the pieces'
+            # lines are the file's, split where write_tracks_csv's id rule expects
+            pieces = iter(lambda: (fh.read(_PIECE) + fh.readline()).splitlines(), [])
+            lines = next(pieces, [])
+            if not lines or lines[0].strip() != TRACKS_HEADER:
+                raise InvalidInput(f"{path}: line 1: expected header {TRACKS_HEADER!r}")
+            return _table_from_columns(path, lines[1:], pieces)
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
-    pieces = _line_pieces(text)
-    lines = next(pieces, [])
-    if not lines or lines[0].strip() != TRACKS_HEADER:
-        raise InvalidInput(f"{path}: line 1: expected header {TRACKS_HEADER!r}")
-    return _table_from_columns(path, lines[1:], pieces)
-
-
-def _line_pieces(text: str):
-    """text.splitlines() in pieces of at least _PIECE characters.
-    Each piece but the last ends just after a "\\n". A "\\n" always ends
-    a line ("\\r\\n" included), so the pieces' lines, one after another,
-    are the text's."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
-        yield text[start:end].splitlines()
-        start = end
 
 
 def _table_from_columns(path, lines: list[str], pieces=()) -> tuple[list[str], TrackTable]:

@@ -48,13 +48,14 @@ forward block, not once per (cell, point).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .camera import CameraIntrinsics, project
-from .errors import InvalidInput, _valid_seed, _whole
+from .camera import CameraIntrinsics, _vector, project
+from .errors import InvalidInput, _count, _plain, _real, _whole
 from .ttc import MotionClass, TrackTable, _Rows
 
 __all__ = [
@@ -102,11 +103,8 @@ class SceneObject:
             raise InvalidInput("points must be finite")
         if np.any(pts[:, 2] <= 0.0):
             raise InvalidInput(f"object {self.object_id!r}: initial Z must be > 0")
-        vel = np.asarray(self.velocity, dtype=np.float64)
-        if vel.shape != (3,) or not np.all(np.isfinite(vel)):
-            raise InvalidInput(f"velocity must be a finite 3-vector, got {vel}")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "velocity", vel)
+        object.__setattr__(self, "velocity", _vector(self.velocity, 3, "velocity"))
 
 
 @dataclass(frozen=True)
@@ -134,17 +132,10 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        frame_count = _whole(self.frame_count)
-        if frame_count is None or frame_count < 2:
-            raise InvalidInput(f"frame_count must be an integer >= 2, got {self.frame_count}")
-        object.__setattr__(self, "frame_count", frame_count)
-        if not np.isfinite(self.pixel_noise_sigma) or self.pixel_noise_sigma < 0.0:
-            raise InvalidInput(f"pixel_noise_sigma must be >= 0, got {self.pixel_noise_sigma}")
-        vel = np.asarray(self.camera_velocity, dtype=np.float64)
-        if vel.shape != (3,) or not np.all(np.isfinite(vel)):
-            raise InvalidInput(f"camera_velocity must be a finite 3-vector, got {vel}")
-        object.__setattr__(self, "camera_velocity", vel)
-        object.__setattr__(self, "rng_seed", _valid_seed(self.rng_seed, "rng_seed"))
+        object.__setattr__(self, "frame_count", _count(self.frame_count, "frame_count", 2))
+        object.__setattr__(self, "pixel_noise_sigma", _real(self.pixel_noise_sigma, "pixel_noise_sigma", ge=0))
+        object.__setattr__(self, "camera_velocity", _vector(self.camera_velocity, 3, "camera_velocity"))
+        object.__setattr__(self, "rng_seed", _count(self.rng_seed, "rng_seed", 0))
         # An empty object tuple is a valid (if quiet) scenario.
         object.__setattr__(self, "objects", tuple(self.objects))
         _scenario_truth(self)  # rejects relative motion or truth that overflows
@@ -408,12 +399,17 @@ def simulate(scenario: Scenario) -> tuple[TrackTable, GroundTruth]:
     object takes one projection and one noise draw, in point-major order.
 
     Raises:
-        InvalidInput: a pixel overflows float64; the message names the
-            object.
+        InvalidInput: a pixel overflows float64, the message naming the
+            object; or frame_count is too large to render, its arrays
+            past the np.intp bytes numpy can index.
     """
+    frame_count = scenario.frame_count
+    # 24 bytes per (point, frame): a position (3 float64) while rendering, then a pixel and a frame index
+    limit = np.iinfo(np.intp).max
+    if 24 * max(sum(len(obj.points) for obj in scenario.objects), 1) * frame_count > limit:
+        raise InvalidInput(f"frame_count {frame_count} is too large: its render arrays would exceed {limit} bytes")
     # only noise draws from it, and importing numpy.random costs about 5 MB
     rng = np.random.default_rng(scenario.rng_seed) if scenario.pixel_noise_sigma > 0.0 else None
-    frame_count = scenario.frame_count
     steps = np.arange(frame_count, dtype=np.float64)
     columns = _scenario_truth(scenario)
     valid, kept, pixels = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros((0, 2))]
@@ -459,15 +455,16 @@ class GridSpec:
         for name, cells in (("lateral_cells", self.lateral_cells), ("forward_cells", self.forward_cells)):
             whole = _whole(cells)
             if whole is None or whole < 1 or whole % 2 == 0:
-                raise InvalidInput(f"{name} must be an odd positive integer, got {cells}")
+                raise InvalidInput(f"{name} must be an odd positive integer, got {_plain(cells)}")
+            object.__setattr__(self, name, whole)
         for name, extent, cells in (
             ("lateral_extent", self.lateral_extent, self.lateral_cells),
             ("forward_extent", self.forward_extent, self.forward_cells),
         ):
-            if not np.isfinite(extent) or extent < 0.0:
-                raise InvalidInput(f"{name} must be finite and >= 0, got {extent}")
+            extent = _real(extent, name, ge=0)
             if cells > 1 and extent <= 0.0:
                 raise InvalidInput(f"{name} must be > 0 for {cells} cells")
+            object.__setattr__(self, name, extent)
 
     @staticmethod
     def _centers(extent: float, cells: int) -> np.ndarray:
@@ -539,8 +536,9 @@ def collision_map(
             happens in GridSpec), or a cell whose relative motion or
             truth overflows float64, named with its object.
     """
-    if not np.isfinite(collision_radius) or collision_radius <= 0.0:
-        raise InvalidInput(f"collision_radius must be > 0, got {collision_radius}")
+    collision_radius = _real(collision_radius, "collision_radius", gt=0)
+    # a frame count past float64 is a lookahead no finite k reaches
+    lookahead = min(scenario.frame_count, sys.float_info.max)
     lat = grid.lateral_offsets
     fwd = grid.forward_offsets
     shape = (len(fwd), len(lat))
@@ -583,7 +581,7 @@ def collision_map(
             min_ttc[rows, chunk] = cell_ttc.reshape(block)
             miss[rows, chunk] = np.where(cell_ttc < np.inf, miss_m[cells, nearest], np.nan).reshape(block)
             hit[rows, chunk] = np.any(
-                (ttc <= scenario.frame_count) & (miss_m < collision_radius), axis=1
+                (ttc <= lookahead) & (miss_m < collision_radius), axis=1
             ).reshape(block)
     return CollisionMap(
         lateral_offsets=lat,
@@ -591,7 +589,7 @@ def collision_map(
         min_ttc=min_ttc,
         miss_distance=miss,
         collision=hit,
-        collision_radius=float(collision_radius),
+        collision_radius=collision_radius,
         frame_count=scenario.frame_count,
     )
 

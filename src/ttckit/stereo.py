@@ -33,7 +33,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, project
 from .epipole import HorizonLine, _cut_horizon, _tls_lines
-from .errors import InvalidInput, _valid_seed
+from .errors import InvalidInput, _count, _real
 from .presets import (
     PRESET_BASELINE_M,
     PRESET_DETECTION_ERROR_PX,
@@ -60,13 +60,8 @@ _HEIGHT_OFFSET_M = 2.0
 
 
 def focal_px_from_metric(focal_mm: float, pixel_pitch_um: float) -> float:
-    """Convert a metric focal length to pixels via the sensor pixel pitch."""
-    for name, value in (("focal_mm", focal_mm), ("pixel_pitch_um", pixel_pitch_um)):
-        if not math.isfinite(value):
-            raise InvalidInput(f"{name} must be finite, got {value}")
-    if focal_mm <= 0.0 or pixel_pitch_um <= 0.0:
-        raise InvalidInput("focal_mm and pixel_pitch_um must be > 0")
-    return float(focal_mm * 1000.0 / pixel_pitch_um)
+    """A metric focal length in pixels via the sensor pixel pitch, both reals > 0."""
+    return _real(focal_mm, "focal_mm", gt=0) * 1000.0 / _real(pixel_pitch_um, "pixel_pitch_um", gt=0)
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class StereoErrorModel:
         heading_deg: motion direction in the horizontal plane, degrees
             from the optical axis (0 = head-on).
 
-    Every field must be finite; NaN or infinity raises InvalidInput.
+    Each field is a real (errors._real) within its bound, stored as a float.
     """
 
     baseline_m: float
@@ -91,17 +86,9 @@ class StereoErrorModel:
     heading_deg: float
 
     def __post_init__(self):
-        for name in ("baseline_m", "focal_px", "detection_error_px", "speed_mps", "heading_deg"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
-        if self.baseline_m <= 0.0:
-            raise InvalidInput(f"baseline_m must be > 0, got {self.baseline_m}")
-        if self.focal_px <= 0.0:
-            raise InvalidInput(f"focal_px must be > 0, got {self.focal_px}")
-        if self.detection_error_px < 0.0:
-            raise InvalidInput(f"detection_error_px must be >= 0, got {self.detection_error_px}")
-        if self.speed_mps <= 0.0:
-            raise InvalidInput(f"speed_mps must be > 0, got {self.speed_mps}")
+        for name, bound in (("baseline_m", "gt"), ("focal_px", "gt"), ("detection_error_px", "ge"), ("speed_mps", "gt")):
+            object.__setattr__(self, name, _real(getattr(self, name), name, **{bound: 0}))
+        object.__setattr__(self, "heading_deg", _real(self.heading_deg, "heading_deg"))
 
 
 def preset_approach_45deg(pixel_pitch_um: float) -> StereoErrorModel:
@@ -115,25 +102,37 @@ def preset_approach_45deg(pixel_pitch_um: float) -> StereoErrorModel:
     )
 
 
+def _depths(z_m) -> np.ndarray:
+    """z_m, a depth or an array of them, as float64; the module's one depth
+    rule: InvalidInput from errors._real for the first that is not > 0."""
+    try:
+        z = np.asarray(z_m, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        z = np.asarray(_real(z_m, "depth", gt=0))
+    bad = ~np.isfinite(z) | (z <= 0.0)
+    if bad.any():
+        _real(z[bad][0], "depth", gt=0)
+    return z
+
+
 def disparity_px(model: StereoErrorModel, z_m) -> np.ndarray | float:
-    """Stereo disparity B f / Z in pixels."""
-    z = np.asarray(z_m, dtype=np.float64)
-    if np.any(z <= 0.0):
-        raise InvalidInput("depth must be > 0")
-    d = model.baseline_m * model.focal_px / z
+    """Stereo disparity B f / Z in pixels, of finite depths Z > 0; one
+    too large for float64 (a tiny Z) is inf, without a warning."""
+    z = _depths(z_m)
+    with np.errstate(over="ignore"):
+        d = model.baseline_m * model.focal_px / z
     return float(d) if np.isscalar(z_m) else d
 
 
 def stereo_depth_error(model: StereoErrorModel, z_m) -> np.ndarray | float:
-    """First-order depth error dZ = Z^2 dp / (B f). Accepts scalars or arrays.
+    """First-order depth error dZ = Z^2 dp / (B f). Accepts scalars or
+    arrays of finite depths Z > 0.
 
     Evaluated as Z (Z (dp / (B f))), so no Z^2 intermediate overflows: a
     depth whose error fits in float64 gets it, and one whose error does
     not gets inf, without a warning.
     """
-    z = np.asarray(z_m, dtype=np.float64)
-    if np.any(z <= 0.0):
-        raise InvalidInput("depth must be > 0")
+    z = _depths(z_m)
     with np.errstate(over="ignore"):
         dz = z * (z * (model.detection_error_px / (model.baseline_m * model.focal_px)))
     return float(dz) if np.isscalar(z_m) else dz
@@ -212,36 +211,36 @@ def orientation_error_sweep(
 
     Args:
         model: rig and motion parameters.
-        z_values: depths in meters, finite.
-        frame_dt: seconds per frame, finite and > 0.
-        track_frames: observations per segment, >= 2; heading accuracy
-            of the monocular method scales with segment length.
-        trials: Monte-Carlo repetitions per depth.
+        z_values: depths in meters, finite reals.
+        frame_dt: seconds per frame, a finite real > 0 whose step,
+            speed_mps * frame_dt, has a square that does not underflow.
+        track_frames: observations per segment, an integer >= 2; heading
+            accuracy of the monocular method scales with segment length.
+        trials: Monte-Carlo repetitions per depth, an integer >= 1; with
+            track_frames, its noise array must fit numpy's index range.
         rng_seed: seed, a non-negative integer; identical calls
             reproduce identical tables.
 
     Returns:
         SensitivityTable with one row per depth.
     """
-    rng_seed = _valid_seed(rng_seed, "rng_seed")
-    if track_frames < 2:
-        raise InvalidInput(f"track_frames must be >= 2, got {track_frames}")
-    if trials < 1:
-        raise InvalidInput(f"trials must be >= 1, got {trials}")
-    if not math.isfinite(frame_dt):
-        raise InvalidInput(f"frame_dt must be finite, got {frame_dt}")
-    if frame_dt <= 0.0:
-        raise InvalidInput(f"frame_dt must be > 0, got {frame_dt}")
-    z_values = [float(z) for z in np.atleast_1d(np.asarray(z_values, dtype=np.float64))]
-    for z in z_values:
-        if not math.isfinite(z):
-            raise InvalidInput(f"z_values must be finite, got {z}")
+    rng_seed = _count(rng_seed, "rng_seed", 0)
+    track_frames = _count(track_frames, "track_frames", 2)
+    trials = _count(trials, "trials", 1)
+    # the noise array, (trials, 2 * track_frames + 4) float64, is the largest
+    limit = np.iinfo(np.intp).max
+    if trials * (2 * track_frames + 4) * 8 > limit:
+        raise InvalidInput(f"trials {trials} with {track_frames} frames: the noise array would exceed {limit} bytes")
+    frame_dt = _real(frame_dt, "frame_dt", gt=0)
+    z_values = [_real(z, "z_values") for z in np.atleast_1d(np.asarray(z_values, dtype=object))]
 
     intr = CameraIntrinsics(focal_px=model.focal_px, principal_point=(0.0, 0.0))
     f = model.focal_px
     theta = math.radians(model.heading_deg)
     v_g = model.speed_mps * np.array([-math.sin(theta), 0.0, -math.cos(theta)])
     step = v_g * frame_dt
+    if not step @ step > 0.0:  # k's denominator
+        raise InvalidInput(f"frame_dt {frame_dt} s at {model.speed_mps} m/s: the step's square underflows float64")
     b = model.baseline_m
     span = track_frames - 1
 
@@ -257,8 +256,9 @@ def orientation_error_sweep(
                 f"minimum usable depth is {0.1 - span * step[2]:.2f} m"
             )
         pixels_true = project(positions, intr)
-        # True quantities for this depth.
-        k_true = float(-(p_start @ step) / (step @ step))
+        # True quantities for this depth; a k past float64 fails the row below.
+        with np.errstate(over="ignore"):
+            k_true = float(-(p_start @ step) / (step @ step))
         # One row of noise per trial: the monocular track, then the left
         # and the right detections of the first two frames.
         noise = rng.normal(0.0, model.detection_error_px, size=(trials, 2 * track_frames + 4))

@@ -43,7 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, _dot_rows, _zero_rows, as_pixel
-from .errors import _COINCIDENT, _CONSTANT_BEARING, _EPS_TAN, _NOT_FINITE, _ZERO_FLOW, InvalidInput, _reason_error
+from .errors import (
+    _COINCIDENT, _CONSTANT_BEARING, _EPS_TAN, _NOT_FINITE, _ZERO_FLOW, InvalidInput, _count, _plain, _real,
+    _reason_error,
+)
 
 __all__ = [
     "CollisionEstimate",
@@ -88,15 +91,13 @@ class TrackObservation:
         except (TypeError, ValueError, OverflowError):
             frames = None
         if frames is None or np.any(frames != np.asarray(self.frames)):
-            raise InvalidInput(f"frame indices must be 64-bit integers, got {self.frames!r}")
+            raise InvalidInput(f"frame indices must be 64-bit integers, got {_plain(self.frames)!r}")
         frames = frames if frames.ndim == 1 else np.zeros(0, np.int64)  # not a sequence: no frames
         if problem := _track_problem(frames, np.zeros(1, np.int64), np.array([len(frames)])):
             raise InvalidInput(problem[1])
         positions = np.asarray(self.positions, dtype=np.float64)
         if positions.shape != (len(frames), 2):
-            raise InvalidInput(
-                f"positions shape {positions.shape} does not match {len(frames)} frames"
-            )
+            raise InvalidInput(f"positions shape {positions.shape} does not match {len(frames)} frames")
         if not np.all(np.isfinite(positions)):
             raise InvalidInput("track positions must be finite")
         object.__setattr__(self, "frames", tuple(int(f) for f in frames))
@@ -130,7 +131,7 @@ def _track_problem(frames: np.ndarray, start: np.ndarray, length: np.ndarray) ->
     if length[t] < 2:
         return t, "track needs at least 2 frames"
     steps = np.diff(frames[start[t]:start[t] + length[t]].astype(object))  # exact where int64 wraps
-    return t, f"frame indices must increase by exactly 1, got steps {steps}"
+    return t, f"frame indices must increase by exactly 1, got steps {steps.tolist()}"
 
 
 class TrackTable(Sequence):
@@ -360,9 +361,10 @@ def collision_estimate(
             angular motion). Callers should report MotionClass
             CONSTANT_BEARING with H = 0 instead of failing.
         DegenerateGeometry: epipole coincides with a track point, or a value overflows.
-        InvalidInput: pair_index out of range.
+        InvalidInput: pair_index not an integer >= 0, or out of range.
     """
-    if not 0 <= pair_index <= len(track) - 2:
+    pair_index = _count(pair_index, "pair_index", 0)
+    if pair_index > len(track) - 2:
         raise InvalidInput(f"pair_index {pair_index} out of range for {len(track)} frames")
     e = as_pixel(epipole)
     pair = track.positions[pair_index : pair_index + 2]
@@ -376,8 +378,10 @@ def classify_motion(track: TrackObservation, epipole, *, eps_px: float = 0.05) -
     """Approaching / receding / constant-bearing from epipole distances.
 
     Compares the pixel distance to the epipole at the last frame against
-    the first. Changes smaller than eps_px count as constant bearing.
+    the first. Changes smaller than eps_px, a finite real >= 0, count as
+    constant bearing.
     """
+    eps_px = _real(eps_px, "eps_px", ge=0)
     e = as_pixel(epipole)
     d_first = float(np.linalg.norm(track.pixel(0) - e))
     d_last = float(np.linalg.norm(track.pixel(len(track) - 1) - e))

@@ -528,7 +528,7 @@ class TestEstimateCommand:
             "--mode", "least-squares", "--out", out,
         )
         assert code == 2
-        assert "--intrinsics: width and height must be integers" in capsys.readouterr().err
+        assert "image_size must be positive integers, got (640.5, 480.0)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_horizon_string(self, planar_files, capsys):
@@ -816,13 +816,16 @@ class TestCollisionMapCommand:
         assert code == 2
         assert "odd" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cells", ["11.7,3", "5,inf"])
-    def test_non_integer_cells_rejected(self, cells, wall_scene, tmp_path, capsys):
+    @pytest.mark.parametrize("cells, message", [
+        ("11.7,3", "lateral_cells must be an odd positive integer, got 11.7"),
+        ("5,inf", "forward_cells must be an odd positive integer, got inf"),
+    ], ids=["11.7,3", "5,inf"])
+    def test_non_integer_cells_rejected(self, cells, message, wall_scene, tmp_path, capsys):
         # int() would write an 11 x 3 map for 11.7 cells, and fail on inf
         out = tmp_path / "m.csv"
         code = run("collision-map", wall_scene, "--grid", f"1,1,{cells}", "--out", out)
         assert code == 2
-        assert "--grid: cell counts must be integers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_radius_rejected(self, wall_scene, tmp_path):
@@ -1620,9 +1623,9 @@ class TestCommaListValues:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["estimate", "{tracks}", "--intrinsics", "-800,320,240", "--mode", "least-squares"], "focal_px must be positive"),
-        (["cluster", "{tracks}", "--intrinsics", "-800,320,240"], "focal_px must be positive"),
-        (["collision-map", "{scene}", "--grid", "-2,2,5,5", "--out", "{out}"], "lateral_extent must be finite and >= 0"),
+        (["estimate", "{tracks}", "--intrinsics", "-800,320,240", "--mode", "least-squares"], "focal_px must be > 0, got -800.0"),
+        (["cluster", "{tracks}", "--intrinsics", "-800,320,240"], "focal_px must be > 0, got -800.0"),
+        (["collision-map", "{scene}", "--grid", "-2,2,5,5", "--out", "{out}"], "lateral_extent must be >= 0, got -2.0"),
         (["sensitivity", "--focal-px", "800", "--z-values", "-10,20", "--out", "{out}"], "Z = -10.0 m leaves the segment behind"),
     ])
     def test_every_comma_list_option_reaches_its_check(self, argv, message, planar_files, tmp_path, capsys):
@@ -1706,6 +1709,14 @@ class TestErrorPathMessages:
         self.assert_one_error(code, capsys, message, tracks)
         assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
 
+    @pytest.mark.parametrize("frame_count", [2**63, 2**62, 10**20])
+    def test_frame_count_too_large_to_render(self, frame_count, tmp_path, capsys):
+        code, tracks = self.run_with_field("simulate", "scenario", "frame_count", frame_count, tmp_path)
+        limit = np.iinfo(np.intp).max
+        message = f"frame_count {frame_count} is too large: its render arrays would exceed {limit} bytes"
+        self.assert_one_error(code, capsys, message, tracks)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
     @staticmethod
     def run_with_field(command, where, key, value, tmp_path):
         """(exit code, output path) of simulate or collision-map on
@@ -1726,7 +1737,7 @@ class TestErrorPathMessages:
         ("scenario", "frame_count", math.inf, "frame_count must be an integer >= 2, got inf"),
         ("scenario", "frame_count", math.nan, "frame_count must be an integer >= 2, got nan"),
         ("object", "points", [[1.0, 10**399, 20.0]], "scenario: objects[0]: int too large to convert to float"),
-        ("intrinsics", "focal_px", 10**399, "scenario: intrinsics: int too large to convert to float"),
+        ("intrinsics", "focal_px", 10**399, "focal_px is too large for float64"),
         ("scenario", "pixel_noise_sigma", 10**399, "scenario: int too large to convert to float"),
         ("scenario", "camera_velocity", [0.0, 10**399, 0.0], "scenario: int too large to convert to float"),
     ], ids=["image-size-inf", "frame-count-inf", "frame-count-nan", "point-400-digits", "focal-400-digits",

@@ -796,7 +796,7 @@ class TestReadPieces:
         path = tmp_path / "t.csv"
         rows = [f"t{i},{f},1.{i},2.{f}" for i in range(30) for f in range(2)]
         path.write_text("\n".join([TRACKS_HEADER, *rows, "t3,3,1.0,2.0"]) + "\n")
-        want = f"{path}: track 't3': frame indices must increase by exactly 1, got steps [1 2]"
+        want = f"{path}: track 't3': frame indices must increase by exactly 1, got steps [1, 2]"
         assert set(outcomes_by_piece_size(path, (1, 7, 64, 10_000)).values()) == {want}
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -921,7 +921,7 @@ class TestMemoryBudget:
         for row, message in (
             ("car-0,0,1.0", f"line {n * frames + 2}: expected 4 fields, got 3"),
             (f"{ids[-1]},{table.frames[-1] + 2},1.0,2.0",
-             f"track {ids[-1]!r}: frame indices must increase by exactly 1, got steps [1 1 1 1 1 2]"),
+             f"track {ids[-1]!r}: frame indices must increase by exactly 1, got steps [1, 1, 1, 1, 1, 2]"),
         ):
             bad_path.write_text(csv_path.read_text() + row + "\n")
             peak, got = traced_peak(lambda: parse_outcome(bad_path))
@@ -930,3 +930,19 @@ class TestMemoryBudget:
         peak, _ = traced_peak(lambda: write_json(json_path, truth_document(truth, ids)))
         assert peak <= json_path.stat().st_size + self.SLACK
         assert json_path.read_bytes().count(b'"track_id"') == n
+
+    def test_read_peak_below_twice_the_file(self, tmp_path):
+        """The reader holds one piece of the text at a time, never the
+        whole text beside the file's bytes: on a CSV of over 1 MB its
+        peak stays below twice the file's size."""
+        n, frames = 5_000, 6
+        positions = np.random.default_rng(1).uniform(0.0, 1000.0, (n * frames, 2))
+        start = np.arange(0, n * frames, frames)
+        table = TrackTable(np.tile(np.arange(frames), n), positions, start, np.full(n, frames))
+        path = tmp_path / "t.csv"
+        write_tracks_csv(path, table)
+        size = path.stat().st_size
+        assert size >= 2**20
+        peak, (_, read) = traced_peak(lambda: read_tracks_csv(path))
+        assert peak < 2 * size
+        assert np.array_equal(read.positions, positions)
