@@ -116,10 +116,13 @@ CASES = [
      InvalidInput, "lateral_cells must be an odd positive integer, got inf"),
     (lambda _: CameraIntrinsics(800.0, (0.0, 0.0), (NAN, 3)),
      InvalidInput, "image_size must be positive integers, got (nan, 3)"),
-    (lambda _: TrackObservation(frames=np.array([1e20, 2e20]), positions=np.zeros((2, 2))),
-     InvalidInput, "frame indices must be 64-bit integers, got [1e+20, 2e+20]"),
-    (lambda _: TrackObservation(frames=np.array([0.0, NAN]), positions=np.zeros((2, 2))),
-     InvalidInput, "frame indices must be 64-bit integers, got [0.0, nan]"),
+    # frames given as a numpy array, printed as a Python list; the id says an array went in
+    pytest.param(lambda _: TrackObservation(frames=np.array([1e20, 2e20]), positions=np.zeros((2, 2))),
+                 InvalidInput, "frame indices must be 64-bit integers, got [1e+20, 2e+20]",
+                 id="frame indices must be 64-bit integers, got array [1e+20, 2e+20]"),
+    pytest.param(lambda _: TrackObservation(frames=np.array([0.0, NAN]), positions=np.zeros((2, 2))),
+                 InvalidInput, "frame indices must be 64-bit integers, got [0.0, nan]",
+                 id="frame indices must be 64-bit integers, got array [0.0, nan]"),
     # a count, a real and a vector, each by its one rule
     (lambda _: ClusteringConfig(max_iterations=2.5),
      InvalidInput, "max_iterations must be an integer >= 1, got 2.5"),
@@ -177,7 +180,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("call, error, message", CASES, ids=[message for _, _, message in CASES])
+@pytest.mark.parametrize("call, error, message", CASES, ids=[getattr(case, "id", None) or case[2] for case in CASES])
 def test_rejected_with_its_message(call, error, message, tmp_path):
     with pytest.raises(error) as raised:
         call(tmp_path)
