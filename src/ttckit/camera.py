@@ -21,6 +21,10 @@ vector in 3D, so tan(angle) = offset / distance holds without
 approximation. No estimator calls it (the three-frame offset fit works
 the same line frame as arrays); it is the independent angular reference
 that their results are checked against.
+
+Inputs: _vector is the one check of a fixed-length vector and _rows of an
+array of points (scene points, track positions, pixel pairs), each naming
+its field; CameraIntrinsics owns its image_size and allow_off_center rules.
 """
 
 from __future__ import annotations
@@ -65,6 +69,25 @@ def _vector(value, n: int, name: str) -> np.ndarray:
     return vector
 
 
+def _rows(value, width: int, name: str, *, single: bool = False) -> np.ndarray:
+    """value as a finite float64 array of shape (N, width), or with single
+    also (width,), else InvalidInput naming name and giving the shape,
+    never the array: the one check of an array of points."""
+    try:
+        rows = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise InvalidInput(f"{name} has a number too large for float64") from None
+    except (TypeError, ValueError):  # not numbers, or ragged
+        rows = None
+    if rows is None or rows.shape[-1:] != (width,) or not (rows.ndim == 2 or single and rows.ndim == 1):
+        shapes = f"({width},) or (N, {width})" if single else f"(N, {width})"
+        got = "" if rows is None else f", got shape {rows.shape}"
+        raise InvalidInput(f"{name} must be an array of numbers of shape {shapes}{got}")
+    if not np.isfinite(rows).all():
+        raise InvalidInput(f"{name} must be finite")
+    return rows
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of (N, d) arrays, shape (N,).
 
@@ -100,12 +123,12 @@ class CameraIntrinsics:
     """Pinhole intrinsics: focal length in pixels, principal point, size.
 
     Args:
-        focal_px: focal length in pixels; must be > 0.
-        principal_point: (u0, v0) in pixels.
-        image_size: (width, height) in pixels, or None when unknown.
-            With a size given, the principal point must lie inside
+        focal_px: focal length in pixels, a finite real > 0.
+        principal_point: (u0, v0) in pixels, a finite 2-vector.
+        image_size: (width, height), positive integers, or None when
+            unknown. With a size given, the principal point must lie in
             [0, width] x [0, height] unless allow_off_center is set.
-        allow_off_center: permit a principal point outside the image.
+        allow_off_center: a bool; True permits a principal point outside the image.
 
     The focal length is always in pixels. Metric focal lengths must be
     converted by the caller with an explicit pixel pitch; see
@@ -121,13 +144,14 @@ class CameraIntrinsics:
         object.__setattr__(self, "focal_px", _real(self.focal_px, "focal_px", gt=0))
         u0, v0 = _vector(self.principal_point, 2, "principal_point").tolist()
         object.__setattr__(self, "principal_point", (u0, v0))
+        if not isinstance(self.allow_off_center, (bool, np.bool_)):
+            raise InvalidInput(f"allow_off_center must be a boolean, got {_plain(self.allow_off_center)!r}")
         if self.image_size is not None:
-            w, h = size = tuple(_whole(n) for n in self.image_size)
-            if None in size or w <= 0 or h <= 0:
-                raise InvalidInput(f"image_size must be positive integers, got {_plain(self.image_size)}")
+            size = tuple(map(_whole, self.image_size)) if np.iterable(self.image_size) else ()
+            if len(size) != 2 or None in size or min(size) <= 0:
+                raise InvalidInput(f"image_size must be positive integers, got {_plain(self.image_size)!r}")
             object.__setattr__(self, "image_size", size)
-            inside = 0.0 <= u0 <= w and 0.0 <= v0 <= h
-            if not inside and not self.allow_off_center:
+            if not (self.allow_off_center or 0.0 <= u0 <= size[0] and 0.0 <= v0 <= size[1]):
                 raise InvalidInput(
                     f"principal point {self.principal_point} outside image "
                     f"{self.image_size}; pass allow_off_center=True to permit"
@@ -162,20 +186,12 @@ def project(point, intrinsics: CameraIntrinsics) -> np.ndarray:
         BehindCamera: if any Z <= 0.
         InvalidInput: non-finite or wrongly shaped input.
     """
-    pts = np.asarray(point, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[np.newaxis, :]
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidInput(f"expected shape (3,) or (N, 3), got {np.shape(point)}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInput("scene points must be finite")
-    z = pts[:, 2]
+    pts = _rows(point, 3, "scene points", single=True)
+    z = pts[..., 2:]  # shape (N, 1), or (1,) for one point
     if np.any(z <= 0.0):
-        bad = pts[z <= 0.0][0]
+        bad = pts.reshape(-1, 3)[z.ravel() <= 0.0][0]
         raise BehindCamera(f"cannot project point with Z <= 0: {bad.tolist()}")
-    uv = intrinsics.pp + intrinsics.focal_px * pts[:, :2] / z[:, np.newaxis]
-    return uv[0] if single else uv
+    return intrinsics.pp + intrinsics.focal_px * pts[..., :2] / z
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .errors import (
     _UNIFORM_ANGLES, _ZERO_DISPLACEMENT, _ZERO_FLOW, EPS_PARALLEL_DEG, InsufficientData, InvalidInput, SingularGeometry,
     _real, _reason_error,
 )
-from .ttc import TrackObservation, TrackTable, _decompose
+from .ttc import TrackObservation, TrackTable, _decompose, _pair
 
 __all__ = [
     "Epipole",
@@ -143,7 +143,8 @@ class FlowVector:
 
     @classmethod
     def from_track(cls, track: TrackObservation, pair_index: int = 0) -> "FlowVector":
-        return cls(p=track.pixel(pair_index), p_prime=track.pixel(pair_index + 1))
+        """The flow of track's frames pair_index and pair_index + 1, by collision_estimate's pair rule."""
+        return cls(*_pair(track, pair_index))
 
     @property
     def direction(self) -> np.ndarray:

@@ -10,9 +10,11 @@ row (0 for a valid row), never an exception. _REASONS maps a code to its
 exception class and message template; _reason_error alone turns a code
 into text, from plain Python values, for the one-row APIs' exceptions and
 the messages of result documents. Only InvalidInput indicates caller error.
-Each public constructor and function checks an input number by one rule
-of its kind: _real a real, _count a count or a seed, camera._vector a
-fixed-length vector. Messages print Python values (_plain), never numpy's.
+Each public constructor and function checks an input value by one rule of
+its kind, whatever the entry (fileio.read_scenario converts nothing): _real
+a real, _count a count or a seed, camera._vector a fixed-length vector,
+camera._rows an array of points. Messages print Python values (_plain),
+never numpy's.
 """
 
 from __future__ import annotations

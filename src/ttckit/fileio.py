@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from itertools import chain, compress
 from typing import TYPE_CHECKING
 
@@ -279,27 +278,23 @@ def _raise_bad_line(path, lines: list[str], lineno: int) -> None:
 
 # -------------------------------------------------------------- scenario
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+def _require(section, key: str, where: str):
+    """section[key]; InvalidInput unless section, the scenario part where
+    names ("intrinsics." or "objects[i]."), is a JSON object holding key."""
+    if not isinstance(section, dict):
+        raise InvalidInput(f"scenario: {where[:-1]} must be an object")
+    if key not in section:
         raise InvalidInput(f"scenario: missing {where}{key}")
-    return mapping[key]
-
-
-@contextmanager
-def _field_errors(where: str):
-    """Turn a TypeError, ValueError or OverflowError of the block, raised
-    by a bad field of a scenario section, into InvalidInput prefixed with
-    where; an InvalidInput, which names its field, passes unchanged."""
-    try:
-        yield
-    except InvalidInput:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"{where}{exc}") from exc
+    return section[key]
 
 
 def read_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file.
+
+    It converts no field value: each goes as parsed to the constructor
+    whose rule owns it, so a bad value gets a library call's message. It
+    checks the structure: parts are JSON objects holding their fields,
+    "objects" a list, an object id a string or a number (kept as text).
 
     Raises:
         InvalidInput: unreadable, non-UTF-8 or malformed JSON, or failed
@@ -309,7 +304,7 @@ def read_scenario(path) -> Scenario:
 
     try:
         doc = read_json(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or an integer past int()'s digit limit
         raise InvalidInput(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput("scenario: top level must be an object")
@@ -317,38 +312,31 @@ def read_scenario(path) -> Scenario:
     if schema != 1:
         raise InvalidInput(f"scenario: unsupported schema {schema!r}, expected 1")
     intr_doc = _require(doc, "intrinsics", "")
-    with _field_errors("scenario: intrinsics: "):
-        intrinsics = CameraIntrinsics(
-            focal_px=_require(intr_doc, "focal_px", "intrinsics."),
-            principal_point=tuple(_require(intr_doc, "principal_point", "intrinsics.")),
-            image_size=(
-                tuple(intr_doc["image_size"]) if intr_doc.get("image_size") is not None else None
-            ),
-            allow_off_center=bool(intr_doc.get("allow_off_center", False)),
-        )
+    intrinsics = CameraIntrinsics(
+        focal_px=_require(intr_doc, "focal_px", "intrinsics."),
+        principal_point=_require(intr_doc, "principal_point", "intrinsics."),
+        image_size=intr_doc.get("image_size"),
+        allow_off_center=intr_doc.get("allow_off_center", False),
+    )
     objects_doc = _require(doc, "objects", "")
     if not isinstance(objects_doc, list):
         raise InvalidInput(f"scenario: objects must be a list, got {objects_doc!r}")
     objects = []
     for i, obj_doc in enumerate(objects_doc):
         where = f"objects[{i}]."
-        with _field_errors(f"scenario: objects[{i}]: "):
-            objects.append(
-                SceneObject(
-                    object_id=str(_require(obj_doc, "id", where)),
-                    points=np.asarray(_require(obj_doc, "points", where), dtype=np.float64),
-                    velocity=np.asarray(_require(obj_doc, "velocity", where), dtype=np.float64),
-                )
-            )
-    with _field_errors("scenario: "):
-        return Scenario(
-            intrinsics=intrinsics,
-            objects=tuple(objects),
-            camera_velocity=np.asarray(doc.get("camera_velocity", [0.0, 0.0, 0.0]), dtype=np.float64),
-            frame_count=_require(doc, "frame_count", ""),
-            pixel_noise_sigma=float(doc.get("pixel_noise_sigma", 0.0)),
-            rng_seed=doc.get("rng_seed", 0),
-        )
+        object_id = _require(obj_doc, "id", where)
+        if isinstance(object_id, bool) or not isinstance(object_id, (str, int, float)):
+            raise InvalidInput(f"scenario: {where}id must be a string or a number, got {object_id!r}")
+        points, velocity = _require(obj_doc, "points", where), _require(obj_doc, "velocity", where)
+        objects.append(SceneObject(str(object_id), points, velocity))
+    return Scenario(
+        intrinsics=intrinsics,
+        objects=objects,
+        camera_velocity=doc.get("camera_velocity", [0.0, 0.0, 0.0]),
+        frame_count=_require(doc, "frame_count", ""),
+        pixel_noise_sigma=doc.get("pixel_noise_sigma", 0.0),
+        rng_seed=doc.get("rng_seed", 0),
+    )
 
 
 def write_scenario(path, scenario: Scenario) -> None:

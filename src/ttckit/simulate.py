@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _vector, project
+from .camera import CameraIntrinsics, _rows, _vector, project
 from .errors import InvalidInput, _count, _plain, _real, _whole
 from .ttc import MotionClass, TrackTable, _Rows
 
@@ -87,8 +87,8 @@ class SceneObject:
 
     Attributes:
         object_id: label carried into ground truth and cluster ids.
-        points: initial positions, shape (M, 3), all Z > 0.
-        velocity: per-frame displacement, shape (3,).
+        points: initial positions, finite, shape (M, 3), M >= 1, all Z > 0.
+        velocity: per-frame displacement, a finite 3-vector.
     """
 
     object_id: str
@@ -96,11 +96,9 @@ class SceneObject:
     velocity: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise InvalidInput(f"points must have shape (M, 3), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInput("points must be finite")
+        pts = _rows(self.points, 3, "points")
+        if not len(pts):
+            raise InvalidInput("points must hold at least one point")
         if np.any(pts[:, 2] <= 0.0):
             raise InvalidInput(f"object {self.object_id!r}: initial Z must be > 0")
         object.__setattr__(self, "points", pts)

@@ -213,7 +213,7 @@ def orientation_error_sweep(
         model: rig and motion parameters.
         z_values: depths in meters, finite reals.
         frame_dt: seconds per frame, a finite real > 0 whose step,
-            speed_mps * frame_dt, has a square that does not underflow.
+            speed_mps * frame_dt, has a nonzero finite float64 square.
         track_frames: observations per segment, an integer >= 2; heading
             accuracy of the monocular method scales with segment length.
         trials: Monte-Carlo repetitions per depth, an integer >= 1; with
@@ -238,9 +238,12 @@ def orientation_error_sweep(
     f = model.focal_px
     theta = math.radians(model.heading_deg)
     v_g = model.speed_mps * np.array([-math.sin(theta), 0.0, -math.cos(theta)])
-    step = v_g * frame_dt
-    if not step @ step > 0.0:  # k's denominator
-        raise InvalidInput(f"frame_dt {frame_dt} s at {model.speed_mps} m/s: the step's square underflows float64")
+    with np.errstate(over="ignore"):
+        step = v_g * frame_dt
+        square = float(step @ step)  # k's denominator; finite only if step is
+    if not 0.0 < square < math.inf:
+        flow = "underflows" if square == 0.0 else "overflows"
+        raise InvalidInput(f"frame_dt {frame_dt} s at {model.speed_mps} m/s: the step's square {flow} float64")
     b = model.baseline_m
     span = track_frames - 1
 

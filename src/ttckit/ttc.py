@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _dot_rows, _zero_rows, as_pixel
+from .camera import CameraIntrinsics, _dot_rows, _rows, _zero_rows, as_pixel
 from .errors import (
     _COINCIDENT, _CONSTANT_BEARING, _EPS_TAN, _NOT_FINITE, _ZERO_FLOW, InvalidInput, _count, _plain, _real,
-    _reason_error,
+    _reason_error, _whole,
 )
 
 __all__ = [
@@ -95,25 +95,27 @@ class TrackObservation:
         frames = frames if frames.ndim == 1 else np.zeros(0, np.int64)  # not a sequence: no frames
         if problem := _track_problem(frames, np.zeros(1, np.int64), np.array([len(frames)])):
             raise InvalidInput(problem[1])
-        positions = np.asarray(self.positions, dtype=np.float64)
-        if positions.shape != (len(frames), 2):
+        positions = _rows(self.positions, 2, "track positions")
+        if len(positions) != len(frames):
             raise InvalidInput(f"positions shape {positions.shape} does not match {len(frames)} frames")
-        if not np.all(np.isfinite(positions)):
-            raise InvalidInput("track positions must be finite")
         object.__setattr__(self, "frames", tuple(int(f) for f in frames))
         object.__setattr__(self, "positions", positions)
 
     @classmethod
     def from_positions(cls, positions) -> "TrackObservation":
-        positions = np.asarray(positions, dtype=np.float64)
-        frames = np.arange(len(positions), dtype=np.int64)
-        return cls(frames=frames, positions=positions)
+        """The track of positions, shape (N, 2), at frames 0 to N - 1."""
+        positions = _rows(positions, 2, "track positions")
+        return cls(frames=np.arange(len(positions), dtype=np.int64), positions=positions)
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def pixel(self, i: int) -> np.ndarray:
-        return self.positions[i]
+        """The position at index i, a whole number in [-N, N): from the end if negative."""
+        n, index = len(self.frames), _whole(i)
+        if index is None or not -n <= index < n:
+            raise InvalidInput(f"frame index must be an integer from {-n} to {n - 1}, got {_plain(i)!r}")
+        return self.positions[index]
 
 
 def _track_problem(frames: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[int, str] | None:
@@ -339,6 +341,14 @@ def _collision_rows(p0: np.ndarray, p1: np.ndarray, e: np.ndarray, intrinsics: C
     return k, h, v_g_dir, v_h_dir, point, code
 
 
+def _pair(track: TrackObservation, pair_index) -> np.ndarray:
+    """Positions of track's frames pair_index and pair_index + 1; InvalidInput unless 0 <= pair_index <= N - 2."""
+    i = _count(pair_index, "pair_index", 0)
+    if i > len(track) - 2:
+        raise InvalidInput(f"pair_index {i} out of range for {len(track)} frames")
+    return track.positions[i : i + 2]
+
+
 def collision_estimate(
     track: TrackObservation,
     epipole,
@@ -363,11 +373,8 @@ def collision_estimate(
         DegenerateGeometry: epipole coincides with a track point, or a value overflows.
         InvalidInput: pair_index not an integer >= 0, or out of range.
     """
-    pair_index = _count(pair_index, "pair_index", 0)
-    if pair_index > len(track) - 2:
-        raise InvalidInput(f"pair_index {pair_index} out of range for {len(track)} frames")
+    pair = _pair(track, pair_index)
     e = as_pixel(epipole)
-    pair = track.positions[pair_index : pair_index + 2]
     k, h, v_g_dir, v_h_dir, point, code = _collision_rows(pair[:1], pair[1:], e, intrinsics)
     if code[0]:
         raise _reason_error(code[0], {})
@@ -401,8 +408,8 @@ def ttc_batch(
     """Vectorized (k, H) of many observation pairs.
 
     Args:
-        p0: first-frame pixels, shape (N, 2).
-        p1: second-frame pixels, shape (N, 2).
+        p0: first-frame pixels, finite, shape (N, 2).
+        p1: second-frame pixels, finite, shape (N, 2).
         epipole: one epipole pixel shared by all pairs, shape (2,), or
             one per pair, shape (N, 2); finite.
         intrinsics: camera model.
@@ -414,12 +421,10 @@ def ttc_batch(
         callers can mask them. Each row equals collision_estimate on that
         pair.
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    if p0.ndim != 2 or p0.shape[1] != 2 or p0.shape != p1.shape:
-        raise InvalidInput(f"expected matching (N, 2) arrays, got {p0.shape} and {p1.shape}")
-    e = np.asarray(getattr(epipole, "position", epipole), dtype=np.float64)
-    if e.shape not in ((2,), p0.shape) or not np.all(np.isfinite(e)):
-        raise InvalidInput(f"epipole must be finite with shape (2,) or {p0.shape}, got shape {e.shape}")
+    p0, p1 = _rows(p0, 2, "p0"), _rows(p1, 2, "p1")
+    e = _rows(getattr(epipole, "position", epipole), 2, "epipole", single=True)
+    if p1.shape != p0.shape or e.shape not in ((2,), p0.shape):
+        shapes = f"{p0.shape}, {p1.shape} and {e.shape}"
+        raise InvalidInput(f"p0, p1 and epipole must have matching rows, got shapes {shapes}")
     k, h, _, _ = _decompose(p0, p1, e, intrinsics)
     return k, h

@@ -24,6 +24,7 @@ from ttckit import (
     DegenerateFlow,
     FlowVector,
     HorizonLine,
+    InvalidInput,
     PointTruth,
     Scenario,
     SceneObject,
@@ -37,7 +38,7 @@ from ttckit import (
 )
 from ttckit import fileio
 from ttckit.cli import main
-from ttckit.fileio import read_json, read_tracks_csv, write_scenario
+from ttckit.fileio import read_json, read_scenario, read_tracks_csv, write_scenario
 
 
 def run(*argv):
@@ -66,6 +67,32 @@ def planar_scenario(n_objects=1, noise=0.0, seed=0, frame_count=3):
         pixel_noise_sigma=noise,
         rng_seed=seed,
     )
+
+
+# the fields of a scenario file by part, each owned by one constructor's rule
+SCENARIO_FIELDS = {
+    "intrinsics": ("focal_px", "principal_point", "image_size", "allow_off_center"),
+    "object": ("points", "velocity"),
+    "scenario": ("camera_velocity", "frame_count", "pixel_noise_sigma", "rng_seed"),
+}
+BAD_FIELD_VALUES = [10**399, "x", 5, -1.5, None, math.nan, math.inf, [], [[], 1], [1.0], [[1.0, 2.0]], "false", {}]
+
+
+def constructor_message(where, key, value):
+    """The InvalidInput message of the constructor owning field key of
+    planar_scenario()'s part where, given value; None if it takes value."""
+    scene = planar_scenario()
+    obj = scene.objects[0]
+    try:
+        if where == "intrinsics":
+            CameraIntrinsics(**{**vars(scene.intrinsics), key: value})
+        elif where == "object":
+            SceneObject(**{**vars(obj), key: value})
+        else:
+            Scenario(**{**vars(scene), key: value})
+    except InvalidInput as exc:
+        return str(exc)
+    return None
 
 
 def triple_scenario(seed=5, noise=0.3):
@@ -1646,8 +1673,8 @@ class TestCommaListValues:
 
 
 class TestErrorPathMessages:
-    """Errors of the main() handlers and of read_scenario's wrapping: exit
-    2, one stderr line with the exact message, and no output file."""
+    """Errors of the main() handlers and of read_scenario: exit 2, one
+    stderr line with the exact message, and no output file."""
 
     @staticmethod
     def assert_one_error(code, capsys, message, out):
@@ -1700,9 +1727,9 @@ class TestErrorPathMessages:
         self.assert_one_error(run("sensitivity", *flags, "--out", out), capsys, message, out)
 
     @pytest.mark.parametrize("where, key, value, message", [
-        ("intrinsics", "principal_point", 5, "scenario: intrinsics: 'int' object is not iterable"),
-        ("object", "points", "x", "scenario: objects[0]: could not convert string to float: 'x'"),
-        ("scenario", "pixel_noise_sigma", "x", "scenario: could not convert string to float: 'x'"),
+        ("intrinsics", "principal_point", 5, "principal_point must be a finite 2-vector, got 5"),
+        ("object", "points", "x", "points must be an array of numbers of shape (N, 3)"),
+        ("scenario", "pixel_noise_sigma", "x", "pixel_noise_sigma must be finite, got 'x'"),
     ])
     def test_scenario_field_of_wrong_type(self, where, key, value, message, tmp_path, capsys):
         code, tracks = self.run_with_field("simulate", where, key, value, tmp_path)
@@ -1733,13 +1760,13 @@ class TestErrorPathMessages:
         return run("collision-map", scene, "--grid", "2,2,5,5", "--out", out), out
 
     @pytest.mark.parametrize("where, key, value, message", [
-        ("intrinsics", "image_size", [math.inf, 720], "image_size must be positive integers, got (inf, 720)"),
+        ("intrinsics", "image_size", [math.inf, 720], "image_size must be positive integers, got [inf, 720]"),
         ("scenario", "frame_count", math.inf, "frame_count must be an integer >= 2, got inf"),
         ("scenario", "frame_count", math.nan, "frame_count must be an integer >= 2, got nan"),
-        ("object", "points", [[1.0, 10**399, 20.0]], "scenario: objects[0]: int too large to convert to float"),
+        ("object", "points", [[1.0, 10**399, 20.0]], "points has a number too large for float64"),
         ("intrinsics", "focal_px", 10**399, "focal_px is too large for float64"),
-        ("scenario", "pixel_noise_sigma", 10**399, "scenario: int too large to convert to float"),
-        ("scenario", "camera_velocity", [0.0, 10**399, 0.0], "scenario: int too large to convert to float"),
+        ("scenario", "pixel_noise_sigma", 10**399, "pixel_noise_sigma is too large for float64"),
+        ("scenario", "camera_velocity", [0.0, 10**399, 0.0], "camera_velocity has a number too large for float64"),
     ], ids=["image-size-inf", "frame-count-inf", "frame-count-nan", "point-400-digits", "focal-400-digits",
             "noise-400-digits", "camera-velocity-400-digits"])
     @pytest.mark.parametrize("command", ["simulate", "collision-map"])
@@ -1747,3 +1774,41 @@ class TestErrorPathMessages:
         code, out = self.run_with_field(command, where, key, value, tmp_path)
         self.assert_one_error(code, capsys, message, out)
         assert sorted(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+    @pytest.mark.parametrize("where, key, value", [
+        pytest.param(where, key, value, id=f"{key}={'400 digits' if value == 10**399 else repr(value)}")
+        for where, keys in SCENARIO_FIELDS.items() for key in keys for value in BAD_FIELD_VALUES
+    ])
+    def test_scenario_field_message_is_its_constructors(self, where, key, value, tmp_path, capsys):
+        """The reader converts no field: a value in a scenario file is
+        rejected with the message the constructor that owns the field
+        gives it, or taken when that constructor takes it."""
+        message = constructor_message(where, key, value)
+        code, out = self.run_with_field("simulate", where, key, value, tmp_path)
+        if message is None:
+            assert isinstance(read_scenario(tmp_path / "scene.json"), Scenario)
+            return
+        assert "\n" not in message
+        self.assert_one_error(code, capsys, message, out)
+
+    @pytest.mark.parametrize("value", [None, [1], True, {"a": 1}])
+    def test_scenario_object_id_not_text_or_number(self, value, tmp_path, capsys):
+        code, out = self.run_with_field("simulate", "object", "id", value, tmp_path)
+        self.assert_one_error(code, capsys, f"scenario: objects[0].id must be a string or a number, got {value!r}", out)
+
+    def test_scenario_integer_past_the_digit_limit(self, tmp_path, capsys):
+        """json refuses an integer of over 4300 digits with a bare ValueError."""
+        scene, out = tmp_path / "scene.json", tmp_path / "out.csv"
+        write_scenario(scene, planar_scenario())
+        scene.write_text(scene.read_text().replace('"frame_count": 3', '"frame_count": 1' + "0" * 5000))
+        code = run("simulate", scene, "--out-tracks", out, "--out-truth", tmp_path / "g.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scene}: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sensitivity_step_that_overflows(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run("sensitivity", "--focal-px", "800", "--speed-kmh", "1e300", "--frame-dt", "1e10", "--out", out)
+        message = "frame_dt 10000000000.0 s at 2.777777777777778e+299 m/s: the step's square overflows float64"
+        self.assert_one_error(code, capsys, message, out)

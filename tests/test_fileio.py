@@ -1,5 +1,6 @@
 """File format round-trips and parse error reporting."""
 
+import copy
 import json
 import math
 import re
@@ -377,6 +378,16 @@ class TestColumnParse:
         assert self.outcome(lambda: fileio._table_from_columns(path, lines[1:])) == want
 
 
+def hostile_scenario(**fields):
+    """A valid one-object scenario document with fields replaced."""
+    doc = {
+        "schema": 1, "intrinsics": {"focal_px": 800.0, "principal_point": [320.0, 240.0]},
+        "objects": [{"id": "a", "points": [[1.0, 0.0, 20.0]], "velocity": [0.0, 0.0, -1.0]}],
+        "frame_count": 5,
+    }
+    return {**doc, **fields}
+
+
 class TestScenarioJson:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scene.json"
@@ -447,6 +458,23 @@ class TestScenarioJson:
         with pytest.raises(InvalidInput, match=re.escape(f"scenario: objects must be a list, got {objects!r}")):
             read_scenario(path)
 
+    @pytest.mark.parametrize("object_id, text", [("car", "car"), (7, "7"), (1.5, "1.5")])
+    def test_object_id_string_or_number_kept_as_text(self, object_id, text, tmp_path):
+        path = tmp_path / "scene.json"
+        obj = {"id": object_id, "points": [[1.0, 0.0, 20.0]], "velocity": [0.0, 0.0, -1.0]}
+        write_json(path, hostile_scenario(objects=[obj]))
+        assert read_scenario(path).objects[0].object_id == text
+
+    @pytest.mark.parametrize("part, doc", [
+        ("intrinsics", hostile_scenario(intrinsics=[800.0, 320.0, 240.0])),
+        ("objects[0]", hostile_scenario(objects=["a"])),
+    ])
+    def test_part_must_be_an_object(self, part, doc, tmp_path):
+        path = tmp_path / "scene.json"
+        write_json(path, doc)
+        with pytest.raises(InvalidInput, match=re.escape(f"scenario: {part} must be an object")):
+            read_scenario(path)
+
     def test_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         write_json(path, {"schema": 2})
@@ -483,10 +511,12 @@ class TestScenarioJson:
 
 
 # values no scenario field takes: NaN, infinities, 400-digit integers,
-# numbers past float64's range, fractions, strings, None, empty containers
+# numbers past float64's range, fractions, strings, None, booleans, empty
+# containers, ragged and nested-empty lists
 HOSTILE_LEAVES = st.sampled_from([
-    math.nan, math.inf, -math.inf, 10**399, -(10**399), 1.7e308, -1.7e308, 0.5, 2.5, "x", "3", None, [], {},
-])
+    math.nan, math.inf, -math.inf, 10**399, -(10**399), 1.7e308, -1.7e308, 0.5, 2.5, "x", "3", None, True, "false",
+    [], {}, [[]], [[], 1], [1, []], [[1.0, 2.0, 3.0], [1.0]], [[[]]],
+]).map(copy.deepcopy)  # a later replacement may land inside a drawn list
 # lists of the wrong length or depth
 MISSHAPEN = st.lists(st.floats(-1e3, 1e3) | st.lists(st.floats(-1e3, 1e3), max_size=4), max_size=4)
 
@@ -530,16 +560,6 @@ def scenario_docs(draw):
     return doc
 
 
-def hostile_scenario(**fields):
-    """A valid one-object scenario document with fields replaced."""
-    doc = {
-        "schema": 1, "intrinsics": {"focal_px": 800.0, "principal_point": [320.0, 240.0]},
-        "objects": [{"id": "a", "points": [[1.0, 0.0, 20.0]], "velocity": [0.0, 0.0, -1.0]}],
-        "frame_count": 5,
-    }
-    return {**doc, **fields}
-
-
 class TestScenarioProperties:
     """read_scenario returns a Scenario or raises InvalidInput, whatever
     the document holds; never another error or a warning."""
@@ -553,6 +573,10 @@ class TestScenarioProperties:
     @example(doc=hostile_scenario(objects=[{"id": "a", "points": [[1.0, 10**399, 20.0]], "velocity": [0.0, 0.0, 1.0]}]))
     @example(doc=hostile_scenario(pixel_noise_sigma=10**399))
     @example(doc=hostile_scenario(camera_velocity=[0.0, 10**399, 0.0]))
+    @example(doc=hostile_scenario(intrinsics={"focal_px": 800.0, "principal_point": [0, 0], "image_size": [[], 1]}))
+    @example(doc=hostile_scenario(objects=[{"id": "a", "points": [[], 1], "velocity": [0.0, 0.0, 1.0]}]))
+    @example(doc=hostile_scenario(objects=[{"id": None, "points": [[1.0, 0.0, 5.0]], "velocity": [0.0, 0.0, 1.0]}]))
+    @example(doc=hostile_scenario(intrinsics=[]))
     def test_scenario_or_invalid_input(self, doc, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Input checks of the public constructors and functions: each rejects a
-malformed value with its own exception and message, and every scalar
-number goes through one rule of its kind (errors._real, errors._count)."""
+malformed value with its own exception and message, every scalar number
+goes through one rule of its kind (errors._real, errors._count), and every
+array of points through one (camera._rows)."""
 
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ttckit import (
     DegenerateGeometry,
     Epipole,
     EpipoleMethod,
+    FlowVector,
     GridSpec,
     HorizonLine,
     InvalidInput,
@@ -37,6 +39,7 @@ from ttckit import (
     project,
     simulate,
     stereo_depth_error,
+    ttc_batch,
 )
 from ttckit.fileio import read_scenario
 
@@ -44,6 +47,7 @@ NAN, INF = float("nan"), float("inf")
 K = CameraIntrinsics(focal_px=800.0, principal_point=(640.0, 360.0))
 RIG = StereoErrorModel(baseline_m=0.15, focal_px=800.0, detection_error_px=0.2, speed_mps=10.0, heading_deg=45.0)
 TRACK = TrackObservation.from_positions([[600.0, 300.0], [610.0, 305.0], [620.0, 310.0]])
+P0, P1 = np.array([[600.0, 300.0], [500.0, 200.0]]), np.array([[610.0, 305.0], [490.0, 195.0]])
 
 
 def scenario(**fields):
@@ -78,7 +82,7 @@ CASES = [
     (lambda _: CameraIntrinsics(focal_px=800.0, principal_point=(0.0, 0.0), image_size=(640.5, 480)),
      InvalidInput, "image_size must be positive integers, got (640.5, 480)"),
     (lambda _: project(np.ones((2, 2)), K),
-     InvalidInput, "expected shape (3,) or (N, 3), got (2, 2)"),
+     InvalidInput, "scene points must be an array of numbers of shape (3,) or (N, 3), got shape (2, 2)"),
     (lambda _: project([0.0, NAN, 10.0], K),
      InvalidInput, "scene points must be finite"),
     (lambda _: line_angle_frame((0.0, 0.0), (10.0, 0.0), K).point_at(math.pi / 2),
@@ -177,6 +181,59 @@ CASES = [
      BehindCamera, "cannot project point with Z <= 0: [0.0, 0.0, -1.0]"),
     (lambda _: line_angle_frame((1.0, 2.0), (1.0, 2.0), K),
      DegenerateGeometry, "coincident pixels [1.0, 2.0] define no line"),
+    # image_size and allow_off_center by CameraIntrinsics' own rules
+    (lambda _: CameraIntrinsics(800.0, (0.0, 0.0), image_size=5),
+     InvalidInput, "image_size must be positive integers, got 5"),
+    (lambda _: CameraIntrinsics(800.0, (0.0, 0.0), image_size=(640,)),
+     InvalidInput, "image_size must be positive integers, got (640,)"),
+    (lambda _: CameraIntrinsics(800.0, (900.0, 0.0), (640, 480), allow_off_center="false"),
+     InvalidInput, "allow_off_center must be a boolean, got 'false'"),
+    (lambda _: CameraIntrinsics(800.0, (900.0, 0.0), (640, 480), allow_off_center=[0]),
+     InvalidInput, "allow_off_center must be a boolean, got [0]"),
+    # an array of points by its one rule, named by its field, never printed
+    (lambda _: SceneObject("a", "x", np.zeros(3)),
+     InvalidInput, "points must be an array of numbers of shape (N, 3)"),
+    pytest.param(lambda _: SceneObject("a", [[1.0, 0.0, 5.0], [1.0]], np.zeros(3)),
+                 InvalidInput, "points must be an array of numbers of shape (N, 3)", id="points ragged"),
+    (lambda _: SceneObject("a", [[1.0, 10**400, 5.0]], np.zeros(3)),
+     InvalidInput, "points has a number too large for float64"),
+    (lambda _: SceneObject("a", np.zeros((0, 3)), np.zeros(3)),
+     InvalidInput, "points must hold at least one point"),
+    (lambda _: TrackObservation((0, 1), "x"),
+     InvalidInput, "track positions must be an array of numbers of shape (N, 2)"),
+    pytest.param(lambda _: TrackObservation.from_positions("x"),
+                 InvalidInput, "track positions must be an array of numbers of shape (N, 2)",
+                 id="from_positions not an array"),
+    (lambda _: TrackObservation((0, 1), [[0.0, 0.0], [10**400, 1.0]]),
+     InvalidInput, "track positions has a number too large for float64"),
+    (lambda _: project("x", K),
+     InvalidInput, "scene points must be an array of numbers of shape (3,) or (N, 3)"),
+    (lambda _: project([10**400, 0.0, 1.0], K),
+     InvalidInput, "scene points has a number too large for float64"),
+    (lambda _: ttc_batch("x", P1, (640.0, 360.0), K),
+     InvalidInput, "p0 must be an array of numbers of shape (N, 2)"),
+    (lambda _: ttc_batch(P0, P1, "x", K),
+     InvalidInput, "epipole must be an array of numbers of shape (2,) or (N, 2)"),
+    (lambda _: ttc_batch(P0, [[610.0, NAN], [490.0, 195.0]], (640.0, 360.0), K),
+     InvalidInput, "p1 must be finite"),
+    (lambda _: ttc_batch(P0, P1, np.zeros((3, 2)), K),
+     InvalidInput, "p0, p1 and epipole must have matching rows, got shapes (2, 2), (2, 2) and (3, 2)"),
+    # a frame pair or a frame of a track by index
+    (lambda _: FlowVector.from_track(TRACK, -1),
+     InvalidInput, "pair_index must be a non-negative integer, got -1"),
+    (lambda _: FlowVector.from_track(TRACK, 1.5),
+     InvalidInput, "pair_index must be a non-negative integer, got 1.5"),
+    (lambda _: FlowVector.from_track(TRACK, 2),
+     InvalidInput, "pair_index 2 out of range for 3 frames"),
+    (lambda _: TRACK.pixel(1.5),
+     InvalidInput, "frame index must be an integer from -3 to 2, got 1.5"),
+    (lambda _: TRACK.pixel("x"),
+     InvalidInput, "frame index must be an integer from -3 to 2, got 'x'"),
+    (lambda _: TRACK.pixel(3),
+     InvalidInput, "frame index must be an integer from -3 to 2, got 3"),
+    # a sweep step whose square overflows, rejected without a warning
+    (lambda _: orientation_error_sweep(RIG, [20.0], frame_dt=1e308, trials=3),
+     InvalidInput, "frame_dt 1e+308 s at 10.0 m/s: the step's square overflows float64"),
 ]
 
 
@@ -290,4 +347,68 @@ def test_every_scalar_site_returns_or_raises_invalid_input(site, value):
         SITES[site](value)
     except InvalidInput as exc:
         assert type(exc) is InvalidInput
+        assert "\n" not in str(exc) and str(exc)
+
+
+def test_a_track_index_counts_from_the_end_when_negative():
+    assert np.array_equal(TRACK.pixel(-1), TRACK.pixel(2)) and np.array_equal(TRACK.pixel(np.int64(-3)), [600.0, 300.0])
+    flow = FlowVector.from_track(TRACK, 1.0)
+    assert np.array_equal(flow.p, TRACK.pixel(1)) and np.array_equal(flow.p_prime, TRACK.pixel(2))
+
+
+# every array of a public constructor or function, an array of points or
+# a short vector: (site, call)
+ARRAY_SITES = {
+    "SceneObject.points": lambda v: SceneObject("a", v, np.zeros(3)),
+    "SceneObject.velocity": lambda v: SceneObject("a", [[0.0, 0.0, 5.0]], v),
+    "Scenario.camera_velocity": lambda v: scenario(camera_velocity=v),
+    "TrackObservation.positions": lambda v: TrackObservation((0, 1), v),
+    "TrackObservation.from_positions": lambda v: TrackObservation.from_positions(v),
+    "project": lambda v: project(v, K),
+    "ttc_batch.p0": lambda v: ttc_batch(v, P1, (640.0, 360.0), K),
+    "ttc_batch.p1": lambda v: ttc_batch(P0, v, (640.0, 360.0), K),
+    "ttc_batch.epipole": lambda v: ttc_batch(P0, P1, v, K),
+    "as_pixel": lambda v: classify_motion(TRACK, v),
+    "CameraIntrinsics.principal_point": lambda v: CameraIntrinsics(800.0, v),
+    "CameraIntrinsics.image_size": lambda v: CameraIntrinsics(800.0, (0.0, 0.0), v, allow_off_center=True),
+    "CameraIntrinsics.allow_off_center": lambda v: CameraIntrinsics(800.0, (900.0, 0.0), (640, 480), v),
+}
+
+# entries of any kind: hostile ones, and plain numbers to build shapes
+# right and wrong; no positive number is below 1, so no pixel of project
+# overflows
+ENTRIES = st.sampled_from([NAN, INF, -INF, None, "x", "1", 10**400, -(10**400), True, 0.0, 1.0, -2.5, 5.0, 20.0])
+ARRAYS = st.one_of(
+    st.sampled_from([[], [[]], [[], 1], [1, []], [[1.0, 0.0, 5.0], [1.0]], "x", {}, None, NAN, 10**400, True]),
+    ENTRIES,
+    st.lists(ENTRIES, max_size=4),
+    st.lists(st.lists(ENTRIES, max_size=4), max_size=4),
+    st.lists(st.lists(ENTRIES, min_size=3, max_size=3), min_size=1, max_size=3).map(
+        lambda rows: np.array(rows, dtype=object)),
+    st.sampled_from([np.zeros((2, 2)), np.ones((2, 3)), np.ones(3), np.full((2, 2), NAN), np.zeros((1, 2, 3))]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(sorted(ARRAY_SITES)), value=ARRAYS)
+@example(site="SceneObject.points", value=[[], 1])
+@example(site="SceneObject.points", value=[[1.0, 10**400, 5.0]])
+@example(site="TrackObservation.positions", value="x")
+@example(site="TrackObservation.from_positions", value="x")
+@example(site="TrackObservation.positions", value=[[0.0, 0.0], [10**400, 1.0]])
+@example(site="project", value="x")
+@example(site="project", value=[10**400, 0.0, 1.0])
+@example(site="ttc_batch.p0", value="x")
+@example(site="ttc_batch.epipole", value="x")
+@example(site="CameraIntrinsics.image_size", value=5)
+@example(site="CameraIntrinsics.image_size", value=[[], 1])
+@example(site="CameraIntrinsics.allow_off_center", value="false")
+def test_every_array_site_returns_or_raises_invalid_input(site, value):
+    """One array at a time, hostile or not: the call returns, or it
+    raises InvalidInput (project on a point with Z <= 0, BehindCamera)
+    with a one-line message."""
+    try:
+        ARRAY_SITES[site](value)
+    except (InvalidInput, BehindCamera) as exc:
+        assert type(exc) is InvalidInput or (site == "project" and type(exc) is BehindCamera)
         assert "\n" not in str(exc) and str(exc)
