@@ -184,14 +184,21 @@ def project(point, intrinsics: CameraIntrinsics) -> np.ndarray:
 
     Raises:
         BehindCamera: if any Z <= 0.
-        InvalidInput: non-finite or wrongly shaped input.
+        InvalidInput: non-finite or wrongly shaped input, or a pixel
+            that overflows float64 (a point almost on the image plane),
+            naming the first such point by its index.
     """
     pts = _rows(point, 3, "scene points", single=True)
     z = pts[..., 2:]  # shape (N, 1), or (1,) for one point
     if np.any(z <= 0.0):
         bad = pts.reshape(-1, 3)[z.ravel() <= 0.0][0]
         raise BehindCamera(f"cannot project point with Z <= 0: {bad.tolist()}")
-    return intrinsics.pp + intrinsics.focal_px * pts[..., :2] / z
+    with np.errstate(over="ignore"):
+        pixels = intrinsics.pp + intrinsics.focal_px * pts[..., :2] / z
+    overflow = ~np.isfinite(pixels.reshape(-1, 2)).all(axis=1)
+    if overflow.any():
+        raise InvalidInput(f"the pixel of scene point {int(np.argmax(overflow))} overflows float64")
+    return pixels
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,10 @@ def _result_skeleton(command: str, seed: int, config: dict) -> dict:
 
 
 def _emit_json(document: dict, out_path: str | None) -> None:
+    """Write document to out_path (fileio.write_json), or to stdout when
+    out_path is None; either way each piece of the text is written as
+    soon as it is encoded. A piece that fails to encode removes the
+    regular file at out_path, but may leave part of the text on stdout."""
     from .fileio import _json_pieces, write_json
 
     if out_path is None:

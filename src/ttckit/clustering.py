@@ -21,8 +21,10 @@ once, at entry: endpoints, unit line normals n and offsets n . p
 round scores all its hypotheses as arrays: the pair epipoles come from
 one batched 2x2 solve, and _consensus bounds every hypothesis by its
 geometric inliers, _BLOCK at a time with one matrix product for the
-line distances, then TTC-gates them best bound first in chunks of
-_BLOCK, one _decompose call per chunk. The TTC gate only removes
+line distances, then TTC-gates them best bound first in chunks of at
+most _BLOCK hypotheses and the row budget ttc._BLOCK_ROWS of geometric
+inliers, one _decompose call per chunk, so the gate's work arrays do
+not grow with the flows. The TTC gate only removes
 members, so only the hypotheses whose geometric inliers can still beat
 the best set found so far are gated; the others cannot win, which
 leaves every result as it was. The refit and sweep epipoles are
@@ -53,7 +55,7 @@ from .epipole import (
     _least_squares_epipole,
 )
 from .errors import _ZERO_DISPLACEMENT, InvalidInput, _count, _real, _reason_error
-from .ttc import TrackObservation, TrackTable, _decompose, ttc_batch
+from .ttc import _BLOCK_ROWS, TrackObservation, TrackTable, _decompose, ttc_batch
 
 __all__ = [
     "ClusteringConfig",
@@ -172,8 +174,10 @@ def _consensus(
     all, their sum of squared line distances gives its RMS. A first pass
     takes both bounds of every hypothesis, _BLOCK at a time; the second
     gates the hypotheses best bound first (most inliers, then the lowest
-    sum of squares), _BLOCK at a time, dropping those that can no longer
-    win against the best set found so far. In that order no later
+    sum of squares), in chunks of at most _BLOCK hypotheses and the row
+    budget _BLOCK_ROWS: a chunk's bound counts sum to at most the budget
+    unless its one hypothesis passes it alone. It drops those that can no
+    longer win against the best set found so far. In that order no later
     hypothesis can win once one cannot, so the gated chunks are dense and
     the pass stops at the first chunk that is left empty. Every value,
     including each RMS, is computed with the same arithmetic as a
@@ -205,8 +209,12 @@ def _consensus(
     order = np.lexsort((np.arange(n_hyp), bound_squares, -bound_counts))
 
     best_key, best = None, None
-    for first in range(0, n_hyp, _BLOCK):
+    first = 0
+    while first < n_hyp:
+        # at most _BLOCK hypotheses whose bound counts sum to at most _BLOCK_ROWS, or one
         chunk = order[first:first + _BLOCK]
+        chunk = chunk[:max(1, np.searchsorted(np.cumsum(bound_counts[chunk]), _BLOCK_ROWS, side="right"))]
+        first += chunk.size
         # A hypothesis that can at best tie the best size must keep every
         # member: then its geometric sum of squares is its RMS's, up to the
         # summation order that the 1e-9 margin below covers.

@@ -341,8 +341,9 @@ def _offset_three_frames(tracks: TrackTable, horizon: HorizonLine, intrinsics: C
     3-D angles between viewing rays, as camera.LineAngleFrame measures
     them) the offset x is solved in closed form, and the epipole moved
     to in-line angle (anchor angle) - x. The residual of each row comes
-    from one _decompose call over its pairs (0, 1) and (1, 2) against
-    the corrected epipole.
+    from two row-wise _decompose calls, one over the pairs (0, 1) and one
+    over the pairs (1, 2) against the corrected epipoles, so no work
+    array holds more than N rows.
 
     Returns:
         (x, positions, residual, code, columns): x and residual of shape
@@ -370,12 +371,9 @@ def _offset_three_frames(tracks: TrackTable, horizon: HorizonLine, intrinsics: C
         angle = angle_anchor - x
         positions = foot + (depth * np.tan(angle))[:, np.newaxis] * directions
         # Residual: the observed pairs' TTC must differ by exactly one frame.
-        n = len(p0)
-        k, _, _, _ = _decompose(
-            np.concatenate([p0, p1]), np.concatenate([p1, p2]), np.concatenate([positions, positions]),
-            intrinsics,
-        )
-        residual = np.abs(k[:n] - k[n:] - 1.0)
+        k = _decompose(p0, p1, positions, intrinsics)[0]
+        k -= _decompose(p1, p2, positions, intrinsics)[0]
+        residual = np.abs(k - 1.0)
         at_infinity = np.abs(np.cos(angle)) < 1e-12
     code = np.select(
         [tracks.length < 3, planar == _ZERO_DISPLACEMENT, planar != 0,

@@ -21,16 +21,20 @@ offending line or field named.
 Track files and the per-track lists of result documents pass through
 memory _CHUNK rows at a time: the CSV is read and parsed in line-aligned
 pieces and written in row chunks, and a document's lazy row list
-(ttc._Rows) builds and encodes its entries chunk by chunk. Beyond the
-arrays, memory is bounded by the chunk size, not by the file size, for a
-rejected file too: the file's text is never held whole. The bytes are
-those of a whole-file parse and json.dumps.
+(ttc._Rows) builds, encodes and writes its entries chunk by chunk; a
+collision-map CSV is written one forward row of cells at a time. Beyond
+the arrays, memory is bounded by the chunk size, not by the file size,
+for a rejected file too: the file's text is never held whole. The bytes
+are those of a whole-file parse and json.dumps. A writer that fails
+part-way removes the regular file it was writing (_write_text).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from itertools import chain, compress
 from typing import TYPE_CHECKING
 
@@ -85,43 +89,56 @@ def _json(value) -> str:
     )
 
 
-def _json_pieces(document: dict) -> list[str]:
-    """The text write_json writes, in pieces: json.dumps(document,
+def _json_pieces(document: dict):
+    """The text write_json writes, generated in pieces: json.dumps(document,
     sort_keys=True) and a newline. Top-level keys, strings, come in
-    sorted order and each value is encoded on its own; a _Rows value is
-    encoded _CHUNK entries at a time, so its entries never all exist."""
-    pieces = ["{"]
+    sorted order and each value is encoded on its own, when its piece is
+    drawn; a _Rows value is encoded _CHUNK entries at a time, so its
+    entries never all exist and the text is never held whole."""
+    yield "{"
     for n, key in enumerate(sorted(document)):
         value = document[key]
-        pieces.append(f"{', ' if n else ''}{_json(key)}: ")
+        yield f"{', ' if n else ''}{_json(key)}: "
         if not isinstance(value, _Rows):
-            pieces.append(_json(value))
+            yield _json(value)
             continue
-        pieces.append("[")
+        yield "["
         for first in range(0, len(value), _CHUNK):
             if first:
-                pieces.append(", ")
-            pieces.append(_json(value[first:first + _CHUNK])[1:-1])  # the slice's list, unbracketed
-        pieces.append("]")
-    pieces.append("}\n")
-    return pieces
+                yield ", "
+            yield _json(value[first:first + _CHUNK])[1:-1]  # the slice's list, unbracketed
+        yield "]"
+    yield "}\n"
 
 
 def _write_text(path, pieces) -> None:
     """Write an iterable of text pieces as UTF-8 with LF newlines on
-    every platform; a generator is drawn from as the file is written."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)
+    every platform; a generator is drawn from as the file is written.
+
+    If drawing or writing a piece fails, the file is closed and, when
+    path is a regular file (not a symlink), removed, so no partial text
+    is left that looks like a result; a device such as os.devnull, a
+    pipe, or a symlink and its target are kept.
+    """
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
 
 
 def write_json(path, document: dict) -> None:
     """Write a JSON document on one line with sorted keys and a trailing
     newline. Its top-level keys are strings; a list may be given as a
-    _Rows, which is written chunk by chunk.
+    _Rows, which is encoded and written chunk by chunk.
 
     Rejects NaN/Infinity: documents must encode missing values as null.
-    The whole text is encoded before the file is opened, so a document
-    that fails to encode leaves no file.
+    Each piece is written as soon as it is encoded, so a document that
+    fails to encode removes the regular file at path, one that existed
+    before included (_write_text).
     """
     _write_text(path, _json_pieces(document))
 
@@ -397,20 +414,25 @@ def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
 
 
 def write_collision_map_csv(path, cmap: CollisionMap) -> None:
-    """Collision map as CSV, forward-major row order."""
-    lines = [_MAP_HEADER]
+    """Collision map as CSV, forward-major row order, written one forward
+    row of cells at a time."""
+    _write_text(path, _map_rows(cmap))
+
+
+def _map_rows(cmap: CollisionMap):
+    """The text of a collision-map CSV: its header, then one forward row
+    of cells at a time."""
+    yield _MAP_HEADER + "\n"
     lateral = [_fmt(dv_l) for dv_l in cmap.lateral_offsets.tolist()]
     for dv_f, ttc_row, miss_row, hit_row in zip(
-        cmap.forward_offsets.tolist(),
-        cmap.min_ttc.tolist(),
-        cmap.miss_distance.tolist(),
-        cmap.collision.tolist(),
+        cmap.forward_offsets.tolist(), cmap.min_ttc, cmap.miss_distance, cmap.collision
     ):
         forward = _fmt(dv_f)
-        for dv_l, ttc, miss, hit in zip(lateral, ttc_row, miss_row, hit_row):
-            # tolist() gives Python floats: repr is _fmt without the float() call
-            lines.append(f"{dv_l},{forward},{ttc!r},{miss!r},{'1' if hit else '0'}")
-    _write_text(path, ["\n".join(lines), "\n"])
+        # tolist() gives Python floats: repr is _fmt without the float() call
+        yield "".join([
+            f"{dv_l},{forward},{ttc!r},{miss!r},{'1' if hit else '0'}\n"
+            for dv_l, ttc, miss, hit in zip(lateral, ttc_row.tolist(), miss_row.tolist(), hit_row.tolist())
+        ])
 
 
 def write_sensitivity_csv(path, table: SensitivityTable) -> None:

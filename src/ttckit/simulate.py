@@ -39,7 +39,7 @@ is the same computation by construction.
 collision_map() re-evaluates the analytic truth over a grid of camera
 velocity changes, which is the planning view: which speed adjustments
 clear every collision within the lookahead. It evaluates blocks of about
-_MAP_BLOCK_ROWS (cell, point) rows, all points of all objects in each, so
+ttc._BLOCK_ROWS (cell, point) rows, all points of all objects in each, so
 memory stays bounded whatever the grid size; the parts of the truth sums
 that vary along one grid axis only are computed once per row of cells or
 forward block, not once per (cell, point).
@@ -56,7 +56,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, _rows, _vector, project
 from .errors import InvalidInput, _count, _plain, _real, _whole
-from .ttc import MotionClass, TrackTable, _Rows
+from .ttc import _BLOCK_ROWS, MotionClass, TrackTable, _Rows
 
 __all__ = [
     "CollisionMap",
@@ -75,10 +75,6 @@ _Z_FLOOR = 1e-9
 
 # Relative speeds below this count as zero (constant bearing, no TTC).
 _SPEED_FLOOR = 1e-12
-
-# (cell, point) rows per block of collision_map: bounds its work arrays
-# to a few MB whatever the grid size.
-_MAP_BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -418,12 +414,16 @@ def simulate(scenario: Scenario) -> tuple[TrackTable, GroundTruth]:
         ahead = positions[..., 2] > _Z_FLOOR
         n_valid = np.where(ahead.all(axis=1), frame_count, np.argmin(ahead, axis=1))
         n_kept = np.where(n_valid >= 2, n_valid, 0)
-        with np.errstate(over="ignore"):
+        overflow = InvalidInput(f"object {obj.object_id!r}: pixels overflow")
+        try:
             uv = project(positions[steps < n_kept[:, np.newaxis]], scenario.intrinsics)
-            if scenario.pixel_noise_sigma > 0.0:
+        except InvalidInput:  # the points are finite and ahead: a pixel overflows
+            raise overflow from None
+        if scenario.pixel_noise_sigma > 0.0:
+            with np.errstate(over="ignore"):
                 uv = uv + rng.normal(0.0, scenario.pixel_noise_sigma, size=uv.shape)
-        if not np.isfinite(uv).all():
-            raise InvalidInput(f"object {obj.object_id!r}: pixels overflow")
+            if not np.isfinite(uv).all():
+                raise overflow
         valid.append(n_valid)
         kept.append(n_kept)
         pixels.append(uv)
@@ -518,7 +518,7 @@ def collision_map(
     Each cell adds (lateral, 0, forward) to the camera velocity and
     recomputes the analytic truth for every point; the center cell
     reproduces the unmodified scenario's collision state. _map_blocks
-    derives the truth in forward-major blocks of about _MAP_BLOCK_ROWS
+    derives the truth in forward-major blocks of about _BLOCK_ROWS
     (cell, point) rows, so the work arrays take a few MB whatever the
     grid size. Each cell's values equal those of a _truth call on that
     cell alone, bit for bit.
@@ -601,7 +601,7 @@ def _map_blocks(points, velocities, camera_velocity, lat, fwd):
     block covers forward cells fwd[rows] and lateral cells lat[chunk],
     and its arrays are (forward cells, lateral cells, points).
 
-    A block holds about _MAP_BLOCK_ROWS rows: whole rows of the grid, or,
+    A block holds about _BLOCK_ROWS rows: whole rows of the grid, or,
     when one row of cells holds more, one lateral chunk of one row. The
     relative velocity's x varies only with the lateral cell, its z only
     with the forward cell and its y with neither, and so do the x + y and
@@ -611,9 +611,9 @@ def _map_blocks(points, velocities, camera_velocity, lat, fwd):
     """
     px, py, pz = points
     n_points = len(px)
-    lat_cells = min(len(lat), max(1, _MAP_BLOCK_ROWS // n_points))
+    lat_cells = min(len(lat), max(1, _BLOCK_ROWS // n_points))
     # 1 when a row splits into chunks
-    fwd_cells = max(1, _MAP_BLOCK_ROWS // (lat_cells * n_points))
+    fwd_cells = max(1, _BLOCK_ROWS // (lat_cells * n_points))
     chunks = [slice(l, l + lat_cells) for l in range(0, len(lat), lat_cells)]
 
     def lateral(chunk):

@@ -61,6 +61,11 @@ __all__ = [
 # Pixel coincidence tolerance for "epipole on top of a track point".
 _EPS_COINCIDENT = 1e-9
 
+# Rows of one pass of a blocked kernel: collision_map's (cell, point)
+# rows and the RANSAC gate's (hypothesis, flow) rows. Bounds their work
+# arrays to a few MB whatever the input size.
+_BLOCK_ROWS = 16_384
+
 
 class MotionClass(enum.Enum):
     """Qualitative motion of a tracked point relative to the camera."""

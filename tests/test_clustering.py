@@ -12,6 +12,7 @@ scored on its own, and the array scorer must match it bit for bit.
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -643,6 +644,79 @@ class TestConsensusPruning:
         assert sum(calls for calls, _ in per_call) > 0
         for calls, gated in per_call:
             assert calls <= math.ceil(gated / clustering._BLOCK)
+
+
+def cluster_outcome(clusters, outliers):
+    """Everything cluster_flows returns, floats as their bytes."""
+    return outliers, [
+        (c.member_indices, c.epipole.position.tobytes(), c.epipole.residual, c.ttc_values.tobytes(), c.mean_ttc)
+        for c in clusters
+    ]
+
+
+class TestGateRowBudget:
+    """_consensus cuts a TTC-gate chunk where its hypotheses' geometric
+    inliers would pass _BLOCK_ROWS rows, keeping at least one hypothesis;
+    the budget bounds its memory and changes no result."""
+
+    def assert_every_budget_agrees(self, tracks, intrinsics, config):
+        decompose = clustering._decompose
+        calls = []  # (rows, distinct epipoles) of each gate call
+
+        def counted_decompose(p0, p1, e, intr):
+            calls.append((len(p0), len(np.unique(e, axis=0))))
+            return decompose(p0, p1, e, intr)
+
+        outcomes = {}
+        with mock.patch.object(clustering, "_decompose", counted_decompose):
+            for budget in (1, 200, clustering._BLOCK_ROWS):
+                calls.clear()
+                with mock.patch.object(clustering, "_BLOCK_ROWS", budget):
+                    outcomes[budget] = cluster_outcome(*cluster_flows(tracks, config=config, intrinsics=intrinsics))
+                assert calls
+                # a call past the budget gates one hypothesis
+                assert all(rows <= budget or epipoles == 1 for rows, epipoles in calls)
+        assert outcomes[1] == outcomes[200] == outcomes[clustering._BLOCK_ROWS]
+        return outcomes[1]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 54, 56])
+    def test_sampled_scene(self, seed, noise):
+        flows, intrinsics = sampled_scene(noise=noise, seed=seed)
+        _, clusters = self.assert_every_budget_agrees(two_frame_tracks(flows), intrinsics, ClusteringConfig(rng_seed=seed))
+        assert len(clusters) == 3
+
+    def test_six_motions_of_250_flows(self):
+        # a hypothesis brings about 250 geometric inliers, so a budget of
+        # 200 rows cuts every chunk to one hypothesis
+        scenario = random_approach_scenario(np.random.default_rng(6), intr700(), n_objects=6, n_points=250)
+        tracks, _ = simulate(scenario)
+        assert len(tracks) == 1500
+        self.assert_every_budget_agrees(tracks, scenario.intrinsics, ClusteringConfig(rng_seed=6))
+
+    def test_consensus_peak_is_bounded_by_the_budget(self):
+        # 3,000 noise-free flows of one motion and 64 hypotheses within a
+        # fraction of a pixel of its epipole: every hypothesis has all
+        # 3,000 flows as geometric inliers, so a chunk of _BLOCK of them
+        # would decompose 48,000 rows
+        intrinsics = intr700()
+        rng = np.random.default_rng(3)
+        scenario = random_approach_scenario(rng, intrinsics, n_points=3000)
+        tracks, truth = simulate(scenario)
+        p0, p1 = tracks.pixels(0), tracks.pixels(-1)
+        normals, offsets, _ = _flow_lines(p0, p1)
+        spans = (tracks.length - 1).astype(np.float64)
+        epipoles = truth.epipole[0] + rng.uniform(-0.05, 0.05, (64, 2))
+        config = ClusteringConfig()
+        assert (np.abs(normals @ epipoles.T - offsets[:, np.newaxis]) < config.eps_dist).all()
+        tracemalloc.start()
+        try:
+            best = _consensus(epipoles, np.arange(3000), p0, p1, normals, offsets, spans, intrinsics, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert best is not None
+        assert peak < 5 * 2**20
 
 
 class TestPairDraws:

@@ -3,7 +3,9 @@
 import copy
 import json
 import math
+import os
 import re
+import stat
 import tracemalloc
 from unittest import mock
 
@@ -892,6 +894,26 @@ class TestChunkedJson:
             write_json(path, {"a": float("nan"), "b": rows_of(entries[:5])})
         assert not path.exists()
 
+    def test_failed_write_removes_the_file_that_was_there(self, tmp_path):
+        # the failure comes after earlier chunks were written over it
+        entries = [{"k": float(i)} for i in range(5)] + [{"k": float("nan")}]
+        path = tmp_path / "doc.json"
+        path.write_text("an earlier result\n")
+        with mock.patch.object(fileio, "_CHUNK", 2), pytest.raises(ValueError):
+            write_json(path, {"a": 1, "estimates": rows_of(entries)})
+        assert not path.exists()
+
+    def test_failed_write_keeps_a_device_and_a_symlink(self, tmp_path):
+        document = {"a": 1, "estimates": rows_of([{"k": 0.0}, {"k": float("nan")}])}
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("an earlier result\n")
+        link.symlink_to(target)
+        for path in (os.devnull, link):
+            with mock.patch.object(fileio, "_CHUNK", 1), pytest.raises(ValueError):
+                write_json(path, document)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert link.is_symlink() and target.is_file()
+
     def test_rows_index_and_slice(self):
         entries = [{"i": i} for i in range(7)]
         rows = rows_of(entries)
@@ -916,10 +938,13 @@ def traced_peak(call):
 
 class TestMemoryBudget:
     """On 20k tracks of 6 frames the text I/O holds the file's text and
-    its arrays, not a Python object per line, field or entry: each call
-    peaks within the size of the text it reads or writes plus 12 MB."""
+    its arrays, not a Python object per line, field or entry: each CSV
+    call peaks within the size of the text it reads or writes plus 12 MB.
+    The JSON writer never holds its text whole: it peaks below 2 MB on
+    a truth document of over 4 MB."""
 
     SLACK = 12 * 2**20
+    JSON_PEAK = 2 * 2**20
 
     def test_20k_tracks(self, tmp_path):
         n, frames = 20_000, 6
@@ -952,7 +977,8 @@ class TestMemoryBudget:
             assert got == f"{bad_path}: {message}"
             assert peak <= bad_path.stat().st_size + self.SLACK
         peak, _ = traced_peak(lambda: write_json(json_path, truth_document(truth, ids)))
-        assert peak <= json_path.stat().st_size + self.SLACK
+        assert json_path.stat().st_size > 2 * self.JSON_PEAK
+        assert peak <= self.JSON_PEAK
         assert json_path.read_bytes().count(b'"track_id"') == n
 
     def test_read_peak_below_twice_the_file(self, tmp_path):

@@ -210,6 +210,9 @@ CASES = [
      InvalidInput, "scene points must be an array of numbers of shape (3,) or (N, 3)"),
     (lambda _: project([10**400, 0.0, 1.0], K),
      InvalidInput, "scene points has a number too large for float64"),
+    # a point almost on the image plane, whose pixel overflows, without a warning
+    (lambda _: project([[1.0, 0.0, 5.0], [1.0, 0.0, 5e-324]], K),
+     InvalidInput, "the pixel of scene point 1 overflows float64"),
     (lambda _: ttc_batch("x", P1, (640.0, 360.0), K),
      InvalidInput, "p0 must be an array of numbers of shape (N, 2)"),
     (lambda _: ttc_batch(P0, P1, "x", K),

@@ -545,7 +545,7 @@ class TestBlockedCollisionMap:
             frame_count=frames,
         )
         grid = GridSpec(1.0, 1.0, *cells)
-        with mock.patch.object(simulate_module, "_MAP_BLOCK_ROWS", block_rows):
+        with mock.patch.object(simulate_module, "_BLOCK_ROWS", block_rows):
             assert_matches_per_cell(scenario, grid)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -578,7 +578,7 @@ class TestBlockedCollisionMap:
             intr800, [0.0, 0.0, 20.0], [0.0, 0.0, 0.0], frames=30, camera_velocity=[0.5, 0.0, 0.0]
         )
         grid = GridSpec(1.0, 1.0, 5, 5)
-        with mock.patch.object(simulate_module, "_MAP_BLOCK_ROWS", 7):
+        with mock.patch.object(simulate_module, "_BLOCK_ROWS", 7):
             result = assert_matches_per_cell(scenario, grid)
         pending = np.isfinite(result.min_ttc)
         assert pending.any() and not pending.all()
@@ -598,7 +598,7 @@ class TestBlockedCollisionMap:
 
     def test_more_points_than_block_rows(self, intr800):
         rng = np.random.default_rng(12)
-        n = simulate_module._MAP_BLOCK_ROWS + 1000
+        n = simulate_module._BLOCK_ROWS + 1000
         points = np.column_stack([rng.uniform(-5, 5, size=(n, 2)), rng.uniform(5, 40, size=n)])
         scenario = Scenario(
             intrinsics=intr800, objects=(SceneObject("crowd", points, np.array([0.1, 0.0, -0.5])),),
@@ -608,12 +608,12 @@ class TestBlockedCollisionMap:
 
     def test_cell_count_not_a_multiple_of_the_block(self, intr800):
         scenario = planning_scenario(intr800)
-        cells_per_block = simulate_module._MAP_BLOCK_ROWS // 150
+        cells_per_block = simulate_module._BLOCK_ROWS // 150
         assert (11 * 11) % cells_per_block != 0 and 11 * 11 > cells_per_block
         result = assert_matches_per_cell(scenario, GridSpec(1.0, 1.0, 11, 11))
         assert result.collision.any() and not result.collision.all()
 
-    @pytest.mark.parametrize("block_rows", [4, simulate_module._MAP_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [4, simulate_module._BLOCK_ROWS])
     def test_overflow_names_the_forward_major_first_cell(self, intr800, block_rows):
         # |v|^2 = vx^2 + vz^2 overflows where vx^2 + vz^2 > 1.80e308. In
         # units of 1e154, vx is -0.55 ... -1.35 along the lateral cells
@@ -633,7 +633,7 @@ class TestBlockedCollisionMap:
         )
         grid = GridSpec(0.4 * u, 0.35 * u, 5, 3)
         change = [grid.lateral_offsets[4], 0.0, grid.forward_offsets[0]]
-        with mock.patch.object(simulate_module, "_MAP_BLOCK_ROWS", block_rows):
+        with mock.patch.object(simulate_module, "_BLOCK_ROWS", block_rows):
             with pytest.raises(InvalidInput) as raised:
                 collision_map(scenario, grid)
         assert str(raised.value) == (
