@@ -135,7 +135,7 @@ def _emit_json(document: dict, out_path: str | None) -> None:
 def _cmd_simulate(args) -> int:
     import dataclasses
 
-    from .fileio import read_scenario, truth_document, write_json, write_tracks_csv
+    from .fileio import _remove_regular, read_scenario, truth_document, write_json, write_tracks_csv
     from .simulate import simulate
 
     scenario = read_scenario(args.scenario)
@@ -149,7 +149,11 @@ def _cmd_simulate(args) -> int:
     tracks, truth = simulate(scenario)
     ids = [f"{truth.object_ids[obj]}-{i}" for i, obj in enumerate(truth.cluster_id.tolist())]
     write_tracks_csv(args.out_tracks, tracks, ids)
-    write_json(args.out_truth, truth_document(truth, ids))
+    try:
+        write_json(args.out_truth, truth_document(truth, ids))
+    except BaseException:  # no tracks without their truth: remove them as a failed writer would
+        _remove_regular(args.out_tracks)
+        raise
     return 0
 
 
@@ -169,6 +173,80 @@ def _failed_entry(track_id: str, code: int, columns: dict, i: int, constant_bear
         "H": 0.0 if stationary else None,
         "classification": constant_bearing if stationary else None,
     }
+
+
+def _estimate_list(ids, code, columns: dict, k, H, v_g_dir, point, angles=None):
+    """The estimates[] of a result document as a ttc._Rows of JSON text,
+    entry i that of track ids[i]: an ok track's (code 0) from one row
+    template (fileio._template) filled from k, H, v_g_dir, point and, in
+    three-frame mode, the offset angles; any other track's the
+    _failed_entry record, its message filled from the estimator's columns."""
+    from json.encoder import encode_basestring_ascii
+
+    import numpy as np
+
+    from .fileio import _constant, _finite, _json, _template, _texts
+    from .ttc import MotionClass, _Rows
+
+    constant_bearing = MotionClass.CONSTANT_BEARING.value
+    # the truth label's rule: the collision plane has yet to sweep the camera
+    classification = (_json(MotionClass.RECEDING.value), _json(MotionClass.APPROACHING.value))  # by k > 0
+    fields = {
+        "track_id": "%s", "status": _constant("ok"), "k": "%r", "H": "%r", "classification": "%s",
+        "v_g_dir": "[%r, %r, %r]", "point": "[%r, %r, %r]",
+    }
+    if angles is not None:
+        fields["offset_angle_rad"] = "%r"
+    template = _template(fields)
+
+    def rows(start: int, stop: int) -> list[str]:
+        codes = code[start:stop].tolist()
+        ok = start + np.flatnonzero(code[start:stop] == 0)
+        k_ok, h_ok, v_ok, point_ok = k[ok], H[ok], v_g_dir[ok], point[ok]
+        values = {
+            "track_id": [map(encode_basestring_ascii, map(ids.__getitem__, ok.tolist()))],
+            "k": [k_ok.tolist()],
+            "H": [h_ok.tolist()],
+            "classification": [map(classification.__getitem__, (k_ok > 0.0).tolist())],
+            "v_g_dir": v_ok.T.tolist(),
+            "point": point_ok.T.tolist(),
+        }
+        _finite(k_ok, h_ok, v_ok, point_ok)
+        if angles is not None:
+            _finite(angles[ok])
+            values["offset_angle_rad"] = [angles[ok].tolist()]
+        texts = iter(_texts(template, values))
+        return [
+            _json(_failed_entry(ids[i], code_i, columns, i, constant_bearing)) if code_i else next(texts)
+            for i, code_i in enumerate(codes, start)
+        ]
+
+    return _Rows(len(ids), rows)
+
+
+def _epipole_list(ids, index, epipoles, residual, method: str):
+    """The epipoles[] of a result document as a ttc._Rows of JSON text,
+    one per track of index, from one row template (fileio._template):
+    the track's id, its epipole of epipoles (N, 2) and residual, and the
+    method, encoded once."""
+    from json.encoder import encode_basestring_ascii
+
+    from .fileio import _constant, _finite, _template, _texts
+    from .ttc import _Rows
+
+    template = _template({"track_id": "%s", "position": "[%r, %r]", "method": _constant(method), "residual": "%r"})
+
+    def rows(start: int, stop: int) -> list[str]:
+        chunk = index[start:stop]
+        position, r = epipoles[chunk], residual[chunk]
+        _finite(position, r)
+        return _texts(template, {
+            "track_id": [map(encode_basestring_ascii, map(ids.__getitem__, chunk.tolist()))],
+            "position": position.T.tolist(),
+            "residual": [r.tolist()],
+        })
+
+    return _Rows(len(index), rows)
 
 
 def _cluster_moving(tracks, ids, intrinsics, config: ClusteringConfig):
@@ -213,12 +291,8 @@ def _cmd_estimate(args) -> int:
         calibrate_horizon,
     )
     from .fileio import read_tracks_csv
-    from .ttc import MotionClass, _collision_rows, _Rows
+    from .ttc import _collision_rows
 
-    # classification strings of the entries, read off the enum once, not per track
-    approaching, receding, constant_bearing = (
-        MotionClass.APPROACHING.value, MotionClass.RECEDING.value, MotionClass.CONSTANT_BEARING.value
-    )
     intrinsics = _parse_intrinsics(args.intrinsics)
     seed = _seed(args)
     ids, tracks = read_tracks_csv(args.tracks)
@@ -253,13 +327,14 @@ def _cmd_estimate(args) -> int:
         document["horizon"] = _horizon_doc(horizon)
 
     method = None  # the "method" string of per-track epipoles
+    angles = None  # the three-frame offset angles
     if args.mode == "planar":
         # the full-span flow: less noise than the first pair, same epipolar line
         epipoles, code, columns = _planar_epipoles(first, last, horizon)
         residual = np.zeros(n)
         method = EpipoleMethod.HORIZON_INTERSECTION.value
     elif args.mode == "three-frame":
-        x, epipoles, residual, code, columns = _offset_three_frames(tracks, horizon, intrinsics)
+        angles, epipoles, residual, code, columns = _offset_three_frames(tracks, horizon, intrinsics)
         method = EpipoleMethod.THREE_FRAME_OFFSET.value
     else:
         # One epipole for the whole set: least squares assumes all
@@ -280,44 +355,11 @@ def _cmd_estimate(args) -> int:
     code = np.where(code, code, pair_code)
     ok = np.flatnonzero(code == 0)
 
-    def estimate_rows(start: int, stop: int) -> list[dict]:
-        rows = slice(start, stop)
-        angles = x[rows].tolist() if args.mode == "three-frame" else None
-        entries = []
-        for j, (track_id, code_j, k_j, h_j, v_j, point_j) in enumerate(zip(
-            ids[rows], code[rows].tolist(), k[rows].tolist(), H[rows].tolist(),
-            v_g_dir[rows].tolist(), point[rows].tolist(),
-        )):
-            if code_j:
-                entries.append(_failed_entry(track_id, code_j, columns, start + j, constant_bearing))
-                continue
-            entry = {
-                "track_id": track_id,
-                "status": "ok",
-                "k": k_j,
-                "H": h_j,
-                # the truth label's rule: the collision plane has yet to sweep the camera
-                "classification": approaching if k_j > 0.0 else receding,
-                "v_g_dir": v_j,
-                "point": point_j,
-            }
-            if angles is not None:
-                entry["offset_angle_rad"] = angles[j]
-            entries.append(entry)
-        return entries
-
-    def epipole_rows(start: int, stop: int) -> list[dict]:
-        index = ok[start:stop]
-        return [
-            _epipole_doc(ids[i], position, method, r)
-            for i, position, r in zip(index.tolist(), epipoles[index].tolist(), residual[index].tolist())
-        ]
-
-    document["estimates"] = _Rows(n, estimate_rows)
+    document["estimates"] = _estimate_list(ids, code, columns, k, H, v_g_dir, point, angles)
     if method is None:
         residuals = [residual]  # the shared epipole's
     else:  # one epipole per ok track
-        document["epipoles"] = _Rows(len(ok), epipole_rows)
+        document["epipoles"] = _epipole_list(ids, ok, epipoles, residual, method)
         residuals = residual[ok]
     document["residuals"] = {
         "epipole_residual_mean": float(np.mean(residuals)) if len(residuals) else None,

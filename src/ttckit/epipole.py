@@ -215,13 +215,16 @@ def _planar_epipoles(p: np.ndarray, q: np.ndarray, horizon: HorizonLine):
         reason code of each row (zero displacement before parallel to the
         horizon), and the columns its messages read: "pixel" (p) and
         "direction" (the unit flow directions, shape (N, 2)). Rows of a
-        non-zero code hold meaningless positions.
+        non-zero code hold NaN positions: a cut of an almost parallel
+        line can be finite but so far off that decomposing a pair against
+        it overflows.
     """
     directions, still = _unit_rows(q - p)
     positions, sin = _cut_horizon(p, directions, horizon)
     code = np.zeros(len(p), dtype=np.int8)
     code[np.abs(sin) < _MIN_SIN_PARALLEL] = _PARALLEL_TO_HORIZON
     code[still] = _ZERO_DISPLACEMENT
+    positions[code != 0] = np.nan
     return positions, code, {"pixel": p, "direction": directions}
 
 

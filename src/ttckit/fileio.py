@@ -21,12 +21,21 @@ offending line or field named.
 Track files and the per-track lists of result documents pass through
 memory _CHUNK rows at a time: the CSV is read and parsed in line-aligned
 pieces and written in row chunks, and a document's lazy row list
-(ttc._Rows) builds, encodes and writes its entries chunk by chunk; a
+(ttc._Rows) builds and writes its entries chunk by chunk; a
 collision-map CSV is written one forward row of cells at a time. Beyond
 the arrays, memory is bounded by the chunk size, not by the file size,
 for a rejected file too: the file's text is never held whole. The bytes
 are those of a whole-file parse and json.dumps. A writer that fails
 part-way removes the regular file it was writing (_write_text).
+
+Each per-track list (ground truth points[], estimates[] and epipoles[])
+is encoded without building a dict per entry: one % row template per
+list (_template), built once from its sorted keys, takes each entry's
+values (_texts). A value shared by an object or by the whole list is
+encoded once with _json; floats go in by repr and ids by
+encode_basestring_ascii, the functions json.dumps calls, and one
+np.isfinite test per chunk (_finite) keeps json.dumps's rejection of
+NaN and infinity.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import math
 import os
 import stat
 from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -89,12 +99,55 @@ def _json(value) -> str:
     )
 
 
+def _constant(value) -> str:
+    """value as JSON text (_json) to stand for itself in a _template."""
+    return _json(value).replace("%", "%%")
+
+
+def _template(fields: dict[str, str]) -> str:
+    """The % template of a JSON object's text as json.dumps(sort_keys=True)
+    writes it: each key of fields, in sorted order, with its value's
+    text, a _constant or one % directive per column _texts fills it from."""
+    return "{%s}" % ", ".join(f"{_json(key)}: {fields[key]}" for key in sorted(fields))
+
+
+def _texts(template: str, columns: dict[str, list]) -> list[str]:
+    """template (_template) filled once per row: columns maps each key
+    whose value has directives to one iterable per directive, in order.
+
+    Values go in as json.dumps encodes them: a Python float through %r
+    (or %s, as str of a float is its repr), an id already encoded by
+    encode_basestring_ascii, a value shared by many rows already _json."""
+    return [template % row for row in zip(*chain.from_iterable(columns[key] for key in sorted(columns)))]
+
+
+def _finite(*columns) -> None:
+    """Raise json.dumps's ValueError unless every value of the columns is
+    finite: a document writes a missing value as null, never NaN."""
+    for column in columns:
+        if not np.isfinite(column).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+
+
+def _nullable(column: np.ndarray) -> list:
+    """column's values for %s directives, NaN as null; ValueError (_finite)
+    on an infinity."""
+    nan = np.isnan(column)
+    _finite(column[~nan])
+    values = column.tolist()
+    for i in np.flatnonzero(nan).tolist():
+        values[i] = "null"
+    return values
+
+
 def _json_pieces(document: dict):
     """The text write_json writes, generated in pieces: json.dumps(document,
     sort_keys=True) and a newline. Top-level keys, strings, come in
     sorted order and each value is encoded on its own, when its piece is
-    drawn; a _Rows value is encoded _CHUNK entries at a time, so its
-    entries never all exist and the text is never held whole."""
+    drawn; a _Rows value is drawn _CHUNK entries at a time, so its
+    entries never all exist and the text is never held whole. Its
+    entries are each one's JSON text (_texts), joined here, or records
+    encoded here."""
     yield "{"
     for n, key in enumerate(sorted(document)):
         value = document[key]
@@ -104,9 +157,10 @@ def _json_pieces(document: dict):
             continue
         yield "["
         for first in range(0, len(value), _CHUNK):
+            rows = value[first:first + _CHUNK]
             if first:
                 yield ", "
-            yield _json(value[first:first + _CHUNK])[1:-1]  # the slice's list, unbracketed
+            yield ", ".join(rows) if isinstance(rows[0], str) else _json(rows)[1:-1]  # the slice's list, unbracketed
         yield "]"
     yield "}\n"
 
@@ -125,15 +179,28 @@ def _write_text(path, pieces) -> None:
         with fh:
             fh.writelines(pieces)
     except BaseException:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.remove(path)
+        _remove_regular(path)
         raise
+
+
+def _remove_regular(path) -> None:
+    """Remove path if it is a regular file, not a symlink (os.lstat): the
+    output of a writer that failed. A device, a pipe, a symlink and its
+    target, or no file at all, are left as they are."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISREG(mode):
+        os.remove(path)
 
 
 def write_json(path, document: dict) -> None:
     """Write a JSON document on one line with sorted keys and a trailing
     newline. Its top-level keys are strings; a list may be given as a
-    _Rows, which is encoded and written chunk by chunk.
+    _Rows, which is built and written chunk by chunk: a _Rows of each
+    entry's JSON text (a row template's, _texts) is joined as it is, one
+    of records is encoded here.
 
     Rejects NaN/Infinity: documents must encode missing values as null.
     Each piece is written as soon as it is encoded, so a document that
@@ -385,30 +452,46 @@ def write_scenario(path, scenario: Scenario) -> None:
 
 def truth_document(truth: GroundTruth, ids: list[str]) -> dict:
     """Ground truth as a JSON-ready document (schema 1), built from the
-    rows of truth (GroundTruth._rows and _epipoles) without building any
-    PointTruth; NaN becomes null. Its "points" are a _Rows, built when read."""
+    columns of truth without building any PointTruth; NaN becomes null.
+    Its "points" are a _Rows of each point's JSON text, built when read
+    from one row template (_template): each object's cluster_id,
+    epipole, object_id and v_g are encoded once, here, and a point's
+    floats and track id as json.dumps encodes them (_texts).
+
+    Raises:
+        InvalidInput: ids and truth differ in length.
+        ValueError: an object's v_g or epipole is infinite here, or, when
+            a point is read, its speed is not finite or its k0 or H is
+            infinite: a JSON document holds no NaN or infinity.
+    """
     if len(ids) != len(truth):
         raise InvalidInput(f"{len(ids)} ids for {len(truth)} truth points")
-    v_g = truth.v_g.tolist()
-    epipole = truth._epipoles()
-    labels = [label.value for label in truth.LABELS]
+    v_g = [_json(v) for v in truth.v_g.tolist()]
+    epipole = [_json(e) for e in truth._epipoles()]
+    object_id = [_json(o) for o in truth.object_ids]
+    label = [_json(label.value) for label in truth.LABELS]
+    template = _template({
+        "track_id": "%s", "object_id": "%s", "cluster_id": "%d", "v_g": "%s", "speed": "%r",
+        "epipole": "%s", "k0": "%s", "H": "%s", "label": "%s", "valid_frames": "%d",
+    })
 
-    def points(start: int, stop: int) -> list[dict]:
-        return [
-            {
-                "track_id": tid,
-                "object_id": truth.object_ids[obj],
-                "cluster_id": obj,
-                "v_g": v_g[obj],
-                "speed": speed,
-                "epipole": epipole[obj],
-                "k0": k0,
-                "H": h,
-                "label": labels[label],
-                "valid_frames": valid,
-            }
-            for tid, (obj, speed, k0, h, label, valid) in zip(ids[start:stop], truth._rows(start, stop))
-        ]
+    def points(start: int, stop: int) -> list[str]:
+        rows = slice(start, stop)
+        obj = truth.cluster_id[rows].tolist()
+        speed = truth.speed[rows]
+        _finite(speed)
+        return _texts(template, {
+            "track_id": [map(encode_basestring_ascii, ids[rows])],
+            "object_id": [map(object_id.__getitem__, obj)],
+            "cluster_id": [obj],
+            "v_g": [map(v_g.__getitem__, obj)],
+            "speed": [speed.tolist()],
+            "epipole": [map(epipole.__getitem__, obj)],
+            "k0": [_nullable(truth.k0[rows])],
+            "H": [_nullable(truth.H[rows])],
+            "label": [map(label.__getitem__, truth.label[rows].tolist())],
+            "valid_frames": [truth.valid_frames[rows].tolist()],
+        })
 
     return {"schema": 1, "frame_count": truth.frame_count, "points": _Rows(len(truth), points)}
 

@@ -189,10 +189,9 @@ class GroundTruth:
         valid_frames: (N,) int64 frames before each point left the
             Z > 0 half-space.
 
-    _rows reads rows as Python tuples and _epipoles the objects'
-    epipoles as lists; points (a ttc._Rows) and fileio.truth_document
-    build their records from them when an item is read, and len(points)
-    builds none.
+    points (a ttc._Rows) builds its records from the columns when an
+    item is read, and len(points) builds none; _epipoles reads the
+    objects' epipoles as lists for it and for fileio.truth_document.
     """
 
     frame_count: int
@@ -217,30 +216,15 @@ class GroundTruth:
     def points(self) -> _Rows:
         return _Rows(len(self), self._points)
 
-    def _rows(self, start: int, stop: int) -> list[tuple]:
-        """Rows start to stop as Python tuples (object, speed, k0, H,
-        label code, valid frames); NaN k0 and H become None."""
-        rows = slice(start, stop)
-        return [
-            (obj, speed, None if math.isnan(k0) else k0, None if math.isnan(h) else h, label, valid)
-            for obj, speed, k0, h, label, valid in zip(
-                self.cluster_id[rows].tolist(),
-                self.speed[rows].tolist(),
-                self.k0[rows].tolist(),
-                self.H[rows].tolist(),
-                self.label[rows].tolist(),
-                self.valid_frames[rows].tolist(),
-            )
-        ]
-
     def _epipoles(self) -> list[list[float] | None]:
         """Each object's epipole as [u, v]; None where it is undefined (NaN)."""
         return [None if math.isnan(e[0]) else e for e in self.epipole.tolist()]
 
     def _points(self, start: int, stop: int) -> list[PointTruth]:
         """Rows start to stop as PointTruth records, each owning a copy
-        of its object's epipole."""
+        of its object's epipole; NaN k0 and H become None."""
         epipoles = self._epipoles()
+        rows = slice(start, stop)
         return [
             PointTruth(
                 track_index=i,
@@ -249,12 +233,20 @@ class GroundTruth:
                 v_g=self.v_g[obj],
                 speed=speed,
                 epipole=None if epipoles[obj] is None else np.array(epipoles[obj]),
-                k0=k0,
-                H=h,
+                k0=None if math.isnan(k0) else k0,
+                H=None if math.isnan(h) else h,
                 label=self.LABELS[label],
                 valid_frames=valid,
             )
-            for i, (obj, speed, k0, h, label, valid) in enumerate(self._rows(start, stop), start)
+            for i, obj, speed, k0, h, label, valid in zip(
+                range(start, stop),
+                self.cluster_id[rows].tolist(),
+                self.speed[rows].tolist(),
+                self.k0[rows].tolist(),
+                self.H[rows].tolist(),
+                self.label[rows].tolist(),
+                self.valid_frames[rows].tolist(),
+            )
         ]
 
 

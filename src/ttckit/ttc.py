@@ -205,8 +205,9 @@ class TrackTable(Sequence):
 class _Rows(Sequence):
     """n records built from columns when read: len() builds none, an
     index or a slice builds those records afresh. build(start, stop)
-    returns records start to stop as a list. GroundTruth.points and the
-    lists of result documents are _Rows."""
+    returns records start to stop as a list. GroundTruth.points is a
+    _Rows of PointTruth, and each per-track list of a result document a
+    _Rows of each entry's JSON text (fileio._texts)."""
 
     def __init__(self, n: int, build):
         self._n = n

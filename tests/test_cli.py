@@ -10,6 +10,7 @@ import importlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +19,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ttckit import (
     CameraIntrinsics,
@@ -195,6 +198,23 @@ class TestSimulateCommand:
         # the counters do count: reading the outputs back builds tracks
         assert len(read_tracks_csv(t)[1][0]) == 6 and built["TrackObservation"] == 1
         assert read_json(g)["points"][1]["valid_frames"] == 1
+
+    def test_failed_truth_write_leaves_no_tracks(self, planar_files, tmp_path, capsys):
+        scene, _, _ = planar_files
+        tracks, truth = tmp_path / "t.csv", tmp_path / "absent" / "g.json"
+        assert run("simulate", scene, "--out-tracks", tracks, "--out-truth", truth) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err and err.count("\n") == 1
+        assert not tracks.exists() and not truth.exists()
+        # the tracks file that is removed is a regular one: a device, and a symlink and its target, are kept
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("an earlier result\n")
+        link.symlink_to(target)
+        for path in (os.devnull, link):
+            assert run("simulate", scene, "--out-tracks", path, "--out-truth", truth) == 2
+            assert "No such file or directory" in capsys.readouterr().err
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert link.is_symlink() and target.is_file() and not truth.exists()
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = run(
@@ -1240,6 +1260,92 @@ class TestMalformedInputs:
             "[-1e+200, 0.0, -1e+200]\n"
         )
         assert not out.exists()
+
+
+# The track CSVs the result writers see: hostile ids (quotes, backslashes,
+# control characters, non-ASCII text, '%'), a BOM, CRLF, blank lines,
+# interleaved and duplicate ids, and pixels within +-1e6, -0.0 and
+# subnormals included. Huge pixels and --horizon 0,1e308 are left out:
+# their overflow warnings are known (ROADMAP item 8).
+GRAMMAR_IDS = st.sampled_from(["a", "b", '"q"', "back\\slash", "\x01\x7f", "\u00e9", "\U0001f697", " a", "", "%s%%"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    max_size=4,
+)
+GRAMMAR_PIXELS = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 640.0, 360.0])
+
+
+@st.composite
+def grammar_csvs(draw):
+    """Track CSV text of 1-6 tracks of 2-5 frames in the grammar above.
+    The last track may take the first one's id: its rows then continue
+    that track, or break its frame steps."""
+    ids = draw(st.lists(GRAMMAR_IDS, min_size=1, max_size=6, unique=True))
+    frame = dict.fromkeys(ids, 0)
+    if len(ids) > 1 and draw(st.booleans()):
+        ids[-1] = ids[0]
+    queues = []
+    for tid in ids:
+        start = frame[tid] + draw(st.sampled_from([0, 0, 0, -1, 2]))
+        u0, v0, du, dv = (draw(GRAMMAR_PIXELS) for _ in range(4))
+        line = draw(st.booleans())  # uniform steps, or any pixels
+        length = draw(st.integers(2, 5))
+        queues.append([])
+        for f in range(length):
+            u, v = (u0 + f * du, v0 + f * dv) if line else (draw(GRAMMAR_PIXELS), draw(GRAMMAR_PIXELS))
+            queues[-1].append(f"{tid},{start + f},{u!r},{v!r}")
+        frame[tid] = start + length
+    rows = []  # the tracks' rows interleaved, each track's in order
+    for pick in draw(st.lists(st.integers(0, 5), max_size=30)):
+        live = [queue for queue in queues if queue]
+        if live:
+            rows.append(live[pick % len(live)].pop(0))
+    rows += [row for queue in queues for row in queue]
+    lines = [fileio.TRACKS_HEADER, *rows]
+    for at in draw(st.lists(st.integers(1, 40), max_size=2)):
+        lines.insert(1 + at % len(lines), draw(st.sampled_from(["", " "])))
+    bom = draw(st.sampled_from(["", "", "", "", "", "", "", "\ufeff"]))
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+class TestCliGrammar:
+    """estimate (every mode) and cluster on grammar_csvs: exit 0 with
+    canonical JSON and finite ok entries, or exit 2 with one line of
+    stderr; a rerun and the stdout path give the same bytes."""
+
+    COMMANDS = (
+        ("estimate", "--mode", "planar"), ("estimate", "--mode", "three-frame"),
+        ("estimate", "--mode", "least-squares"), ("cluster", "--min-size", "3"),
+    )
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=grammar_csvs(), horizon=st.sampled_from(["0,360", "-0.1,360", "0.05,300", "0,-1e5"]))
+    # a flow within 1e-298 of the horizon: its epipole was cut 1e298 px off, and
+    # decomposing the pair against it warned of an overflow on a rejected track
+    @example(text="track_id,frame,u,v\na,0,0.0,0.0\na,1,1.0,1.4176504314507788e-298\n", horizon="0,360")
+    def test_exit_codes_and_output(self, text, horizon, tmp_path, capsys):
+        tracks, out = tmp_path / "t.csv", tmp_path / "out.json"
+        tracks.write_bytes(text.encode("utf-8"))
+        capsys.readouterr()
+        for command in self.COMMANDS:
+            argv = [command[0], tracks, "--intrinsics", "800,640,360", *command[1:], "--seed", "3"]
+            if command[0] == "estimate" and command[2] != "least-squares":
+                argv += ["--horizon", horizon]
+            code = run(*argv, "--out", out)
+            err = capsys.readouterr().err
+            assert code in (0, 2), (command, err)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+                assert run(*argv) == 2 and capsys.readouterr() == ("", err)
+                continue
+            assert err == ""
+            want = out.read_bytes()
+            doc = json.loads(want)
+            assert want.decode("utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+            for entry in doc["estimates"]:
+                if entry["status"] == "ok":
+                    assert math.isfinite(entry["k"]) and entry["H"] >= 0.0, entry
+            assert run(*argv, "--out", out) == 0 and out.read_bytes() == want
+            assert run(*argv) == 0 and capsys.readouterr() == (want.decode("utf-8"), "")
 
 
 class TestExitCodes:

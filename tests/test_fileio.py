@@ -28,7 +28,7 @@ from ttckit import (
     orientation_error_sweep,
     simulate,
 )
-from ttckit import fileio
+from ttckit import GroundTruth, cli, errors, fileio
 from ttckit.fileio import (
     TRACKS_HEADER,
     read_json,
@@ -629,7 +629,7 @@ class TestTruthDocument:
         assert doc["schema"] == 1
         assert doc["frame_count"] == scenario.frame_count
         assert len(doc["points"]) == len(tracks)
-        first = doc["points"][0]
+        first = json.loads(doc["points"][0])  # each point is its JSON text
         assert first["track_id"] == "t0"
         assert first["object_id"] == "a"
         assert first["label"] == "Approaching"
@@ -644,7 +644,7 @@ class TestTruthDocument:
         )
         _, truth = simulate(scenario)
         doc = truth_document(truth, ["s-0"])
-        pt = doc["points"][0]
+        pt = json.loads(doc["points"][0])
         assert pt["epipole"] is None and pt["k0"] is None and pt["H"] is None
         write_json(tmp_path / "truth.json", doc)
         assert read_json(tmp_path / "truth.json")["points"][0]["k0"] is None
@@ -922,6 +922,133 @@ class TestChunkedJson:
         assert rows[-3:] == entries[-3:] and list(rows) == entries
         with pytest.raises(IndexError):
             rows[7]
+
+
+# Hostile values of the per-track row templates: ids with quotes, backslashes,
+# control characters, non-ASCII text and lone surrogates; floats at the
+# edges of repr and json.dumps
+TEMPLATE_IDS = st.text(st.characters(blacklist_categories=()), max_size=5) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "%s%r%%", "\u00e9t\u00e9 \U0001f697", "\ud800", "\udfff x"]
+)
+TEMPLATE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, -7.0, 1e16, 2.0**53]
+) | st.floats(allow_nan=False, allow_infinity=False)
+# reason codes whose messages read no column of the estimator
+COLUMNLESS_CODES = [errors._ZERO_FLOW, errors._COINCIDENT, errors._CONSTANT_BEARING, errors._TTC_UNDEFINED,
+                    errors._NOT_FINITE]
+
+
+@st.composite
+def template_documents(draw):
+    """(document, records): a result document's three templated lists, the
+    estimates and epipoles of cli and ground truth points, and the same
+    entries as records, by the dict builders they replace."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(TEMPLATE_IDS, min_size=n, max_size=n))
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(TEMPLATE_FLOATS, min_size=size, max_size=size))).reshape(shape)
+
+    # estimates: ok (code 0) and failed rows interleaved; a failed row's columns hold NaN
+    code = np.array(draw(st.lists(st.sampled_from([0, 0, *COLUMNLESS_CODES]), min_size=n, max_size=n)), np.int8)
+    k, h, v_g_dir, point, angles = floats(n), floats(n), floats(n, 3), floats(n, 3), floats(n)
+    for column in (k, h, v_g_dir, point, angles):
+        column[code != 0] = np.nan
+    three_frame = draw(st.booleans())
+    estimates = []
+    for i, tid in enumerate(ids):
+        if code[i]:
+            estimates.append(cli._failed_entry(tid, int(code[i]), {}, i, "ConstantBearing"))
+            continue
+        entry = {"track_id": tid, "status": "ok", "k": k[i].item(), "H": h[i].item(),
+                 "classification": "Approaching" if k[i] > 0.0 else "Receding",
+                 "v_g_dir": v_g_dir[i].tolist(), "point": point[i].tolist()}
+        if three_frame:
+            entry["offset_angle_rad"] = angles[i].item()
+        estimates.append(entry)
+    # epipoles of the ok rows, under a method name with % in it
+    ok = np.flatnonzero(code == 0)
+    position, residual = floats(n, 2), floats(n)
+    method = draw(TEMPLATE_IDS) + "%s"
+    epipoles = [{"track_id": ids[i], "position": position[i].tolist(), "method": method, "residual": residual[i].item()}
+                for i in ok.tolist()]
+    # truth of points on a few objects; NaN k0, H and epipole are null
+    objects = draw(st.integers(1, 3))
+    object_ids = tuple(draw(st.lists(TEMPLATE_IDS, min_size=objects, max_size=objects)))
+    epipole = floats(objects, 2)
+    epipole[np.array(draw(st.lists(st.booleans(), min_size=objects, max_size=objects)))] = np.nan
+    truth = GroundTruth(
+        frame_count=draw(st.integers(2, 9)), object_ids=object_ids, v_g=floats(objects, 3), epipole=epipole,
+        cluster_id=np.array(draw(st.lists(st.integers(0, objects - 1), min_size=n, max_size=n)), np.int64),
+        k0=np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), np.nan, floats(n)),
+        H=np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), np.nan, floats(n)),
+        speed=floats(n), label=np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), np.int8),
+        valid_frames=np.array(draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)), np.int64),
+    )
+
+    def null(x):
+        return None if math.isnan(x) else x
+
+    points = [
+        {"track_id": tid, "object_id": object_ids[obj], "cluster_id": obj, "v_g": truth.v_g[obj].tolist(),
+         "speed": truth.speed[i].item(),
+         "epipole": None if math.isnan(epipole[obj, 0]) else epipole[obj].tolist(),
+         "k0": null(truth.k0[i].item()), "H": null(truth.H[i].item()),
+         "label": truth.LABELS[truth.label[i]].value, "valid_frames": truth.valid_frames[i].item()}
+        for i, (tid, obj) in enumerate(zip(ids, truth.cluster_id.tolist()))
+    ]
+    document = {
+        "estimates": cli._estimate_list(ids, code, {}, k, h, v_g_dir, point, angles if three_frame else None),
+        "epipoles": cli._epipole_list(ids, ok, position, residual, method),
+        "points": truth_document(truth, ids)["points"],
+    }
+    return document, {"estimates": estimates, "epipoles": epipoles, "points": points}
+
+
+class TestRowTemplates:
+    """The per-track lists of result documents are written from one row
+    template each; the text equals json.dumps of the same records."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=template_documents())
+    def test_every_chunk_size_writes_json_dumps(self, drawn, tmp_path):
+        document, records = drawn
+        want = json.dumps(records, sort_keys=True) + "\n"
+        path = tmp_path / "doc.json"
+        for size in range(1, len(document["estimates"]) + 2):
+            with mock.patch.object(fileio, "_CHUNK", size):
+                write_json(path, document)
+            assert path.read_bytes().decode("ascii") == want, size
+
+    @pytest.mark.parametrize("column, bad", [
+        (column, bad)
+        for column in ("k", "H", "v_g_dir", "point", "angles", "position", "residual", "speed", "k0")
+        for bad in (math.nan, math.inf, -math.inf)
+        if not (column == "k0" and math.isnan(bad))  # a NaN k0 is null
+    ])
+    def test_nan_or_infinity_in_a_column_raises_and_leaves_no_file(self, column, bad, tmp_path):
+        n = 5
+        columns = {name: np.ones((n, 3) if name in ("v_g_dir", "point") else (n, 2) if name == "position" else n)
+                   for name in ("k", "H", "v_g_dir", "point", "angles", "position", "residual", "speed", "k0")}
+        columns[column][3] = bad  # in the second chunk of 2 rows
+        ids, code, ok = [f"t{i}" for i in range(n)], np.zeros(n, np.int8), np.arange(n)
+        truth = GroundTruth(
+            frame_count=3, object_ids=("o",), v_g=np.ones((1, 3)), epipole=np.ones((1, 2)),
+            cluster_id=np.zeros(n, np.int64), k0=columns["k0"], H=np.ones(n), speed=columns["speed"],
+            label=np.ones(n, np.int8), valid_frames=np.full(n, 3),
+        )
+        document = {
+            "estimates": cli._estimate_list(ids, code, {}, columns["k"], columns["H"], columns["v_g_dir"],
+                                            columns["point"], columns["angles"]),
+            "epipoles": cli._epipole_list(ids, ok, columns["position"], columns["residual"], "m"),
+            "points": truth_document(truth, ids)["points"],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text("an earlier result\n")
+        with mock.patch.object(fileio, "_CHUNK", 2), pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, document)
+        assert not path.exists()
 
 
 def traced_peak(call):
